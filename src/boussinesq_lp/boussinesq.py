@@ -396,7 +396,7 @@ def synthesize_holder_field(
     if r <= 0:
         raise ValueError(f"Hoelder exponent must be positive, got {r}")
     part = build_partition(grid)
-    total = np.zeros((grid.n, grid.n), dtype=complex)
+    total = np.zeros(grid.spectral_shape, dtype=complex)
     if amplitude == 0.0:
         return SpectralField(grid, total)
     rng = np.random.default_rng(seed)

@@ -385,10 +385,6 @@ def _cmd_probe(config: RunConfig) -> str:
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
-    threads = os.environ.get("BOUSSINESQ_LP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     handlers = {
         "lp-analyze": _cmd_lp_analyze,
         "solve": _cmd_solve,

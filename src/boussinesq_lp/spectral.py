@@ -1,21 +1,33 @@
 """Field arithmetic on the periodic 2-torus.
 
 Real scalar fields on a uniform n x n grid over [0, L)^2 are represented
-by their complex Fourier coefficients.  The forward transform is
-normalized "unitary in mean": a constant field c has a single nonzero
-coefficient equal to c, and cos(2*pi*x/L) splits into the two modes
-m = +-1 with coefficient 1/2 each.  With this convention Parseval reads
+by the real-to-complex half spectrum of their Fourier coefficients: an
+(n, n//2 + 1) array holding the modes m2 >= 0 of the second axis.  The
+modes m2 < 0 are the complex conjugates c_{-m} = conj(c_m) and are not
+stored.  Along the first axis the mode labels are the ``fftfreq`` order
+0..n/2-1, -n/2..-1; along the second axis they are 0..n/2-1, -n/2 (the
+last column is the Nyquist column, labelled -n/2 as in the full layout).
 
-    ||f||_{L^2(grid)} = L * sqrt(sum_m |c_m|^2),
+The forward transform is normalized "unitary in mean": a constant field c
+has a single nonzero coefficient equal to c, and cos(2*pi*x/L) splits
+into the two modes m = +-1 with coefficient 1/2 each.  With this
+convention Parseval reads
 
-where the grid L^2 norm uses the cell weight (L/n)^2.
+    ||f||_{L^2(grid)} = L * sqrt(sum_m w_m |c_m|^2),
+
+where the sum runs over the stored half spectrum, w_m = 2 on the interior
+columns 0 < m2 < n/2 (each stands for itself and its conjugate partner)
+and w_m = 1 on the columns m2 = 0 and m2 = -n/2, and the grid L^2 norm
+uses the cell weight (L/n)^2.
 
 Wavenumbers are k = 2*pi*m/L for integer mode indices m in [-n/2, n/2).
 Odd-order derivative multipliers zero the Nyquist mode m = -n/2 so that
 derivatives of real fields stay real; the same convention is applied to
 the k (x) k / |k|^2 multipliers, whose sign at the Nyquist bin would
 otherwise be ambiguous.  The zero mode of any inverse-Laplacian operator
-is set to 0 (fields of interest are mean-zero).
+is set to 0 (fields of interest are mean-zero).  Every multiplier is
+thereby Hermitian-preserving, so restricting it to the stored half loses
+nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +66,8 @@ class Grid:
     """Uniform periodic grid: n points per dimension on [0, L)^2.
 
     Precomputes mode indices, wavenumber meshes and the 2/3-rule dealias
-    mask.  Grids compare and hash by (n, L); use :func:`make_grid` to get
-    a cached instance.
+    mask, all in the (n, n//2 + 1) half-spectrum layout.  Grids compare
+    and hash by (n, L); use :func:`make_grid` to get a cached instance.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -72,7 +84,7 @@ class Grid:
         self.length = box_length
 
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-        self.m1, self.m2 = np.meshgrid(m, m, indexing="ij")
+        self.m1, self.m2 = np.meshgrid(m, m[: n // 2 + 1], indexing="ij")
 
         k0 = 2.0 * np.pi / box_length
         # full wavenumbers (Nyquist retained, used for |k|^2)
@@ -98,6 +110,11 @@ class Grid:
 
         x = box_length * np.arange(n) / n
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
+
+    @property
+    def spectral_shape(self) -> tuple[int, int]:
+        """Shape of a half-spectrum coefficient array, (n, n//2 + 1)."""
+        return self.m1.shape
 
     @property
     def dx(self) -> float:
@@ -126,10 +143,18 @@ def make_grid(n: int, box_length: float = 2.0 * np.pi) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Real scalar field stored as complex Fourier coefficients."""
+    """Real scalar field stored as its half spectrum of Fourier coefficients."""
 
     grid: Grid
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.coeffs)
+        if shape != self.grid.spectral_shape:
+            raise ValueError(
+                f"coefficient array shape {shape} does not match the half-spectrum "
+                f"shape {self.grid.spectral_shape} of {self.grid!r}"
+            )
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -138,21 +163,25 @@ class SpectralField:
             raise ValueError(
                 f"value array shape {values.shape} does not match grid {(grid.n, grid.n)}"
             )
-        return cls(grid, np.fft.fft2(values) / grid.n**2)
+        return cls(grid, np.fft.rfft2(values) / grid.n**2)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=complex))
+        return cls(grid, np.zeros(grid.spectral_shape, dtype=complex))
 
     def values(self) -> np.ndarray:
-        """Collocation-grid samples (real part of the inverse transform).
+        """Collocation-grid samples: the (n, n) inverse real transform.
+
+        The stored (n, n//2 + 1) half spectrum is extended by Hermitian
+        symmetry, so the result is real by construction.
 
         Cached on first call (fields are immutable); the returned array
         is read-only.
         """
         cache = self.__dict__.get("_values_cache")
         if cache is None:
-            cache = np.ascontiguousarray(np.real(np.fft.ifft2(self.coeffs * self.grid.n**2)))
+            n = self.grid.n
+            cache = np.fft.irfft2(self.coeffs * n**2, s=(n, n))
             cache.setflags(write=False)
             object.__setattr__(self, "_values_cache", cache)
         return cache

@@ -117,7 +117,7 @@ class TestDirectRun:
             bq.run_direct(state0, 1.0, 0.2, 1.5)
 
     def test_nan_detection(self, grid64):
-        bad = np.zeros((64, 64), dtype=complex)
+        bad = SpectralField.zero(grid64).coeffs.copy()
         bad[1, 1] = np.nan
         state = bq.BoussinesqState(
             SpectralField(grid64, bad), VectorField.zero(grid64), 0.0
@@ -136,7 +136,7 @@ class TestIterationScheme:
     def test_low_block_data_not_truncated(self, grid64):
         part = build_partition(grid64)
         # velocity supported in blocks <= 0: the level-2 low-pass is the identity
-        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[1, 0] = -0.5j
         coeffs[-1, 0] = 0.5j  # sin(x1), |k| = 1
         psi = SpectralField(grid64, coeffs)

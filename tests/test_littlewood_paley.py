@@ -84,9 +84,9 @@ class TestBlocks:
         mask = part.phi_hat[q0] == 1.0
         assert mask.any()
         idx = np.argwhere(mask)[0]
-        coeffs = np.zeros((64, 64), dtype=complex)
+        assert grid64.m2[tuple(idx)] > 0  # the conjugate partner is implicit
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[idx[0], idx[1]] = 1.0
-        coeffs[-idx[0] % 64, -idx[1] % 64] = 1.0
         f = SpectralField(grid64, coeffs)
         assert rel_linf(block(q0, f, part), f) < 1e-14
         for p in range(-1, part.q_max + 1):
@@ -148,9 +148,9 @@ class TestNorms:
         q0 = 2
         mask = part.phi_hat[q0] == 1.0
         idx = np.argwhere(mask)[0]
-        coeffs = np.zeros((64, 64), dtype=complex)
+        assert grid64.m2[tuple(idx)] > 0  # the conjugate partner is implicit
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[idx[0], idx[1]] = 0.5
-        coeffs[-idx[0] % 64, -idx[1] % 64] = 0.5
         f = SpectralField(grid64, coeffs)
         amplitude = linf_norm(f)
         r = 1.5
@@ -310,7 +310,7 @@ class TestBernstein:
 
     def test_single_axis_mode_first_derivative(self, grid64):
         q = 2
-        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[8, 0] = 0.5  # |k| = 2^{q+1}, aligned with axis 1
         coeffs[-8, 0] = 0.5
         f = SpectralField(grid64, coeffs)

@@ -23,7 +23,13 @@ from boussinesq_lp.spectral import (
     transform,
 )
 
-from helpers import mean_zero_smooth_field, rel_linf, random_dealiased_field, vec_linf
+from helpers import (
+    mean_zero_smooth_field,
+    rel_linf,
+    rel_linf_values,
+    random_dealiased_field,
+    vec_linf,
+)
 
 
 class TestGrid:
@@ -80,17 +86,72 @@ class TestTransform:
             for m2 in range(n):
                 phase = np.exp(-2j * np.pi * (m1 * j[:, None] + m2 * j[None, :]) / n)
                 direct[m1, m2] = np.sum(values * phase) / n**2
-        assert np.max(np.abs(direct - f.coeffs)) < 1e-10
+        # the stored half spectrum is the columns m2 = 0..n/2 of the full DFT
+        assert np.max(np.abs(direct[:, : n // 2 + 1] - f.coeffs)) < 1e-10
 
     def test_parseval(self, grid64):
         f = mean_zero_smooth_field(grid64, 3)
         grid_l2 = lp_norm(f, 2)
-        coeff_l2 = grid64.length * np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+        # interior columns 0 < m2 < n/2 also stand for their conjugate partners
+        weight = np.ones(grid64.spectral_shape)
+        weight[:, 1:-1] = 2.0
+        coeff_l2 = grid64.length * np.sqrt(np.sum(weight * np.abs(f.coeffs) ** 2))
         assert abs(grid_l2 - coeff_l2) < 1e-10 * coeff_l2
 
     def test_shape_mismatch(self, grid64):
         with pytest.raises(ValueError):
             transform(grid64, np.zeros((32, 32)))
+
+    def test_half_spectrum_shape(self, grid64):
+        assert grid64.spectral_shape == (64, 33)
+        assert transform(grid64, np.cos(grid64.x1)).coeffs.shape == (64, 33)
+        assert SpectralField.zero(grid64).coeffs.shape == (64, 33)
+        assert list(grid64.m2[0, [0, 1, 31, 32]]) == [0, 1, 31, -32]
+
+    def test_rejects_full_layout_coeffs(self, grid64):
+        with pytest.raises(ValueError, match=r"\(64, 64\).*\(64, 33\)"):
+            SpectralField(grid64, np.zeros((64, 64), dtype=complex))
+
+
+class TestHalfSpectrumLayout:
+    """The half-spectrum operators against the same multipliers built on the
+    full fftfreq mesh and applied through fft2/ifft2."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_operators_match_full_layout(self, n):
+        g = make_grid(n, 2.0 * np.pi)
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, n, n))
+        f = transform(g, a)
+        w = VectorField.from_values(g, a, b)
+
+        m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        k0 = 2.0 * np.pi / g.length
+        k1 = np.where(m1 == -n // 2, 0.0, k0 * m1)
+        k2 = np.where(m2 == -n // 2, 0.0, k0 * m2)
+        ksq = k1**2 + k2**2
+        inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0.0)
+        ca, cb = np.fft.fft2(a), np.fft.fft2(b)
+
+        def check(got, spectrum):
+            assert rel_linf_values(got, np.real(np.fft.ifft2(spectrum))) < self.RTOL
+
+        for axis, ka in ((1, k1), (2, k2)):
+            check(derivative(f, axis).values(), 1j * ka * ca)
+            out = grad_inv_laplacian_partial(f, axis)
+            check(out.u1.values(), k1 * ka * inv_ksq * ca)
+            check(out.u2.values(), k2 * ka * inv_ksq * ca)
+
+        s = (k1 * ca + k2 * cb) * inv_ksq
+        out = leray_project(w)
+        check(out.u1.values(), ca - k1 * s)
+        check(out.u2.values(), cb - k2 * s)
+
+        keep = (np.abs(m1) <= n / 3.0) & (np.abs(m2) <= n / 3.0)
+        check(dealias(f).values(), keep * ca)
 
 
 class TestDerivative:
@@ -112,7 +173,7 @@ class TestDerivative:
         assert np.max(np.abs(derivative(f, 1).values() - expected)) < 1e-11
 
     def test_nyquist_zeroed(self, grid64):
-        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[32, 0] = 1.0  # Nyquist bin of axis 1
         f = SpectralField(grid64, coeffs)
         assert linf_norm(derivative(f, 1)) == 0.0
@@ -209,7 +270,7 @@ class TestDealiasAndNorms:
         assert rel_linf(dealias(f), f) == 0.0
 
     def test_dealias_kills_high_modes(self, grid64):
-        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[30, 0] = 1.0
         coeffs[-30, 0] = 1.0
         f = SpectralField(grid64, coeffs)

@@ -6,12 +6,14 @@ import pytest
 from boussinesq_lp.boussinesq import synthesize_divfree_velocity
 from boussinesq_lp.harness import gronwall_constant
 from boussinesq_lp.littlewood_paley import holder_norm
+from boussinesq_lp import transport
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
     advect,
     dealias,
     grad_linf_norm,
+    is_divergence_free,
     linf_norm,
     make_grid,
     transform,
@@ -137,6 +139,29 @@ class TestSolve:
         for t, f in zip(traj.times, traj.fields):
             envelope = norm0 * np.exp(c_frozen * gradv * t)
             assert holder_norm(f, r).value <= envelope * (1 + 1e-9)
+
+    def test_constant_velocity_checked_once(self, grid64, monkeypatch):
+        calls = []
+
+        def counting(v, *args, **kwargs):
+            calls.append(v)
+            return is_divergence_free(v, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "is_divergence_free", counting)
+        problem, _ = constant_velocity_problem(grid64, T=0.01, dt=1e-3)
+        solve(problem)
+        assert len(calls) == 1 and calls[0] is problem.velocity
+
+    def test_late_compressible_velocity_raises(self, grid64):
+        good, _ = constant_velocity_problem(grid64, T=0.1, dt=1e-3)
+        rng = np.random.default_rng(6)
+        bad = VectorField.from_values(
+            grid64, rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        )
+        provider = lambda t: good.velocity if t < 0.05 else bad
+        problem = TransportProblem(good.f0, provider, None, 0.1, 1e-3)
+        with pytest.raises(ValueError, match="non-divergence-free"):
+            solve(problem)
 
     def test_observer_times(self, grid64):
         problem, _ = constant_velocity_problem(grid64, T=0.1, dt=1e-3)
