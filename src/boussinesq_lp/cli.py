@@ -7,7 +7,8 @@ under --out-dir; reruns with identical config and seed are byte-stable
 (headers carry no timestamps).
 
 Exit codes: 0 success, 1 numerical abort (CFL violation or non-finite
-values), 2 configuration or formula-domain error.
+values), 2 configuration error (including a value of the wrong type in a
+config file or a malformed --input snapshot) or formula-domain error.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ class RunConfig:
 
     def validate(self) -> list[str]:
         problems = []
+        for f in dc_fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue  # an optional field left unset
+            if not _has_kind(value, kind):
+                problems.append(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if problems:  # the value checks below assume the declared types
+            return problems
         if self.command not in COMMANDS:
             problems.append(f"unknown command {self.command!r}")
         n = self.n
@@ -94,6 +103,10 @@ class RunConfig:
             problems.append("T must be nonnegative")
         if not self.dt > 0:
             problems.append("dt must be positive")
+        if self.seed < 0:
+            problems.append("seed must be nonnegative")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            problems.append("snapshot_every must be >= 1")
         if self.command == "iterate":
             if self.n_max < 2:
                 problems.append("n_max must be >= 2")
@@ -110,13 +123,46 @@ class RunConfig:
             problems.append("eps values must be nonnegative")
         if self.data not in ("hydrostatic", "taylor-green", "random"):
             problems.append(f"unknown data preset {self.data!r}")
+        for name in ("p", "q"):
+            try:
+                ok = float(getattr(self, name)) >= 1.0
+            except ValueError:
+                ok = False
+            if not ok:
+                problems.append(f"{name} must be 'inf' or a number >= 1, got {getattr(self, name)!r}")
+        if self.input is not None and not Path(self.input).is_file():
+            problems.append(f"input {self.input!r} is not a file")
         try:
             Path(self.out_dir).mkdir(parents=True, exist_ok=True)
             if not os.access(self.out_dir, os.W_OK):
                 problems.append(f"out_dir {self.out_dir!r} is not writable")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             problems.append(f"out_dir {self.out_dir!r}: {exc}")
         return problems
+
+
+_KIND_NAMES = {
+    "int": "an integer",
+    "float": "a number",
+    "str": "a string",
+    "bool": "true or false",
+    "tuple": "a list of numbers",
+}
+
+
+def _has_kind(value, kind: str) -> bool:
+    """Whether a config value has the kind its RunConfig field declares."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):  # bool is an int subclass, but never a number here
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        return isinstance(value, (int, float))
+    if kind == "str":
+        return isinstance(value, str)
+    return isinstance(value, tuple) and all(_has_kind(x, "float") for x in value)
 
 
 COMMANDS = ("lp-analyze", "solve", "iterate", "verify", "thresholds", "probe")
@@ -222,8 +268,10 @@ def parse_config(argv: list[str]) -> RunConfig:
     if config_path:
         try:
             file_cfg = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError([f"config file {config_path!r}: {exc}"])
+        if not isinstance(file_cfg, dict):
+            raise ConfigError([f"config file {config_path!r}: expected a JSON object"])
         merged.update(file_cfg)
     for key, value in ns.items():
         if value is not None:
@@ -268,9 +316,7 @@ def _cmd_lp_analyze(config: RunConfig) -> str:
         grid = make_grid(config.n, config.L)
         field = bq.synthesize_holder_field(grid, config.r, config.amplitude, config.seed)
     s = config.s if config.s is not None else config.r
-    p = np.inf if config.p in (None, "inf") else float(config.p)
-    q = np.inf if config.q in (None, "inf") else float(config.q)
-    report = besov_norm(field, s, p, q)
+    report = besov_norm(field, s, float(config.p), float(config.q))
     fileio.write_json(_out(config, "besov_report.json"), report)
     return f"lp-analyze: s={s:g} value={report.value:.6g} homogeneous={report.homogeneous_value:.6g}"
 
@@ -401,6 +447,9 @@ def run(config: RunConfig) -> int:
         return 1
     except harness.ThresholdDomainError as exc:
         print(f"formula domain error: {exc}", file=sys.stderr)
+        return 2
+    except fileio.SnapshotError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

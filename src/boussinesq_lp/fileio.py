@@ -19,11 +19,15 @@ from .spectral import Grid, SpectralField, make_grid
 __all__ = [
     "write_snapshot",
     "read_snapshot",
+    "SnapshotError",
     "monitor_to_csv",
     "iterations_to_csv",
-    "trajectory_to_csv",
     "write_json",
 ]
+
+
+class SnapshotError(ValueError):
+    """A snapshot file with a malformed header or the wrong payload size."""
 
 
 def write_snapshot(path, field: SpectralField, name: str, t: float) -> None:
@@ -37,11 +41,25 @@ def write_snapshot(path, field: SpectralField, name: str, t: float) -> None:
 
 def read_snapshot(path) -> tuple[SpectralField, dict]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        n = int(header["n"])
-        raw = fh.read(n * n * 8)
+        first_line = fh.readline()
+        raw = fh.read()
+    try:
+        header = json.loads(first_line.decode("utf-8"))
+        n, length = int(header["n"]), float(header["L"])
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise SnapshotError(f"snapshot {path}: malformed header: {exc}") from None
+    # sizes are compared before any grid is built, so a bad header allocates nothing
+    expected = 8 * n * n
+    if len(raw) != expected:
+        raise SnapshotError(
+            f"snapshot {path}: expected {expected} bytes of float64 values for n={n}, "
+            f"found {len(raw)}"
+        )
+    try:
+        grid = make_grid(n, length)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot {path}: malformed header: {exc}") from None
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n)
-    grid = make_grid(n, float(header["L"]))
     return SpectralField.from_values(grid, values), header
 
 
@@ -65,15 +83,6 @@ def iterations_to_csv(path, records: list[IterationRecord]) -> None:
             writer.writerow(
                 [rec.n, f"{rec.cauchy_gap_theta:.12g}", f"{rec.cauchy_gap_u:.12g}", ratio]
             )
-
-
-def trajectory_to_csv(path, rows: list[tuple]) -> None:
-    """Rows of (t, sup-norm, Hoelder norm, mean) from a transport run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "linf", "holder_r", "mean"])
-        for row in rows:
-            writer.writerow([f"{x:.12g}" for x in row])
 
 
 def write_json(path, payload) -> None:

@@ -19,7 +19,10 @@ annulus.  Blocks q < q_max are genuine annulus multipliers.
 
 Homogeneous norms use additional negative-q annulus blocks down to
 q_min = -floor(log2(L)) - 2, a torus truncation of the whole-space
-definition (below q_min there is no nonzero grid frequency left).
+definition (below q_min there is no nonzero grid frequency left).  The
+Hoelder norm C^r is the inhomogeneous B^r_{inf,inf} norm and needs none
+of them, so a :class:`BesovReport` builds its negative blocks only on the
+first read of ``homogeneous_blocks`` or ``homogeneous_value``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,15 +192,33 @@ def low_pass_vector(q: int, w: VectorField, partition: DyadicPartition | None = 
 
 @dataclass
 class BesovReport:
-    """Per-block norms and the assembled (in)homogeneous Besov norm."""
+    """Per-block norms and the assembled (in)homogeneous Besov norm.
+
+    The homogeneous blocks q_min..-1 are computed from ``source`` on the
+    first read of ``homogeneous_blocks`` or ``homogeneous_value`` and
+    cached on the report.
+    """
 
     s: float
     p: float
     q_index: float
     block_norms: list[tuple[int, float]]
     value: float
-    homogeneous_blocks: list[tuple[int, float]] = field(default_factory=list)
-    homogeneous_value: float = 0.0
+    source: SpectralField = field(repr=False, compare=False)
+    partition: DyadicPartition = field(repr=False, compare=False)
+
+    @cached_property
+    def homogeneous_blocks(self) -> list[tuple[int, float]]:
+        part = self.partition
+        hom = [
+            (q, lp_norm(self.source.multiplied(part.homogeneous_multiplier(q)), self.p))
+            for q in range(part.q_min_homogeneous, 0)
+        ]
+        return hom + self.block_norms[1:]  # blocks q >= 0 coincide in both decompositions
+
+    @cached_property
+    def homogeneous_value(self) -> float:
+        return _assemble(self.homogeneous_blocks, self.s, self.q_index)
 
     def to_dict(self) -> dict:
         def num(x):
@@ -232,22 +253,13 @@ def besov_norm(
     q_index: float = np.inf,
     partition: DyadicPartition | None = None,
 ) -> BesovReport:
-    """Inhomogeneous Besov norm with the homogeneous variant alongside."""
+    """Inhomogeneous Besov norm; the homogeneous variant is built on first read."""
     if p < 1 or q_index < 1:
         raise ValueError("integrability indices must be >= 1")
     part = partition or build_partition(f.grid)
 
     blocks = [(q, lp_norm(block(q, f, part), p)) for q in range(-1, part.q_max + 1)]
-    value = _assemble(blocks, s, q_index)
-
-    hom = [
-        (q, lp_norm(f.multiplied(part.homogeneous_multiplier(q)), p))
-        for q in range(part.q_min_homogeneous, 0)
-    ]
-    hom += blocks[1:]  # blocks q >= 0 coincide in both decompositions
-    hom_value = _assemble(hom, s, q_index)
-
-    return BesovReport(s, p, q_index, blocks, value, hom, hom_value)
+    return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f, part)
 
 
 def holder_norm(

@@ -130,7 +130,9 @@ def solve(
     """March the transport problem to T, sampling providers at substages.
 
     ``observers`` is either a step stride (int), explicit times, or None
-    (record every step).
+    (record every step).  Every distinct velocity object the provider
+    returns at a substage is checked for divergence before use, so a
+    constant provider is checked once per run.
     """
     v_of = _as_velocity_provider(problem.velocity)
     g_of = _as_forcing_provider(problem.forcing)
@@ -165,11 +167,12 @@ def solve(
         va = v_of(t)
         vb = v_of(t + h / 2)
         vc = v_of(t + h)
-        # a constant provider returns one object every step: check it once
-        if va is not checked:
-            if not is_divergence_free(va):
-                raise ValueError("velocity provider returned a non-divergence-free field")
-            checked = va
+        # a constant provider returns one object every time: check it once
+        for v in (va, vb, vc):
+            if v is not checked:
+                if not is_divergence_free(v):
+                    raise ValueError("velocity provider returned a non-divergence-free field")
+                checked = v
         _check_cfl(va, grid, h, t)
 
         def rhs_at(tt: float, y: SpectralField, v: VectorField) -> SpectralField:

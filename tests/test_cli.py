@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boussinesq_lp import cli, fileio
 from boussinesq_lp.boussinesq import synthesize_holder_field
@@ -62,6 +64,53 @@ class TestParseConfig:
     def test_verify_requires_known_estimate(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(["verify", "--estimate", "bogus", "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("field,value", [("T", "1"), ("T", True), ("n", 64.0), ("eps", ["a"])])
+    def test_wrong_type_in_config_file_exits_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: value}))
+        argv = ["probe", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert f"config error: {field} " in capsys.readouterr().err
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("field,value", [("p", "x"), ("q", "0.5"), ("seed", -1), ("snapshot_every", 0)])
+    def test_out_of_domain_values_rejected(self, tmp_path, field, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: value}))
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert any(p.startswith(f"{field} ") for p in err.value.problems)
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+_CONFIG_KEYS = st.sampled_from(sorted(cli.RunConfig.__dataclass_fields__) + ["viscosity"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(cli.COMMANDS),
+    payload=st.dictionaries(_CONFIG_KEYS, _JSON_VALUES, max_size=5) | _JSON_VALUES,
+)
+def test_fuzzed_config_file_gives_config_or_config_error(tmp_path_factory, command, payload):
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    cfg = out_dir / "run.json"
+    cfg.write_text(json.dumps(payload))
+    try:
+        config = cli.parse_config([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+    except cli.ConfigError:
+        return
+    assert isinstance(config, cli.RunConfig)
 
 
 class TestRun:
@@ -171,25 +220,44 @@ class TestSnapshotIO:
         assert header == {"n": 64, "L": 2 * np.pi, "name": "theta", "t": 0.25}
         assert linf_norm(back - f) < 1e-12 * linf_norm(f)
 
-    def test_transport_trajectory_csv(self, tmp_path, grid64):
-        from boussinesq_lp.littlewood_paley import holder_norm
-        from boussinesq_lp.spectral import VectorField
-        from boussinesq_lp.transport import TransportProblem, solve
+    def test_truncated_snapshot_names_byte_counts(self, tmp_path, grid64):
+        path = tmp_path / "field.snap"
+        fileio.write_snapshot(path, synthesize_holder_field(grid64, 1.5, 1.0, 14), "theta", 0.0)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 1000])
+        with pytest.raises(fileio.SnapshotError, match=r"expected 32768 bytes .* found 31768"):
+            fileio.read_snapshot(path)
 
-        f0 = synthesize_holder_field(grid64, 1.5, 1.0, 13)
-        v = VectorField.from_values(
-            grid64, np.full((64, 64), 0.5), np.zeros((64, 64))
-        )
-        traj = solve(TransportProblem(f0, v, None, 0.02, 2e-3), observers=5)
-        rows = [
-            (t, linf_norm(f), holder_norm(f, 1.5).value, f.mean())
-            for t, f in zip(traj.times, traj.fields)
-        ]
-        path = tmp_path / "trajectory.csv"
-        fileio.trajectory_to_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,linf,holder_r,mean"
-        assert len(lines) == len(rows) + 1
+    def test_lp_analyze_on_truncated_snapshot_exits_2(self, tmp_path, grid64, capsys):
+        path = tmp_path / "field.snap"
+        fileio.write_snapshot(path, synthesize_holder_field(grid64, 1.5, 1.0, 15), "theta", 0.0)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "expected 32768 bytes" in capsys.readouterr().err
+
+    def test_lp_analyze_on_missing_input_exits_2(self, tmp_path):
+        missing = tmp_path / "absent.snap"
+        assert cli.main(["lp-analyze", "--input", str(missing), "--out-dir", str(tmp_path)]) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.dictionaries(
+            st.sampled_from(["n", "L", "name"]),
+            st.sampled_from([16, 32, 24]) | st.integers(-40, 2**40) | st.floats() | st.text(max_size=4),
+            max_size=3,
+        ),
+        payload=st.binary(min_size=8 * 16 * 16, max_size=8 * 16 * 16) | st.binary(max_size=4096),
+        raw_header=st.none() | st.binary(max_size=20),
+    )
+    def test_fuzzed_snapshot_reads_or_raises_snapshot_error(self, tmp_path_factory, header, payload, raw_header):
+        path = tmp_path_factory.mktemp("snap") / "field.snap"
+        first = raw_header if raw_header is not None else json.dumps(header).encode()
+        path.write_bytes(first + b"\n" + payload)
+        try:
+            field, _ = fileio.read_snapshot(path)
+        except fileio.SnapshotError:
+            return
+        assert len(payload) == 8 * field.grid.n**2
 
     def test_header_is_single_json_line(self, tmp_path, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 12)

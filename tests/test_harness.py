@@ -7,7 +7,7 @@ import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness
-from boussinesq_lp.littlewood_paley import holder_norm
+from boussinesq_lp.littlewood_paley import build_partition, holder_norm
 from boussinesq_lp.spectral import SpectralField, VectorField, make_grid, transform
 
 
@@ -52,6 +52,61 @@ class TestVerify:
         rep1 = harness.verify("lemma2.5", corpus)
         rep2 = harness.verify("lemma2.5", corpus)
         assert rep1.to_json() == rep2.to_json()
+
+
+class TestSharedCorpus:
+    corpus = harness.CorpusSpec(r_values=(1.5, 2.5), seeds=(0, 1), resolutions=(32, 64))
+
+    def test_fields_synthesized_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        calls = []
+
+        def counting(synthesize):
+            def wrapped(grid, r, amplitude, seed):
+                calls.append((grid.n, r, seed))
+                return synthesize(grid, r, amplitude, seed)
+            return wrapped
+
+        monkeypatch.setattr(harness, "synthesize_holder_field", counting(bq.synthesize_holder_field))
+        monkeypatch.setattr(harness, "synthesize_divfree_velocity", counting(bq.synthesize_divfree_velocity))
+        harness.verify("lemma2.2.1", self.corpus)
+        harness.verify("lemma2.3", self.corpus)
+        # four roles (f, g, v, w) per (n, r, seed), each synthesized exactly once
+        assert len(calls) == len(set(calls)) == 4 * 2 * 2 * 2
+
+    def test_shared_fields_give_bit_identical_reports(self, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        names = ("lemma2.2.1", "lemma2.3", "lemma2.1")
+        shared = [harness.verify(name, self.corpus).to_json() for name in names]
+        cold = []
+        for name in names:
+            harness._RUN_CACHE.clear()
+            cold.append(harness.verify(name, self.corpus).to_json())
+        assert shared == cold
+
+    def test_commutator_samples_match_commutator_sample(self, grid64, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        commutator_calls = []
+        original = harness.commutator
+
+        def counting(v, q, f, partition=None):
+            commutator_calls.append(q)
+            return original(v, q, f, partition)
+
+        monkeypatch.setattr(harness, "commutator", counting)
+        # amplitude 0.7, not 1: the rhs then depends on the order of its three factors
+        corpus = harness.CorpusSpec(r_values=(1.5, 2.5), seeds=(0,), resolutions=(64,), amplitude=0.7)
+        report = harness.verify("lemma2.1", corpus)
+        part = build_partition(grid64)
+        qs = list(range(-1, part.q_max + 1))
+        assert commutator_calls == qs + qs  # one divergence-checked commutator per block
+
+        expected = []
+        for r in corpus.r_values:
+            f = bq.synthesize_holder_field(grid64, r, 0.7, 0)
+            v = bq.synthesize_divfree_velocity(grid64, r, 0.7, 20_000)
+            expected += [harness.commutator_sample(v, f, q, r) for q in qs]
+        assert [(s.lhs, s.rhs) for s in report.samples] == expected
 
 
 class TestScaleInvariance:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boussinesq_lp.littlewood_paley import (
+    DyadicPartition,
     bernstein_report,
     besov_norm,
     block,
@@ -25,6 +26,7 @@ from boussinesq_lp.spectral import (
     VectorField,
     dealias,
     linf_norm,
+    lp_norm,
     make_grid,
     transform,
 )
@@ -216,6 +218,39 @@ class TestNorms:
         assert set(payload) == {"s", "p", "q", "blocks", "value", "homogeneous_value"}
         assert payload["p"] == "inf" and payload["q"] == "inf"
         assert all(set(b) == {"q", "norm"} for b in payload["blocks"])
+
+
+class TestLazyHomogeneousBlocks:
+    def test_holder_norm_builds_no_homogeneous_block(self, grid64, monkeypatch):
+        f = synthesize_holder_field(grid64, 1.5, 1.0, 60)
+        expected = holder_norm(f, 1.5).value
+
+        def forbidden(self, q):
+            raise AssertionError(f"homogeneous block {q} built for an inhomogeneous norm")
+
+        monkeypatch.setattr(DyadicPartition, "homogeneous_multiplier", forbidden)
+        assert holder_norm(f, 1.5).value == expected
+        assert holder_norm_vector(VectorField(f, f), 1.5) == expected
+
+    @pytest.mark.parametrize("s,p,q_index", [(1.5, np.inf, np.inf), (1.0, np.inf, 1.0), (0.5, 2.0, 2.0)])
+    def test_homogeneous_value_equals_eager_computation(self, grid64, s, p, q_index):
+        f = synthesize_holder_field(grid64, 1.5, 1.0, 61)
+        part = build_partition(grid64)
+        eager = [
+            (q, lp_norm(f.multiplied(part.homogeneous_multiplier(q)), p))
+            for q in range(part.q_min_homogeneous, 0)
+        ]
+        eager += [(q, lp_norm(block(q, f, part), p)) for q in range(0, part.q_max + 1)]
+        if np.isinf(q_index):
+            eager_value = max(2.0 ** (q * s) * v for q, v in eager)
+        else:
+            eager_value = float(sum((2.0 ** (q * s) * v) ** q_index for q, v in eager) ** (1.0 / q_index))
+
+        rep = besov_norm(f, s, p, q_index)
+        assert "homogeneous_value" not in vars(rep)  # not built until read
+        assert rep.homogeneous_value == eager_value
+        assert rep.homogeneous_blocks == eager
+        assert rep.homogeneous_blocks is rep.homogeneous_blocks  # cached on the report
 
 
 class TestBony:

@@ -163,6 +163,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-divergence-free"):
             solve(problem)
 
+    def test_compressible_velocity_at_a_substage_raises(self, grid64):
+        # the last step starts at t = 0.009; only its half-step and end samples are bad
+        good, _ = constant_velocity_problem(grid64, T=0.01, dt=1e-3)
+        rng = np.random.default_rng(7)
+        bad = VectorField.from_values(
+            grid64, rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        )
+        provider = lambda t: good.velocity if t < 0.0095 else bad
+        problem = TransportProblem(good.f0, provider, None, 0.01, 1e-3)
+        with pytest.raises(ValueError, match="non-divergence-free"):
+            solve(problem)
+
     def test_observer_times(self, grid64):
         problem, _ = constant_velocity_problem(grid64, T=0.1, dt=1e-3)
         traj = solve(problem, observers=[0.05])
