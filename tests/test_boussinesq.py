@@ -116,6 +116,35 @@ class TestDirectRun:
         with pytest.raises(CFLViolation):
             bq.run_direct(state0, 1.0, 0.2, 1.5)
 
+    def test_inviscid_taylor_green_is_steady(self):
+        # with theta = 0 the vortex is an exact steady Euler solution; the
+        # tolerance was fixed before the steppers were merged (error 4.6e-16)
+        grid = make_grid(32)
+        state0 = bq.taylor_green_data(grid, 1.0, 0.0)
+        snaps, _ = bq.run_direct(state0, 0.5, 1e-3, 1.5)
+        assert linf_norm(snaps[-1].theta) == 0.0
+        assert vec_linf(snaps[-1].u - state0.u) < 1e-13
+
+    def test_rk4_fourth_order(self):
+        # halving dt divides the error by 2^4 = 16; compared with dt = T/256
+        grid = make_grid(32)
+        state0 = bq.taylor_green_data(grid, 1.0, 0.5)
+        T = 0.4
+
+        def final(steps):
+            state = state0
+            for _ in range(steps):
+                state = bq.direct_step(state, T / steps)
+            return state
+
+        ref = final(256)
+        errors = []
+        for steps in (8, 16, 32, 64):
+            s = final(steps)
+            errors.append(max(linf_norm(s.theta - ref.theta), vec_linf(s.u - ref.u)))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(14.0 <= q <= 18.0 for q in ratios), ratios
+
     def test_nan_detection(self, grid64):
         bad = SpectralField.zero(grid64).coeffs.copy()
         bad[1, 1] = np.nan
@@ -193,6 +222,12 @@ class TestIterationScheme:
         lumpy = theta0 + transform(grid64, np.full((64, 64), 1.0))
         with pytest.raises(ValueError):
             bq.iterate_scheme(lumpy, u0, 1.5, 5, 0.01, 2e-3, 1e-10)
+
+    def test_cfl_violation(self, grid64):
+        # unit-speed vortex: the bound is 0.5 * dx = 0.049
+        state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
+        with pytest.raises(CFLViolation):
+            bq.iterate_scheme(state0.theta, state0.u, 1.5, 5, 0.4, 0.2, 1e-10)
 
 
 class TestSynthesize:
@@ -288,3 +323,8 @@ class TestUniquenessProbe:
         u_r_integral = np.trapezoid(record.series("u_r"), record.times())
         growth = max(curve.theta_gaps) / curve.theta_gaps[0]
         assert growth <= np.exp(10.0 * u_r_integral)
+
+    def test_cfl_violation(self, grid64):
+        state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
+        with pytest.raises(CFLViolation):
+            bq.uniqueness_probe(state0, 1e-4, 0.4, 0.2, 1.5)
