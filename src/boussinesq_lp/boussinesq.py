@@ -6,8 +6,9 @@ theta*e2, with the pressure gradient recovered spectrally:
 
     grad Pi = -(k x k / |k|^2) applied to (u . grad u)  +  (k k2 / |k|^2) theta
 
-Direct integration uses RK4 with the velocity re-projected at every
-substage.  The successive-approximation scheme solves the linearized
+Direct integration uses RK4 (``transport.rk4``); the right-hand side is
+Leray-projected, and the velocity is projected once more at the end of
+each step.  The successive-approximation scheme solves the linearized
 problems (iterate n+1 advected by iterate n) with frequency-truncated
 initial data, recording Cauchy gaps in the C^{r-1} norm.  A monitor
 tracks sup|grad u|, its running time integral, Hoelder norms and the
@@ -47,7 +48,7 @@ from .spectral import (
     linf_norm,
     lp_norm,
 )
-from .transport import CFLViolation, cfl_bound
+from .transport import _check_cfl, rk4
 
 __all__ = [
     "BoussinesqState",
@@ -57,7 +58,6 @@ __all__ = [
     "ProbeCurve",
     "NumericsError",
     "pressure_gradient",
-    "direct_step",
     "run_direct",
     "iterate_scheme",
     "blowup_integral",
@@ -72,8 +72,9 @@ __all__ = [
     "uniqueness_probe",
 ]
 
-
-CFL_SAFETY = 0.5
+# direct_step is public but not listed: the per-function tracer in perfbench/
+# wraps every name listed here, and run_direct calls direct_step per step,
+# whose CFL and projection work the tracer attributes to run_direct.
 
 
 class NumericsError(RuntimeError):
@@ -164,37 +165,44 @@ def _rhs(theta: SpectralField, u: VectorField, buoyancy: bool) -> tuple[Spectral
     return dtheta, leray_project(force)
 
 
-def _advance(
-    theta: SpectralField, u: VectorField, dt: float, buoyancy: bool
-) -> tuple[SpectralField, VectorField]:
-    """One RK4 step of the coupled system with substage re-projection."""
-    k1t, k1u = _rhs(theta, u, buoyancy)
-    k2t, k2u = _rhs(theta + (dt / 2) * k1t, leray_project(u + (dt / 2) * k1u), buoyancy)
-    k3t, k3u = _rhs(theta + (dt / 2) * k2t, leray_project(u + (dt / 2) * k2u), buoyancy)
-    k4t, k4u = _rhs(theta + dt * k3t, leray_project(u + dt * k3u), buoyancy)
-    theta_new = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    u_new = leray_project(u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
-    return theta_new, u_new
-
-
 def _check_finite(theta: SpectralField, u: VectorField, t: float) -> None:
     for c in (theta.coeffs, u.u1.coeffs, u.u2.coeffs):
         if not np.all(np.isfinite(c)):
             raise NumericsError(f"non-finite field values at t={t:.6g}")
 
 
-def _check_cfl(u: VectorField, dt: float, t: float) -> None:
-    bound = cfl_bound(u, u.grid)
-    if dt > bound:
-        raise CFLViolation(t, dt, bound)
-
-
 def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
-    """One RK4 step; raises on CFL violation or non-finite output."""
+    """One RK4 step; raises on CFL violation or non-finite output.
+
+    The stage slopes are already divergence-free, so only the final
+    velocity is projected, to clear the roundoff of the combination.
+    """
     _check_cfl(state.u, dt, state.t)
-    theta, u = _advance(state.theta, state.u, dt, buoyancy)
+    (theta, u), _ = rk4((state.theta, state.u), lambda _t, y: _rhs(*y, buoyancy), state.t, dt)
+    u = leray_project(u)
     _check_finite(theta, u, state.t + dt)
     return BoussinesqState(theta, u, state.t + dt)
+
+
+def _monitor_sample(
+    state: BoussinesqState,
+    r: float,
+    part: DyadicPartition,
+    prev: MonitorSample | None = None,
+    h: float = 0.0,
+) -> MonitorSample:
+    """Diagnostics of one state; the running integral of sup|grad u|
+    extends ``prev`` by the trapezoid over the step h."""
+    g = grad_linf_norm(state.u)
+    bkm = 0.0 if prev is None else prev.bkm_integral + 0.5 * (prev.grad_u_inf + g) * h
+    return MonitorSample(
+        t=state.t,
+        grad_u_inf=g,
+        bkm_integral=bkm,
+        theta_r=holder_norm(state.theta, r, part).value,
+        u_r=holder_norm_vector(state.u, r, part),
+        div_residual=divergence_residual(state.u),
+    )
 
 
 def run_direct(
@@ -215,59 +223,28 @@ def run_direct(
     """
     validate_state(state0)
     part = partition or build_partition(state0.grid)
-    record = MonitorRecord(r=r)
-
-    def measure(theta, u, t, bkm, gprev):
-        g = grad_linf_norm(u)
-        record.append(
-            MonitorSample(
-                t=t,
-                grad_u_inf=g,
-                bkm_integral=bkm,
-                theta_r=holder_norm(theta, r, part).value,
-                u_r=holder_norm_vector(u, r, part),
-                div_residual=divergence_residual(u),
-            )
-        )
-        return g
-
-    theta, u, t = state0.theta, state0.u, state0.t
-    snapshots = [BoussinesqState(theta, u, t)]
-    bkm = 0.0
-    g_prev = measure(theta, u, t, bkm, None)
+    record = MonitorRecord(r=r, samples=[_monitor_sample(state0, r, part)])
+    state = state0
+    snapshots = [state]
     if on_step is not None:
-        on_step(BoussinesqState(theta, u, t))
+        on_step(state)
 
     n_steps = int(math.floor(T / dt + 1e-9))
     remainder = T - n_steps * dt
     steps = [dt] * n_steps + ([remainder] if remainder > 1e-12 else [])
 
-    t0 = t
+    t0 = state0.t
     for i, h in enumerate(steps):
-        _check_cfl(u, h, t)
-        theta, u = _advance(theta, u, h, buoyancy)
-        t = t0 + (i + 1) * dt if i < n_steps else t0 + T
-        _check_finite(theta, u, t)
-        g = grad_linf_norm(u)
-        bkm += 0.5 * (g_prev + g) * h
-        record.append(
-            MonitorSample(
-                t=t,
-                grad_u_inf=g,
-                bkm_integral=bkm,
-                theta_r=holder_norm(theta, r, part).value,
-                u_r=holder_norm_vector(u, r, part),
-                div_residual=divergence_residual(u),
-            )
-        )
-        g_prev = g
-        state_i = BoussinesqState(theta, u, t)
+        stepped = direct_step(state, h, buoyancy)
+        # keep the time lattice t0 + i*dt rather than summing the steps
+        state = BoussinesqState(stepped.theta, stepped.u, t0 + (i + 1) * dt if i < n_steps else t0 + T)
+        record.append(_monitor_sample(state, r, part, record.final(), h))
         if snapshot_every is not None and (i + 1) % snapshot_every == 0 and i + 1 < len(steps):
-            snapshots.append(state_i)
+            snapshots.append(state)
         if on_step is not None:
-            on_step(state_i)
+            on_step(state)
     if len(steps) > 0:
-        snapshots.append(BoussinesqState(theta, u, t))
+        snapshots.append(state)
     return snapshots, record
 
 
@@ -463,6 +440,7 @@ class _ConstantTrajectory:
         self.times = times
         self._theta = theta
         self._u = u
+        self.node_velocities = (u,)  # the distinct velocities at the nodes
 
     def velocity(self, t: float) -> VectorField:
         return self._u
@@ -476,11 +454,6 @@ class _ConstantTrajectory:
     def u_at_node(self, k: int) -> VectorField:
         return self._u
 
-    def max_speed_bound(self) -> float:
-        from .transport import max_speed
-
-        return max_speed(self._u)
-
 
 class _HermiteTrajectory:
     """Iterate sampled on a uniform step lattice with stored time
@@ -489,8 +462,9 @@ class _HermiteTrajectory:
     def __init__(self, times: np.ndarray, theta, u, dtheta, du):
         self.times = times
         self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-        self._theta = theta  # list[SpectralField]
-        self._u = u  # list[VectorField]
+        self._theta = theta  # a SpectralField per node
+        self._u = u  # a VectorField per node
+        self.node_velocities = u
         self._dtheta = dtheta
         self._du = du
 
@@ -533,11 +507,6 @@ class _HermiteTrajectory:
     def u_at_node(self, k: int) -> VectorField:
         return self._u[k]
 
-    def max_speed_bound(self) -> float:
-        from .transport import max_speed
-
-        return max(max_speed(u) for u in self._u)
-
 
 def _solve_linear_iterate(
     prev,
@@ -551,44 +520,33 @@ def _solve_linear_iterate(
     theta is advected by the previous velocity; u is advected by the
     previous velocity and forced by the buoyancy of the current (or, with
     ``theta_lag``, the previous) temperature, with the pressure gradient
-    refreshed at every substage through the projection.
+    refreshed at every substage through the projection.  The stage-one
+    slope of each step is kept as the Hermite derivative at its node.
     """
-    grid = theta_init.grid
     dt = float(times[1] - times[0])
 
-    def rhs(t: float, theta: SpectralField, u: VectorField):
+    def rhs(t: float, y: tuple) -> tuple[SpectralField, VectorField]:
+        theta, u = y
         v = prev.velocity(t)
         dtheta = -advect(v, theta)
         forcing_theta = prev.theta(t) if theta_lag else theta
         du = leray_project(-advect_vector(v, u) + _e2(forcing_theta))
         return dtheta, du
 
-    theta, u = theta_init, u_init
-    thetas = [theta]
-    us = [u]
-    dthetas = []
-    dus = []
+    for v in prev.node_velocities:
+        _check_cfl(v, dt, float(times[0]))
 
-    speed = prev.max_speed_bound()
-    if speed > 0.0 and dt > CFL_SAFETY * grid.dx / speed:
-        raise CFLViolation(float(times[0]), dt, CFL_SAFETY * grid.dx / speed)
-
+    states = [(theta_init, u_init)]
+    slopes = []
     for j in range(len(times) - 1):
-        t = float(times[j])
-        k1t, k1u = rhs(t, theta, u)
-        dthetas.append(k1t)
-        dus.append(k1u)
-        k2t, k2u = rhs(t + dt / 2, theta + (dt / 2) * k1t, u + (dt / 2) * k1u)
-        k3t, k3u = rhs(t + dt / 2, theta + (dt / 2) * k2t, u + (dt / 2) * k2u)
-        k4t, k4u = rhs(t + dt, theta + dt * k3t, u + dt * k3u)
-        theta = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        u = leray_project(u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
+        (theta, u), k1 = rk4(states[-1], rhs, float(times[j]), dt)
+        u = leray_project(u)
         _check_finite(theta, u, float(times[j + 1]))
-        thetas.append(theta)
-        us.append(u)
-    kt, ku = rhs(float(times[-1]), theta, u)
-    dthetas.append(kt)
-    dus.append(ku)
+        states.append((theta, u))
+        slopes.append(k1)
+    slopes.append(rhs(float(times[-1]), states[-1]))
+    thetas, us = zip(*states)
+    dthetas, dus = zip(*slopes)
     return _HermiteTrajectory(times, thetas, us, dthetas, dus)
 
 
@@ -714,37 +672,23 @@ def uniqueness_probe(
     grid = state0.grid
     part = build_partition(grid)
     direction = synthesize_holder_field(grid, r - 1.0, 1.0, seed)
-    theta_b = state0.theta + perturbation_eps * direction
+    a = BoussinesqState(state0.theta, state0.u, 0.0)
+    b = BoussinesqState(state0.theta + perturbation_eps * direction, state0.u, 0.0)
 
-    theta_a, u_a = state0.theta, state0.u
-    u_b = state0.u
-
-    def gaps(th1, u1, th2, u2):
+    def gaps(a: BoussinesqState, b: BoussinesqState) -> tuple[float, float]:
         return (
-            holder_norm(th1 - th2, r - 1.0, part).value,
-            max(
-                holder_norm(u1.u1 - u2.u1, r - 1.0, part).value,
-                holder_norm(u1.u2 - u2.u2, r - 1.0, part).value,
-            ),
+            holder_norm(a.theta - b.theta, r - 1.0, part).value,
+            holder_norm_vector(a.u - b.u, r - 1.0, part),
         )
 
     times = [0.0]
-    g0 = gaps(theta_a, u_a, theta_b, u_b)
-    theta_gaps = [g0[0]]
-    u_gaps = [g0[1]]
-
+    sampled = [gaps(a, b)]
     n_steps = int(round(T / dt))
     for i in range(1, n_steps + 1):
-        _check_cfl(u_a, dt, times[-1])
-        _check_cfl(u_b, dt, times[-1])
-        theta_a, u_a = _advance(theta_a, u_a, dt, buoyancy=True)
-        theta_b, u_b = _advance(theta_b, u_b, dt, buoyancy=True)
-        t = i * dt
-        _check_finite(theta_a, u_a, t)
-        _check_finite(theta_b, u_b, t)
+        a = direct_step(a, dt)
+        b = direct_step(b, dt)
         if i % sample_every == 0 or i == n_steps:
-            gt, gu = gaps(theta_a, u_a, theta_b, u_b)
-            times.append(t)
-            theta_gaps.append(gt)
-            u_gaps.append(gu)
+            times.append(i * dt)
+            sampled.append(gaps(a, b))
+    theta_gaps, u_gaps = (list(g) for g in zip(*sampled))
     return ProbeCurve(perturbation_eps, times, theta_gaps, u_gaps)

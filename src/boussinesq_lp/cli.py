@@ -26,7 +26,7 @@ import numpy as np
 from . import boussinesq as bq
 from . import fileio
 from . import harness
-from .littlewood_paley import besov_norm, build_partition, compute_a0, holder_norm
+from .littlewood_paley import besov_norm
 from .spectral import SpectralField, VectorField, make_grid
 from .transport import CFLViolation
 
@@ -132,13 +132,28 @@ class RunConfig:
                 problems.append(f"{name} must be 'inf' or a number >= 1, got {getattr(self, name)!r}")
         if self.input is not None and not Path(self.input).is_file():
             problems.append(f"input {self.input!r} is not a file")
-        try:
-            Path(self.out_dir).mkdir(parents=True, exist_ok=True)
-            if not os.access(self.out_dir, os.W_OK):
-                problems.append(f"out_dir {self.out_dir!r} is not writable")
-        except (OSError, ValueError) as exc:
-            problems.append(f"out_dir {self.out_dir!r}: {exc}")
+        problem = _out_dir_problem(self.out_dir)
+        if problem:
+            problems.append(f"out_dir {self.out_dir!r}: {problem}")
         return problems
+
+
+def _out_dir_problem(out_dir: str) -> str | None:
+    """Why ``run`` could not create or write ``out_dir``, or None.
+
+    Checks the nearest existing ancestor; nothing is created here.
+    """
+    try:
+        path = Path(out_dir).absolute()
+        while not path.exists():
+            path = path.parent
+    except (OSError, ValueError) as exc:
+        return str(exc)
+    if not path.is_dir():
+        return f"{str(path)!r} is not a directory"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return "not writable"
+    return None
 
 
 _KIND_NAMES = {
@@ -323,12 +338,6 @@ def _cmd_lp_analyze(config: RunConfig) -> str:
 
 def _cmd_solve(config: RunConfig) -> str:
     state0 = _initial_state(config)
-    part = build_partition(state0.grid)
-    theta0_r = holder_norm(state0.theta, config.r, part).value
-    u0_r = max(
-        holder_norm(state0.u.u1, config.r, part).value,
-        holder_norm(state0.u.u2, config.r, part).value,
-    )
     snapshots, record = bq.run_direct(
         state0, config.T, config.dt, config.r,
         buoyancy=config.buoyancy if config.buoyancy is not None else True,
@@ -339,9 +348,10 @@ def _cmd_solve(config: RunConfig) -> str:
     fileio.write_snapshot(
         _out(config, "theta_final.snap"), snapshots[-1].theta, "theta", snapshots[-1].t
     )
+    initial = record.samples[0]
     verdict = bq.continuation_check(
         record, config.T,
-        theta0_r=theta0_r, u0_r=u0_r,
+        theta0_r=initial.theta_r, u0_r=initial.u_r,
         c_frozen=config.C,
     )
     final = record.final()
@@ -430,7 +440,8 @@ def _cmd_probe(config: RunConfig) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+    """Create ``out_dir``, dispatch a validated config and return the
+    process exit code."""
     handlers = {
         "lp-analyze": _cmd_lp_analyze,
         "solve": _cmd_solve,
@@ -440,6 +451,7 @@ def run(config: RunConfig) -> int:
         "probe": _cmd_probe,
     }
     try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         print(handlers[config.command](config))
         return 0
     except (CFLViolation, bq.NumericsError) as exc:

@@ -83,19 +83,6 @@ __all__ = [
     "temperature_envelope_check",
 ]
 
-ESTIMATE_NAMES = (
-    "lemma2.1",
-    "lemma2.2.1",
-    "lemma2.2.3",
-    "lemma2.3",
-    "lemma2.4",
-    "lemma2.5",
-    "eq4.18",
-    "lemma3.1",
-    "eq3.3",
-    "eq3.4",
-)
-
 DEGENERATE_RHS = 1e-13
 
 
@@ -277,6 +264,38 @@ def velocity_growth_ratio(
     return max(0.0, excess) / (2.0 * weighted_integral)
 
 
+def _lemma2_1_samples(fl: dict, r: float, part) -> list[tuple[str, float, float]]:
+    # commutator_sample per q with its q-independent norms hoisted; the rhs
+    # keeps commutator_sample's factor order, so the floats are the same
+    v, f = fl["v"], fl["f"]
+    holder_f = holder_norm(f, r, part).value
+    grad_v = grad_linf_norm(v)
+    return [
+        (f",q={q}", linf_norm(commutator(v, q, f, part)), 2.0 ** (-q * r) * holder_f * grad_v)
+        for q in range(-1, part.q_max + 1)
+    ]
+
+
+def _eq4_18_samples(fl: dict, r: float, part) -> list[tuple[str, float, float]]:
+    pairs = ((fl["v"], fl["w"]), (fl["w"], fl["v"]))
+    return [(f",pair={k}", *pressure_bilinear_sample(a, b, r - 1.0)) for k, (a, b) in enumerate(pairs)]
+
+
+# static estimate -> kernel(fields, r, partition) -> [(descriptor suffix, lhs, rhs)]
+_STATIC_KERNELS = {
+    "lemma2.1": _lemma2_1_samples,
+    "lemma2.2.1": lambda fl, r, part: [("", *embedding_linf_sample(fl["f"], r))],
+    "lemma2.2.3": lambda fl, r, part: [("", *embedding_b1_sample(fl["f"], r))],
+    "lemma2.3": lambda fl, r, part: [("", *product_sample(fl["f"], fl["g"], r))],
+    "lemma2.4": lambda fl, r, part: [("", *advection_product_sample(fl["v"], fl["f"], r))],
+    "lemma2.5": lambda fl, r, part: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))],
+    "eq4.18": _eq4_18_samples,
+}
+
+# the static estimates, then the ones measured along transport and coupled runs
+ESTIMATE_NAMES = (*_STATIC_KERNELS, "lemma3.1", "eq3.3", "eq3.4")
+
+
 # ---------------------------------------------------------------------------
 # corpus sweeps
 
@@ -297,6 +316,7 @@ def _fields(grid, r, seed, amplitude):
 
 
 def _static_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateSample]:
+    kernel = _STATIC_KERNELS[name]
     samples = []
     for n in resolutions:
         grid = make_grid(n, corpus.box)
@@ -307,39 +327,8 @@ def _static_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateSa
             for seed in corpus.seeds:
                 fl = _fields(grid, r, seed, corpus.amplitude)
                 tag = f"n={n},r={r:g},seed={seed}"
-                if name == "lemma2.1":
-                    # commutator_sample per q with its q-independent norms hoisted; the rhs
-                    # keeps commutator_sample's factor order, so the floats are the same
-                    v, f = fl["v"], fl["f"]
-                    holder_f = holder_norm(f, r, part).value
-                    grad_v = grad_linf_norm(v)
-                    for q in range(-1, part.q_max + 1):
-                        lhs = linf_norm(commutator(v, q, f, part))
-                        rhs = 2.0 ** (-q * r) * holder_f * grad_v
-                        samples.append(_ratio_sample(f"{tag},q={q}", lhs, rhs, r, n))
-                elif name == "lemma2.2.1":
-                    lhs, rhs = embedding_linf_sample(fl["f"], r)
-                    samples.append(_ratio_sample(tag, lhs, rhs, r, n))
-                elif name == "lemma2.2.3":
-                    lhs, rhs = embedding_b1_sample(fl["f"], r)
-                    samples.append(_ratio_sample(tag, lhs, rhs, r, n))
-                elif name == "lemma2.3":
-                    lhs, rhs = product_sample(fl["f"], fl["g"], r)
-                    samples.append(_ratio_sample(tag, lhs, rhs, r, n))
-                elif name == "lemma2.4":
-                    lhs, rhs = advection_product_sample(fl["v"], fl["f"], r)
-                    samples.append(_ratio_sample(tag, lhs, rhs, r, n))
-                elif name == "lemma2.5":
-                    w_any = VectorField(fl["f"], fl["g"])
-                    lhs, rhs = riesz_sample(w_any, r)
-                    samples.append(_ratio_sample(tag, lhs, rhs, r, n))
-                elif name == "eq4.18":
-                    rho = r - 1.0
-                    for k, (a, b) in enumerate(((fl["v"], fl["w"]), (fl["w"], fl["v"]))):
-                        lhs, rhs = pressure_bilinear_sample(a, b, rho)
-                        samples.append(_ratio_sample(f"{tag},pair={k}", lhs, rhs, r, n))
-                else:
-                    raise ValueError(f"unknown static estimate {name!r}")
+                for suffix, lhs, rhs in kernel(fl, r, part):
+                    samples.append(_ratio_sample(tag + suffix, lhs, rhs, r, n))
     return samples
 
 
@@ -440,10 +429,10 @@ def verify(
         raise ValueError(f"unknown estimate {name!r}; registered: {ESTIMATE_NAMES}")
     corpus = corpus or default_corpus()
     resolutions = tuple(resolutions or corpus.resolutions)
-    if name in ("lemma3.1", "eq3.3", "eq3.4"):
-        samples = _dynamic_sweep(name, corpus, resolutions)
-    else:
+    if name in _STATIC_KERNELS:
         samples = _static_sweep(name, corpus, resolutions)
+    else:
+        samples = _dynamic_sweep(name, corpus, resolutions)
     return _finish(name, samples, resolutions)
 
 

@@ -3,8 +3,10 @@
 Pseudo-spectral advection with classical RK4 in time.  Velocity and
 forcing enter through time-indexed providers that are sampled at the RK
 substage times; a plain field is treated as a constant-in-time provider.
-The CFL bound dt <= 0.5 * (L/n) / max|v| is checked on every step and a
-violation raises instead of silently clamping.
+The CFL bound dt <= CFL_NUMBER * (L/n) / max|v|, with CFL_NUMBER = 0.5, is
+checked on every step and a violation raises instead of silently
+clamping.  ``rk4`` is the one RK4 step of the package: the coupled solver
+and its linearised iterates use it too.
 """
 
 from __future__ import annotations
@@ -56,23 +58,29 @@ def cfl_bound(v: VectorField, grid: Grid) -> float:
     return CFL_NUMBER * grid.dx / speed
 
 
-def _check_cfl(v: VectorField, grid: Grid, dt: float, t: float) -> None:
-    bound = cfl_bound(v, grid)
+def _check_cfl(v: VectorField, dt: float, t: float) -> None:
+    bound = cfl_bound(v, v.grid)
     if dt > bound:
         raise CFLViolation(t, dt, bound)
 
 
-def _rk4(
-    f: SpectralField,
-    rhs: Callable[[float, SpectralField], SpectralField],
-    t: float,
-    dt: float,
-) -> SpectralField:
-    k1 = rhs(t, f)
-    k2 = rhs(t + dt / 2, f + (dt / 2) * k1)
-    k3 = rhs(t + dt / 2, f + (dt / 2) * k2)
-    k4 = rhs(t + dt, f + dt * k3)
-    return f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4(y: tuple, rhs: Callable[[float, tuple], tuple], t: float, h: float) -> tuple[tuple, tuple]:
+    """One classical RK4 step of dy/dt = rhs(t, y) for a tuple of fields.
+
+    Returns the new state and the first stage slope k1 = rhs(t, y).
+    """
+
+    def shifted(k: tuple, c: float) -> tuple:
+        return tuple(yi + c * ki for yi, ki in zip(y, k))
+
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, shifted(k1, h / 2))
+    k3 = rhs(t + h / 2, shifted(k2, h / 2))
+    k4 = rhs(t + h, shifted(k3, h))
+    y_new = tuple(
+        yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+    return y_new, k1
 
 
 def step(
@@ -85,12 +93,12 @@ def step(
     """One RK4 step with velocity and forcing held fixed over the step."""
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
-    _check_cfl(v, f.grid, dt, t)
+    _check_cfl(v, dt, t)
     if g is None:
-        rhs = lambda _t, y: -advect(v, y)
+        rhs = lambda _t, y: (-advect(v, y[0]),)
     else:
-        rhs = lambda _t, y: -advect(v, y) + g
-    return _rk4(f, rhs, t, dt)
+        rhs = lambda _t, y: (-advect(v, y[0]) + g,)
+    return rk4((f,), rhs, t, dt)[0][0]
 
 
 def _as_velocity_provider(v) -> VelocityProvider:
@@ -136,7 +144,6 @@ def solve(
     """
     v_of = _as_velocity_provider(problem.velocity)
     g_of = _as_forcing_provider(problem.forcing)
-    grid = problem.f0.grid
     T, dt = float(problem.T), float(problem.dt)
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
@@ -164,28 +171,23 @@ def solve(
 
     def advance(f: SpectralField, t: float, h: float) -> SpectralField:
         nonlocal checked
-        va = v_of(t)
-        vb = v_of(t + h / 2)
-        vc = v_of(t + h)
+        # the velocity at each substage time rk4 asks for
+        v_at = {tt: v_of(tt) for tt in (t, t + h / 2, t + h)}
         # a constant provider returns one object every time: check it once
-        for v in (va, vb, vc):
+        for v in v_at.values():
             if v is not checked:
                 if not is_divergence_free(v):
                     raise ValueError("velocity provider returned a non-divergence-free field")
                 checked = v
-        _check_cfl(va, grid, h, t)
+        _check_cfl(v_at[t], h, t)
 
-        def rhs_at(tt: float, y: SpectralField, v: VectorField) -> SpectralField:
-            out = -advect(v, y)
+        def rhs(tt: float, y: tuple) -> tuple:
+            out = -advect(v_at[tt], y[0])
             if g_of is not None:
                 out = out + g_of(tt)
-            return out
+            return (out,)
 
-        k1 = rhs_at(t, f, va)
-        k2 = rhs_at(t + h / 2, f + (h / 2) * k1, vb)
-        k3 = rhs_at(t + h / 2, f + (h / 2) * k2, vb)
-        k4 = rhs_at(t + h, f + h * k3, vc)
-        return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return rk4((f,), rhs, t, h)[0][0]
 
     for i in range(1, n_steps + 1):
         f = advance(f, t, dt)

@@ -87,6 +87,21 @@ class TestParseConfig:
             cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert any(p.startswith(f"{field} ") for p in err.value.problems)
 
+    def test_parse_leaves_out_dir_to_run(self, tmp_path):
+        out_dir = tmp_path / "fresh" / "nested"
+        config = cli.parse_config(
+            ["solve", "--preset", "hydrostatic", "--T", "0.04", "--out-dir", str(out_dir)]
+        )
+        assert not (tmp_path / "fresh").exists()
+        assert cli.run(config) == 0
+        assert (out_dir / "monitor.csv").is_file()
+
+    def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["solve", "--out-dir", str(blocker / "sub")]) == 2
+        assert "config error: out_dir" in capsys.readouterr().err
+
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 _JSON_VALUES = st.recursive(
