@@ -15,7 +15,6 @@ from .spectral import (
     VectorField,
     make_grid,
     transform,
-    inverse_transform,
     derivative,
     dealias,
     grad_inv_laplacian_div,
@@ -32,7 +31,6 @@ from .littlewood_paley import (
     low_pass,
     holder_norm,
     besov_norm,
-    homogeneous_besov_norm,
     bony_decompose,
     commutator,
     bernstein_report,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .spectral import (
     linf_norm,
     lp_norm,
 )
-from .transport import _check_cfl, rk4
+from .transport import _check_cfl, _step_lattice, rk4
 
 __all__ = [
     "BoussinesqState",
@@ -218,8 +219,10 @@ def run_direct(
 ) -> tuple[list[BoussinesqState], MonitorRecord]:
     """Integrate to time T, filling the monitor at every step.
 
-    Returns the snapshot list (initial state, every ``snapshot_every``-th
-    step if requested, and the final state) and the monitor record.
+    Steps follow ``transport._step_lattice``: steps of dt ending at
+    t0 + i*dt, then a remainder step ending at t0 + T.  Returns the
+    snapshot list (initial state, every ``snapshot_every``-th step if
+    requested, and the final state) and the monitor record.
     """
     validate_state(state0)
     part = partition or build_partition(state0.grid)
@@ -229,21 +232,16 @@ def run_direct(
     if on_step is not None:
         on_step(state)
 
-    n_steps = int(math.floor(T / dt + 1e-9))
-    remainder = T - n_steps * dt
-    steps = [dt] * n_steps + ([remainder] if remainder > 1e-12 else [])
-
-    t0 = state0.t
-    for i, h in enumerate(steps):
+    lattice = _step_lattice(T, dt, state0.t)
+    for i, (h, t) in enumerate(lattice, 1):
         stepped = direct_step(state, h, buoyancy)
-        # keep the time lattice t0 + i*dt rather than summing the steps
-        state = BoussinesqState(stepped.theta, stepped.u, t0 + (i + 1) * dt if i < n_steps else t0 + T)
+        state = BoussinesqState(stepped.theta, stepped.u, t)
         record.append(_monitor_sample(state, r, part, record.final(), h))
-        if snapshot_every is not None and (i + 1) % snapshot_every == 0 and i + 1 < len(steps):
+        if snapshot_every is not None and i % snapshot_every == 0 and i < len(lattice):
             snapshots.append(state)
         if on_step is not None:
             on_step(state)
-    if len(steps) > 0:
+    if lattice:
         snapshots.append(state)
     return snapshots, record
 
@@ -329,7 +327,6 @@ class ContinuationVerdict:
 
 def continuation_check(
     record: MonitorRecord,
-    t_star: float,
     *,
     theta0_r: float | None = None,
     u0_r: float | None = None,
@@ -655,40 +652,46 @@ class ProbeCurve:
 
 def uniqueness_probe(
     state0: BoussinesqState,
-    perturbation_eps: float,
+    eps_values: Sequence[float],
     T: float,
     dt: float,
     r: float,
     *,
     seed: int = 7,
     sample_every: int = 1,
-) -> ProbeCurve:
-    """Twin-run divergence curve for a theta-only perturbation.
+) -> list[ProbeCurve]:
+    """Twin-run divergence curves for theta-only perturbations, one per eps.
 
     The perturbation direction is a fixed synthesized field with unit
-    C^{r-1} norm; both trajectories advance in lockstep and the gaps are
-    measured in C^{r-1}.
+    C^{r-1} norm.  One unperturbed reference run advances in lockstep
+    with every perturbed run on ``transport._step_lattice``, the lattice
+    of ``run_direct``, so each curve ends at T.  The gaps to the
+    reference are measured in C^{r-1} every ``sample_every`` steps and
+    after the last step.
     """
     grid = state0.grid
     part = build_partition(grid)
     direction = synthesize_holder_field(grid, r - 1.0, 1.0, seed)
-    a = BoussinesqState(state0.theta, state0.u, 0.0)
-    b = BoussinesqState(state0.theta + perturbation_eps * direction, state0.u, 0.0)
+    ref = BoussinesqState(state0.theta, state0.u, 0.0)
+    runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
 
-    def gaps(a: BoussinesqState, b: BoussinesqState) -> tuple[float, float]:
+    def gaps(b: BoussinesqState) -> tuple[float, float]:
         return (
-            holder_norm(a.theta - b.theta, r - 1.0, part).value,
-            holder_norm_vector(a.u - b.u, r - 1.0, part),
+            holder_norm(ref.theta - b.theta, r - 1.0, part).value,
+            holder_norm_vector(ref.u - b.u, r - 1.0, part),
         )
 
     times = [0.0]
-    sampled = [gaps(a, b)]
-    n_steps = int(round(T / dt))
-    for i in range(1, n_steps + 1):
-        a = direct_step(a, dt)
-        b = direct_step(b, dt)
-        if i % sample_every == 0 or i == n_steps:
-            times.append(i * dt)
-            sampled.append(gaps(a, b))
-    theta_gaps, u_gaps = (list(g) for g in zip(*sampled))
-    return ProbeCurve(perturbation_eps, times, theta_gaps, u_gaps)
+    sampled = [[gaps(b)] for b in runs]
+    lattice = _step_lattice(T, dt)
+    for i, (h, t) in enumerate(lattice, 1):
+        ref = direct_step(ref, h)
+        runs = [direct_step(b, h) for b in runs]
+        if i % sample_every == 0 or i == len(lattice):
+            times.append(t)
+            for curve, b in zip(sampled, runs):
+                curve.append(gaps(b))
+    return [
+        ProbeCurve(eps, list(times), *(list(g) for g in zip(*curve)))
+        for eps, curve in zip(eps_values, sampled)
+    ]

@@ -350,9 +350,7 @@ def _cmd_solve(config: RunConfig) -> str:
     )
     initial = record.samples[0]
     verdict = bq.continuation_check(
-        record, config.T,
-        theta0_r=initial.theta_r, u0_r=initial.u_r,
-        c_frozen=config.C,
+        record, theta0_r=initial.theta_r, u0_r=initial.u_r, c_frozen=config.C
     )
     final = record.final()
     label = f"solve[{config.preset}]" if config.preset else "solve"
@@ -382,13 +380,13 @@ def _cmd_iterate(config: RunConfig) -> str:
     return f"iterate: iterations={len(records)} final_gap={final_gap:.3e} (too few for a fit)"
 
 
+def _quick_corpus(config: RunConfig) -> harness.CorpusSpec:
+    """Three seeds at the configured exponent and resolution only."""
+    return harness.CorpusSpec(r_values=(config.r,), seeds=(0, 1, 2), resolutions=(config.n,))
+
+
 def _cmd_verify(config: RunConfig) -> str:
-    if config.quick:
-        corpus = harness.CorpusSpec(
-            r_values=(config.r,), seeds=(0, 1, 2), resolutions=(config.n,)
-        )
-    else:
-        corpus = harness.default_corpus()
+    corpus = _quick_corpus(config) if config.quick else harness.default_corpus()
     report = harness.verify(config.estimate, corpus)
     out_name = f"estimate_{config.estimate.replace('.', '_')}.json"
     fileio.write_json(_out(config, out_name), report)
@@ -409,10 +407,8 @@ def _cmd_thresholds(config: RunConfig) -> str:
     state0 = _initial_state(config)
     C = config.C
     if C is None:
-        corpus = harness.CorpusSpec(
-            r_values=(config.r,), seeds=(0, 1, 2), resolutions=(config.n,)
-        )
-        C = harness.frozen_constant(harness.verify("lemma2.1", corpus), "lemma2.1", config.r)
+        estimate = harness.verify("lemma2.1", _quick_corpus(config))
+        C = harness.frozen_constant(estimate, "lemma2.1", config.r)
     report = harness.compute_thresholds(
         state0.theta, state0.u, config.r,
         P=config.P, Q=config.Q, S=config.S, a0=config.a0, C=C,
@@ -424,18 +420,16 @@ def _cmd_thresholds(config: RunConfig) -> str:
 
 
 def _cmd_probe(config: RunConfig) -> str:
-    state0 = _initial_state(config)
-    terminal = []
-    for eps in config.eps:
-        curve = bq.uniqueness_probe(state0, eps, config.T, config.dt, config.r)
-        rows = list(zip(curve.times, curve.theta_gaps, curve.u_gaps))
-        with open(_out(config, f"probe_eps{eps:g}.csv"), "w", newline="") as fh:
+    curves = bq.uniqueness_probe(_initial_state(config), config.eps, config.T, config.dt, config.r)
+    for curve in curves:
+        with open(_out(config, f"probe_eps{curve.eps:g}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "theta_gap", "u_gap"])
-            for row in rows:
+            for row in zip(curve.times, curve.theta_gaps, curve.u_gaps):
                 writer.writerow([f"{x:.12g}" for x in row])
-        terminal.append((eps, curve.terminal_theta_gap, curve.terminal_u_gap))
-    parts = [f"eps={e:g}: theta={t:.3e} u={u:.3e}" for e, t, u in terminal]
+    parts = [
+        f"eps={c.eps:g}: theta={c.terminal_theta_gap:.3e} u={c.terminal_u_gap:.3e}" for c in curves
+    ]
     return "probe: " + "; ".join(parts)
 
 

@@ -386,10 +386,7 @@ def _dynamic_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateS
                     weighted = float(np.trapezoid(gradv * norms[: i + 1], times[: i + 1]))
                     ratio = transport_growth_ratio(norms[i], norm0, weighted)
                     tag = f"n={n},r={r:g},seed={seed},t={times[i]:.3f}"
-                    if ratio is None:
-                        samples.append(EstimateSample(tag, norms[i] - norm0, weighted, None, r, n))
-                    else:
-                        samples.append(EstimateSample(tag, norms[i] - norm0, weighted, ratio, r, n))
+                    samples.append(EstimateSample(tag, norms[i] - norm0, weighted, ratio, r, n))
         elif name in ("eq3.3", "eq3.4"):
             for r, label, state0, record in _coupled_runs(corpus, n):
                 t = record.times()
@@ -686,6 +683,20 @@ class EnvelopeVerdict:
         }
 
 
+def _envelope_verdict(
+    record: MonitorRecord, env: np.ndarray, measured: np.ndarray
+) -> EnvelopeVerdict:
+    """Compare a measured series with its envelope along the record."""
+    margins = env - measured
+    worst = int(np.argmin(margins))
+    return EnvelopeVerdict(
+        passed=bool(np.all(measured <= env * (1.0 + 1e-9) + 1e-12)),
+        min_margin=float(margins[worst]),
+        worst_time=float(record.times()[worst]),
+        margins=margins,
+    )
+
+
 def blowup_envelope_check(
     record: MonitorRecord,
     theta0_r: float,
@@ -695,15 +706,7 @@ def blowup_envelope_check(
 ) -> EnvelopeVerdict:
     """Replay the Gronwall velocity envelope along a recorded run."""
     env = velocity_envelope(record, theta0_r, u0_r, c_frozen, r=r)
-    measured = record.series("u_r")
-    margins = env - measured
-    worst = int(np.argmin(margins))
-    return EnvelopeVerdict(
-        passed=bool(np.all(measured <= env * (1.0 + 1e-9) + 1e-12)),
-        min_margin=float(margins[worst]),
-        worst_time=float(record.times()[worst]),
-        margins=margins,
-    )
+    return _envelope_verdict(record, env, record.series("u_r"))
 
 
 def temperature_envelope_check(
@@ -711,12 +714,4 @@ def temperature_envelope_check(
 ) -> EnvelopeVerdict:
     """Replay the temperature Gronwall bound ||theta(t)|| <= ||theta0|| e^{C I(t)}."""
     env = theta0_r * np.exp(c_frozen * record.series("bkm_integral"))
-    measured = record.series("theta_r")
-    margins = env - measured
-    worst = int(np.argmin(margins))
-    return EnvelopeVerdict(
-        passed=bool(np.all(measured <= env * (1.0 + 1e-9) + 1e-12)),
-        min_margin=float(margins[worst]),
-        worst_time=float(record.times()[worst]),
-        margins=margins,
-    )
+    return _envelope_verdict(record, env, record.series("theta_r"))

@@ -59,7 +59,6 @@ __all__ = [
     "low_pass_vector",
     "holder_norm",
     "besov_norm",
-    "homogeneous_besov_norm",
     "holder_norm_vector",
     "bony_decompose",
     "commutator",
@@ -67,7 +66,6 @@ __all__ = [
     "compute_a0",
 ]
 
-INNER_RADIUS = 0.75
 OUTER_RADIUS = 8.0 / 3.0
 
 
@@ -106,8 +104,6 @@ class DyadicPartition:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.r_inner = INNER_RADIUS
-        self.r_outer = OUTER_RADIUS
 
         covered = (2.0 / 3.0) * grid.k_max
         q_max = int(math.floor(math.log2(covered / OUTER_RADIUS)))
@@ -269,16 +265,6 @@ def holder_norm(
     if r <= 0:
         raise ValueError(f"Hoelder exponent must be positive, got {r}")
     return besov_norm(f, r, np.inf, np.inf, partition)
-
-
-def homogeneous_besov_norm(
-    f: SpectralField,
-    s: float,
-    p: float = np.inf,
-    q_index: float = np.inf,
-    partition: DyadicPartition | None = None,
-) -> float:
-    return besov_norm(f, s, p, q_index, partition).homogeneous_value
 
 
 def holder_norm_vector(

@@ -43,7 +43,6 @@ __all__ = [
     "VectorField",
     "make_grid",
     "transform",
-    "inverse_transform",
     "derivative",
     "gradient",
     "divergence",
@@ -257,11 +256,6 @@ class VectorField:
 def transform(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward transform of real grid samples."""
     return SpectralField.from_values(grid, values)
-
-
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Real grid samples of a spectral field."""
-    return field.values()
 
 
 def derivative(f: SpectralField, axis: int) -> SpectralField:

@@ -64,6 +64,20 @@ def _check_cfl(v: VectorField, dt: float, t: float) -> None:
         raise CFLViolation(t, dt, bound)
 
 
+def _step_lattice(T: float, dt: float, t0: float = 0.0) -> list[tuple[float, float]]:
+    """The fixed-step time lattice to t0 + T, as (step, end time) pairs.
+
+    Steps of dt end on the lattice t0 + i*dt (end times are not summed),
+    then one remainder step ends at t0 + T when more than 1e-12 is left.
+    """
+    n_steps = int(np.floor(T / dt + 1e-9))
+    lattice = [(dt, t0 + i * dt) for i in range(1, n_steps + 1)]
+    remainder = T - n_steps * dt
+    if remainder > 1e-12:
+        lattice.append((remainder, t0 + T))
+    return lattice
+
+
 def rk4(y: tuple, rhs: Callable[[float, tuple], tuple], t: float, h: float) -> tuple[tuple, tuple]:
     """One classical RK4 step of dy/dt = rhs(t, y) for a tuple of fields.
 
@@ -137,10 +151,11 @@ def solve(
 ) -> TransportTrajectory:
     """March the transport problem to T, sampling providers at substages.
 
-    ``observers`` is either a step stride (int), explicit times, or None
-    (record every step).  Every distinct velocity object the provider
-    returns at a substage is checked for divergence before use, so a
-    constant provider is checked once per run.
+    Steps follow ``_step_lattice``: steps of dt ending at i*dt, then a
+    remainder step ending at T.  ``observers`` is either a step stride
+    (int), explicit times, or None (record every step).  Every distinct
+    velocity object the provider returns at a substage is checked for
+    divergence before use, so a constant provider is checked once per run.
     """
     v_of = _as_velocity_provider(problem.velocity)
     g_of = _as_forcing_provider(problem.forcing)
@@ -165,8 +180,6 @@ def solve(
     times = [0.0]
     fields = [f]
 
-    n_steps = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_steps * dt
     checked = None  # the last velocity object found divergence-free
 
     def advance(f: SpectralField, t: float, h: float) -> SpectralField:
@@ -189,15 +202,12 @@ def solve(
 
         return rk4((f,), rhs, t, h)[0][0]
 
-    for i in range(1, n_steps + 1):
-        f = advance(f, t, dt)
-        t = i * dt
+    for i, (h, t_end) in enumerate(_step_lattice(T, dt), 1):
+        f = advance(f, t, h)
+        t = t_end
         if observed(i, t) and t < T - 1e-12:
             times.append(t)
             fields.append(f)
-    if remainder > 1e-12:
-        f = advance(f, t, remainder)
-        t = T
     if not times or times[-1] < T - 1e-12:
         times.append(T)
         fields.append(f)

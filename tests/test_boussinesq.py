@@ -264,7 +264,7 @@ class TestBlowupMonitor:
         state0 = bq.hydrostatic_data(grid64)
         _, record = bq.run_direct(state0, 0.2, 0.02, 1.5)
         assert bq.blowup_integral(record) <= 1e-10
-        verdict = bq.continuation_check(record, 0.2)
+        verdict = bq.continuation_check(record)
         assert verdict.verdict == "FINITE"
 
     def test_suspect_needs_both_signals(self, grid64):
@@ -283,11 +283,9 @@ class TestBlowupMonitor:
             g_prev = g
         assert bq._doubling_time_decreasing(record)
         # without constants the envelope leg is unavailable: stays FINITE
-        assert bq.continuation_check(record, 1.0).verdict == "FINITE"
+        assert bq.continuation_check(record).verdict == "FINITE"
         # with a tight constant the envelope is violated: SUSPECT
-        verdict = bq.continuation_check(
-            record, 1.0, theta0_r=1.0, u0_r=1.0, c_frozen=0.1
-        )
+        verdict = bq.continuation_check(record, theta0_r=1.0, u0_r=1.0, c_frozen=0.1)
         assert verdict.verdict == "SUSPECT"
 
     def test_linear_growth_not_superlinear(self, grid64):
@@ -304,14 +302,13 @@ class TestBlowupMonitor:
 class TestUniquenessProbe:
     def test_zero_perturbation_zero_gap(self, grid64):
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
-        curve = bq.uniqueness_probe(state0, 0.0, 0.05, 2e-3, 1.5, sample_every=10)
+        (curve,) = bq.uniqueness_probe(state0, [0.0], 0.05, 2e-3, 1.5, sample_every=10)
         assert max(curve.theta_gaps) == 0.0
         assert max(curve.u_gaps) == 0.0
 
     def test_linear_response_ratio(self, grid64):
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
-        c4 = bq.uniqueness_probe(state0, 1e-4, 0.1, 2e-3, 1.5, sample_every=25)
-        c5 = bq.uniqueness_probe(state0, 1e-5, 0.1, 2e-3, 1.5, sample_every=25)
+        c4, c5 = bq.uniqueness_probe(state0, [1e-4, 1e-5], 0.1, 2e-3, 1.5, sample_every=25)
         ratio = c4.terminal_theta_gap / c5.terminal_theta_gap
         assert 7.0 <= ratio <= 13.0
 
@@ -319,7 +316,7 @@ class TestUniquenessProbe:
         # terminal-over-initial gap growth stays under exp(c * int ||u1||_r)
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
         _, record = bq.run_direct(state0, 0.2, 2e-3, 1.5)
-        curve = bq.uniqueness_probe(state0, 1e-4, 0.2, 2e-3, 1.5, sample_every=10)
+        (curve,) = bq.uniqueness_probe(state0, [1e-4], 0.2, 2e-3, 1.5, sample_every=10)
         u_r_integral = np.trapezoid(record.series("u_r"), record.times())
         growth = max(curve.theta_gaps) / curve.theta_gaps[0]
         assert growth <= np.exp(10.0 * u_r_integral)
@@ -327,4 +324,32 @@ class TestUniquenessProbe:
     def test_cfl_violation(self, grid64):
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         with pytest.raises(CFLViolation):
-            bq.uniqueness_probe(state0, 1e-4, 0.4, 0.2, 1.5)
+            bq.uniqueness_probe(state0, [1e-4], 0.4, 0.2, 1.5)
+
+    @pytest.mark.parametrize(
+        "T,times", [(0.07, [0.0, 0.02, 0.04, 0.06, 0.07]), (0.05, [0.0, 0.02, 0.04, 0.05])]
+    )
+    def test_curve_ends_at_T(self, T, times):
+        # T/dt is not an integer: a remainder step ends the curve at T
+        state0 = bq.taylor_green_data(make_grid(32, 2.0 * np.pi), 1.0, 0.05)
+        (curve,) = bq.uniqueness_probe(state0, [1e-4], T, 0.02, 1.5)
+        assert np.allclose(curve.times, times, rtol=0.0, atol=1e-15)
+        assert curve.times[-1] == T
+
+    def test_one_reference_run_for_every_eps(self, monkeypatch):
+        state0 = bq.taylor_green_data(make_grid(32, 2.0 * np.pi), 1.0, 0.05)
+        eps_values = [1e-3, 1e-4, 1e-5]
+        calls = []
+        step = bq.direct_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(bq, "direct_step", counted)
+        curves = bq.uniqueness_probe(state0, eps_values, 0.02, 2e-3, 1.5, sample_every=3)
+        assert len(calls) == (len(eps_values) + 1) * 10
+        monkeypatch.undo()
+        for eps, curve in zip(eps_values, curves):
+            (single,) = bq.uniqueness_probe(state0, [eps], 0.02, 2e-3, 1.5, sample_every=3)
+            assert curve == single
