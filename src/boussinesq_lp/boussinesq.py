@@ -10,7 +10,10 @@ Direct integration uses RK4 (``transport.rk4``); the right-hand side is
 Leray-projected, and the velocity is projected once more at the end of
 each step.  The successive-approximation scheme solves the linearized
 problems (iterate n+1 advected by iterate n) with frequency-truncated
-initial data, recording Cauchy gaps in the C^{r-1} norm.  A monitor
+initial data, recording Cauchy gaps in the C^{r-1} norm.  Both use one
+coupled right-hand side and one step tail: the linearized step is the
+direct step with the advecting velocity and the buoyancy source frozen
+to the previous iterate.  A monitor
 tracks sup|grad u|, its running time integral, Hoelder norms and the
 divergence residual for blow-up diagnostics.
 """
@@ -158,11 +161,15 @@ def pressure_gradient(u: VectorField, theta: SpectralField) -> VectorField:
     return -grad_inv_laplacian_div(adv) + grad_inv_laplacian_partial(theta, axis=2)
 
 
-def _rhs(theta: SpectralField, u: VectorField, buoyancy: bool) -> tuple[SpectralField, VectorField]:
-    dtheta = -advect(u, theta)
-    force = -advect_vector(u, u)
-    if buoyancy:
-        force = force + _e2(theta)
+def _rhs(
+    theta: SpectralField, u: VectorField, v: VectorField, source: SpectralField | None
+) -> tuple[SpectralField, VectorField]:
+    """Slopes of (theta, u) advected by v and forced by the buoyancy of
+    ``source`` (None: no buoyancy), with the velocity slope projected."""
+    dtheta = -advect(v, theta)
+    force = -advect_vector(v, u)
+    if source is not None:
+        force = force + _e2(source)
     return dtheta, leray_project(force)
 
 
@@ -172,16 +179,26 @@ def _check_finite(theta: SpectralField, u: VectorField, t: float) -> None:
             raise NumericsError(f"non-finite field values at t={t:.6g}")
 
 
-def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
-    """One RK4 step; raises on CFL violation or non-finite output.
-
-    The stage slopes are already divergence-free, so only the final
-    velocity is projected, to clear the roundoff of the combination.
-    """
-    _check_cfl(state.u, dt, state.t)
-    (theta, u), _ = rk4((state.theta, state.u), lambda _t, y: _rhs(*y, buoyancy), state.t, dt)
+def _coupled_step(y: tuple, rhs, t: float, h: float) -> tuple[tuple, tuple]:
+    """One ``rk4`` step of (theta, u) with the final velocity projected and
+    checked finite; returns the new pair and the stage-one slope.  The
+    stage slopes are already divergence-free, so the projection only
+    clears the roundoff of the combination."""
+    (theta, u), k1 = rk4(y, rhs, t, h)
     u = leray_project(u)
-    _check_finite(theta, u, state.t + dt)
+    _check_finite(theta, u, t + h)
+    return (theta, u), k1
+
+
+def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
+    """One RK4 step; raises on CFL violation or non-finite output."""
+    _check_cfl(state.u, dt, state.t)
+
+    def rhs(_t: float, y: tuple) -> tuple[SpectralField, VectorField]:
+        theta, u = y
+        return _rhs(theta, u, u, theta if buoyancy else None)
+
+    (theta, u), _ = _coupled_step((state.theta, state.u), rhs, state.t, dt)
     return BoussinesqState(theta, u, state.t + dt)
 
 
@@ -213,37 +230,28 @@ def run_direct(
     r: float,
     *,
     buoyancy: bool = True,
-    snapshot_every: int | None = None,
     on_step=None,
-    partition: DyadicPartition | None = None,
-) -> tuple[list[BoussinesqState], MonitorRecord]:
+) -> tuple[BoussinesqState, MonitorRecord]:
     """Integrate to time T, filling the monitor at every step.
 
     Steps follow ``transport._step_lattice``: steps of dt ending at
-    t0 + i*dt, then a remainder step ending at t0 + T.  Returns the
-    snapshot list (initial state, every ``snapshot_every``-th step if
-    requested, and the final state) and the monitor record.
+    t0 + i*dt, then a remainder step ending at t0 + T.  ``on_step`` is
+    called with the initial state and with the state after every step.
+    Returns the final state (``state0`` when T = 0) and the monitor record.
     """
     validate_state(state0)
-    part = partition or build_partition(state0.grid)
+    part = build_partition(state0.grid)
     record = MonitorRecord(r=r, samples=[_monitor_sample(state0, r, part)])
     state = state0
-    snapshots = [state]
     if on_step is not None:
         on_step(state)
-
-    lattice = _step_lattice(T, dt, state0.t)
-    for i, (h, t) in enumerate(lattice, 1):
+    for h, t in _step_lattice(T, dt, state0.t):
         stepped = direct_step(state, h, buoyancy)
         state = BoussinesqState(stepped.theta, stepped.u, t)
         record.append(_monitor_sample(state, r, part, record.final(), h))
-        if snapshot_every is not None and i % snapshot_every == 0 and i < len(lattice):
-            snapshots.append(state)
         if on_step is not None:
             on_step(state)
-    if lattice:
-        snapshots.append(state)
-    return snapshots, record
+    return state, record
 
 
 def kinetic_energy(u: VectorField) -> float:
@@ -514,21 +522,18 @@ def _solve_linear_iterate(
 ) -> _HermiteTrajectory:
     """Advance the linearized system driven by the previous iterate.
 
-    theta is advected by the previous velocity; u is advected by the
-    previous velocity and forced by the buoyancy of the current (or, with
-    ``theta_lag``, the previous) temperature, with the pressure gradient
-    refreshed at every substage through the projection.  The stage-one
-    slope of each step is kept as the Hermite derivative at its node.
+    This is the coupled step of ``direct_step`` with the advecting
+    velocity frozen to the previous iterate and the buoyancy source set
+    to the current (or, with ``theta_lag``, the previous) temperature;
+    the pressure gradient is refreshed at every substage through the
+    projection.  The stage-one slope of each step is kept as the Hermite
+    derivative at its node.
     """
     dt = float(times[1] - times[0])
 
     def rhs(t: float, y: tuple) -> tuple[SpectralField, VectorField]:
         theta, u = y
-        v = prev.velocity(t)
-        dtheta = -advect(v, theta)
-        forcing_theta = prev.theta(t) if theta_lag else theta
-        du = leray_project(-advect_vector(v, u) + _e2(forcing_theta))
-        return dtheta, du
+        return _rhs(theta, u, prev.velocity(t), prev.theta(t) if theta_lag else theta)
 
     for v in prev.node_velocities:
         _check_cfl(v, dt, float(times[0]))
@@ -536,10 +541,8 @@ def _solve_linear_iterate(
     states = [(theta_init, u_init)]
     slopes = []
     for j in range(len(times) - 1):
-        (theta, u), k1 = rk4(states[-1], rhs, float(times[j]), dt)
-        u = leray_project(u)
-        _check_finite(theta, u, float(times[j + 1]))
-        states.append((theta, u))
+        y, k1 = _coupled_step(states[-1], rhs, float(times[j]), dt)
+        states.append(y)
         slopes.append(k1)
     slopes.append(rhs(float(times[-1]), states[-1]))
     thetas, us = zip(*states)
@@ -657,21 +660,20 @@ def uniqueness_probe(
     dt: float,
     r: float,
     *,
-    seed: int = 7,
     sample_every: int = 1,
 ) -> list[ProbeCurve]:
     """Twin-run divergence curves for theta-only perturbations, one per eps.
 
-    The perturbation direction is a fixed synthesized field with unit
-    C^{r-1} norm.  One unperturbed reference run advances in lockstep
-    with every perturbed run on ``transport._step_lattice``, the lattice
-    of ``run_direct``, so each curve ends at T.  The gaps to the
+    The perturbation direction is a fixed synthesized field (seed 7)
+    with unit C^{r-1} norm.  One unperturbed reference run advances in
+    lockstep with every perturbed run on ``transport._step_lattice``, the
+    lattice of ``run_direct``, so each curve ends at T.  The gaps to the
     reference are measured in C^{r-1} every ``sample_every`` steps and
     after the last step.
     """
     grid = state0.grid
     part = build_partition(grid)
-    direction = synthesize_holder_field(grid, r - 1.0, 1.0, seed)
+    direction = synthesize_holder_field(grid, r - 1.0, 1.0, seed=7)
     ref = BoussinesqState(state0.theta, state0.u, 0.0)
     runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
 

@@ -56,7 +56,6 @@ class RunConfig:
     theta_amplitude: float = 0.05
     data: str = "taylor-green"  # hydrostatic | taylor-green | random
     buoyancy: bool = True
-    snapshot_every: int | None = None
     # iteration
     n_max: int = 25
     tol: float = 1e-6
@@ -105,8 +104,6 @@ class RunConfig:
             problems.append("dt must be positive")
         if self.seed < 0:
             problems.append("seed must be nonnegative")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            problems.append("snapshot_every must be >= 1")
         if self.command == "iterate":
             if self.n_max < 2:
                 problems.append("n_max must be >= 2")
@@ -234,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
     p.add_argument("--no-buoyancy", dest="buoyancy", action="store_false", default=None)
     p.add_argument("--C", type=float, default=None, help="frozen constant for envelope verdicts")
 
@@ -338,15 +334,11 @@ def _cmd_lp_analyze(config: RunConfig) -> str:
 
 def _cmd_solve(config: RunConfig) -> str:
     state0 = _initial_state(config)
-    snapshots, record = bq.run_direct(
-        state0, config.T, config.dt, config.r,
-        buoyancy=config.buoyancy if config.buoyancy is not None else True,
-        snapshot_every=config.snapshot_every,
-    )
+    final_state, record = bq.run_direct(state0, config.T, config.dt, config.r, buoyancy=config.buoyancy)
     fileio.monitor_to_csv(_out(config, "monitor.csv"), record)
     fileio.write_snapshot(_out(config, "theta_initial.snap"), state0.theta, "theta", 0.0)
     fileio.write_snapshot(
-        _out(config, "theta_final.snap"), snapshots[-1].theta, "theta", snapshots[-1].t
+        _out(config, "theta_final.snap"), final_state.theta, "theta", final_state.t
     )
     initial = record.samples[0]
     verdict = bq.continuation_check(

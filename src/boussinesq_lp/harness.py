@@ -169,7 +169,7 @@ def _finish(name: str, samples: list[EstimateSample], resolutions) -> EstimateRe
     stable = True
     vals = list(per_resolution.values())
     if len(vals) >= 2 and min(vals) > 0:
-        stable = (max(vals) / min(vals) - 1.0) <= 0.5
+        stable = bool((max(vals) / min(vals) - 1.0) <= 0.5)
     return EstimateReport(
         name=name,
         samples=samples,

@@ -12,7 +12,7 @@ and its linearised iterates use it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class TransportProblem:
 
 @dataclass
 class TransportTrajectory:
-    """Fields captured at observer times (always includes t=0 and t=T)."""
+    """Fields captured at the observed steps (always includes t=0 and t=T)."""
 
     times: list[float]
     fields: list[SpectralField]
@@ -145,35 +145,20 @@ class TransportTrajectory:
         return self.fields[-1]
 
 
-def solve(
-    problem: TransportProblem,
-    observers: Sequence[float] | int | None = None,
-) -> TransportTrajectory:
+def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     """March the transport problem to T, sampling providers at substages.
 
     Steps follow ``_step_lattice``: steps of dt ending at i*dt, then a
-    remainder step ending at T.  ``observers`` is either a step stride
-    (int), explicit times, or None (record every step).  Every distinct
-    velocity object the provider returns at a substage is checked for
-    divergence before use, so a constant provider is checked once per run.
+    remainder step ending at T.  The field is recorded at t = 0, after
+    every ``observers``-th step, and at T.  Every distinct velocity
+    object the provider returns at a substage is checked for divergence
+    before use, so a constant provider is checked once per run.
     """
     v_of = _as_velocity_provider(problem.velocity)
     g_of = _as_forcing_provider(problem.forcing)
     T, dt = float(problem.T), float(problem.dt)
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
-
-    if isinstance(observers, int):
-        stride, wanted = observers, None
-    elif observers is None:
-        stride, wanted = 1, None
-    else:
-        stride, wanted = None, sorted(float(t) for t in observers)
-
-    def observed(idx: int, t: float) -> bool:
-        if wanted is None:
-            return idx % stride == 0
-        return any(abs(t - w) <= 1e-9 * max(1.0, T) for w in wanted)
 
     f = problem.f0
     t = 0.0
@@ -205,10 +190,10 @@ def solve(
     for i, (h, t_end) in enumerate(_step_lattice(T, dt), 1):
         f = advance(f, t, h)
         t = t_end
-        if observed(i, t) and t < T - 1e-12:
+        if i % observers == 0 and t < T - 1e-12:
             times.append(t)
             fields.append(f)
-    if not times or times[-1] < T - 1e-12:
+    if times[-1] < T - 1e-12:
         times.append(T)
         fields.append(f)
     return TransportTrajectory(times, fields)

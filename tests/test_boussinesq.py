@@ -61,8 +61,7 @@ class TestPressureGradient:
 class TestDirectRun:
     def test_hydrostatic_steady_state_short(self, grid64):
         state0 = bq.hydrostatic_data(grid64)
-        snaps, record = bq.run_direct(state0, 0.5, 0.02, 1.5)
-        final = snaps[-1]
+        final, record = bq.run_direct(state0, 0.5, 0.02, 1.5)
         assert vec_linf(final.u) <= 1e-10
         assert linf_norm(final.theta - state0.theta) <= 1e-10
         assert record.final().bkm_integral <= 1e-10
@@ -71,9 +70,9 @@ class TestDirectRun:
         state0 = bq.taylor_green_data(grid64, 1.0, 0.0)
         full, _ = bq.run_direct(state0, 0.1, 1e-3, 1.5, buoyancy=True)
         plain, _ = bq.run_direct(state0, 0.1, 1e-3, 1.5, buoyancy=False)
-        assert rel_linf(full[-1].u.u1, plain[-1].u.u1) < 1e-12
-        assert rel_linf(full[-1].u.u2, plain[-1].u.u2) < 1e-12
-        assert linf_norm(full[-1].theta) == 0.0
+        assert rel_linf(full.u.u1, plain.u.u1) < 1e-12
+        assert rel_linf(full.u.u2, plain.u.u2) < 1e-12
+        assert linf_norm(full.theta) == 0.0
 
     def test_divergence_residual_along_run(self, taylor_green_run):
         record = taylor_green_run["record"]
@@ -106,10 +105,10 @@ class TestDirectRun:
     def test_time_reversal(self, grid64):
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         forward, _ = bq.run_direct(state0, 0.25, 1e-3, 1.5)
-        turned = bq.BoussinesqState(forward[-1].theta, -forward[-1].u, 0.0)
+        turned = bq.BoussinesqState(forward.theta, -forward.u, 0.0)
         back, _ = bq.run_direct(turned, 0.25, 1e-3, 1.5)
-        assert linf_norm(back[-1].theta - state0.theta) < 1e-6
-        assert vec_linf(back[-1].u + state0.u) < 1e-6
+        assert linf_norm(back.theta - state0.theta) < 1e-6
+        assert vec_linf(back.u + state0.u) < 1e-6
 
     def test_cfl_violation(self, grid64):
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
@@ -121,9 +120,9 @@ class TestDirectRun:
         # tolerance was fixed before the steppers were merged (error 4.6e-16)
         grid = make_grid(32)
         state0 = bq.taylor_green_data(grid, 1.0, 0.0)
-        snaps, _ = bq.run_direct(state0, 0.5, 1e-3, 1.5)
-        assert linf_norm(snaps[-1].theta) == 0.0
-        assert vec_linf(snaps[-1].u - state0.u) < 1e-13
+        final, _ = bq.run_direct(state0, 0.5, 1e-3, 1.5)
+        assert linf_norm(final.theta) == 0.0
+        assert vec_linf(final.u - state0.u) < 1e-13
 
     def test_rk4_fourth_order(self):
         # halving dt divides the error by 2^4 = 16; compared with dt = T/256

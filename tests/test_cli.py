@@ -79,7 +79,7 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
 
-    @pytest.mark.parametrize("field,value", [("p", "x"), ("q", "0.5"), ("seed", -1), ("snapshot_every", 0)])
+    @pytest.mark.parametrize("field,value", [("p", "x"), ("q", "0.5"), ("seed", -1)])
     def test_out_of_domain_values_rejected(self, tmp_path, field, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({field: value}))

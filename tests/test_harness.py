@@ -1,12 +1,13 @@
 """Estimate reports, threshold formulas, contraction fits, envelopes."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from boussinesq_lp import boussinesq as bq
-from boussinesq_lp import harness
+from boussinesq_lp import fileio, harness
 from boussinesq_lp.littlewood_paley import build_partition, holder_norm
 from boussinesq_lp.spectral import SpectralField, VectorField, make_grid, transform
 
@@ -36,6 +37,15 @@ class TestVerify:
                 if ratios else 0.0,
             ), name
             assert rep.c_frozen == 2.0 * rep.c_emp, name
+
+    def test_stable_is_a_json_bool_over_two_resolutions(self, tmp_path):
+        # the per-resolution comparison runs on numpy floats
+        corpus = harness.CorpusSpec(seeds=(0,), resolutions=(32, 64))
+        report = harness.verify("lemma3.1", corpus)
+        assert len(report.per_resolution) == 2
+        path = tmp_path / "estimate.json"
+        fileio.write_json(path, report)
+        assert isinstance(json.loads(path.read_text())["stable"], bool)
 
     def test_min_symmetry_when_arguments_equal(self, grid64):
         v = bq.synthesize_divfree_velocity(grid64, 1.5, 1.0, 2)

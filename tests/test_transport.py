@@ -175,13 +175,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-divergence-free"):
             solve(problem)
 
-    def test_observer_times(self, grid64):
-        problem, _ = constant_velocity_problem(grid64, T=0.1, dt=1e-3)
-        traj = solve(problem, observers=[0.05])
-        assert np.isclose(traj.times[0], 0.0)
-        assert any(np.isclose(t, 0.05) for t in traj.times)
-        assert np.isclose(traj.times[-1], 0.1)
-
     def test_fractional_final_step(self, grid64):
         problem, c = constant_velocity_problem(grid64, c=(1.0, 0.0), T=0.2505, dt=1e-3)
         traj = solve(problem, observers=10**6)
