@@ -8,7 +8,14 @@ theta*e2, with the pressure gradient recovered spectrally:
 
 Direct integration uses RK4 (``transport.rk4``); the right-hand side is
 Leray-projected, and the velocity is projected once more at the end of
-each step.  The successive-approximation scheme solves the linearized
+each step.  Self-advection is taken in flux form, u . grad u =
+div(u (x) u), which holds because div u = 0: the three products u1 u1,
+u1 u2, u2 u2 cost three forward transforms against four derivative reads
+and two forward transforms for the advective form, and on the dealiased
+grid both give the same Galerkin term up to roundoff.  The linearized
+iterate advects u by a different velocity v, where the flux form v (x) u
+saves no transform, so it keeps the advective form v . grad u.
+The successive-approximation scheme solves the linearized
 problems (iterate n+1 advected by iterate n) with frequency-truncated
 initial data, recording Cauchy gaps in the C^{r-1} norm.  Both use one
 coupled right-hand side and one step tail: the linearized step is the
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -161,13 +169,34 @@ def pressure_gradient(u: VectorField, theta: SpectralField) -> VectorField:
     return -grad_inv_laplacian_div(adv) + grad_inv_laplacian_partial(theta, axis=2)
 
 
+def _self_advection(u: VectorField) -> VectorField:
+    """Dealiased u . grad u in flux form, div(u (x) u), for divergence-free u.
+
+    Reads the (cached) values of u and transforms the three products of
+    the symmetric tensor once each.
+    """
+    u1, u2 = u.values()
+    f11, f12, f22 = (SpectralField.from_values(u.grid, p) for p in (u1 * u1, u1 * u2, u2 * u2))
+    return VectorField(
+        dealias(derivative(f11, 1) + derivative(f12, 2)),
+        dealias(derivative(f12, 1) + derivative(f22, 2)),
+    )
+
+
 def _rhs(
     theta: SpectralField, u: VectorField, v: VectorField, source: SpectralField | None
 ) -> tuple[SpectralField, VectorField]:
     """Slopes of (theta, u) advected by v and forced by the buoyancy of
-    ``source`` (None: no buoyancy), with the velocity slope projected."""
+    ``source`` (None: no buoyancy), with the velocity slope projected.
+
+    When u advects itself (``v is u``, every direct step) the momentum
+    term is the flux form ``_self_advection(u)``: 3 transforms in place of
+    6.  The linearized iterate (v is the previous iterate) keeps the
+    advective form ``advect_vector(v, u)``: there the flux form also costs
+    6 transforms, and it would cache the values of u on every stored node.
+    """
     dtheta = -advect(v, theta)
-    force = -advect_vector(v, u)
+    force = -(_self_advection(u) if v is u else advect_vector(v, u))
     if source is not None:
         force = force + _e2(source)
     return dtheta, leray_project(force)
@@ -527,13 +556,17 @@ def _solve_linear_iterate(
     to the current (or, with ``theta_lag``, the previous) temperature;
     the pressure gradient is refreshed at every substage through the
     projection.  The stage-one slope of each step is kept as the Hermite
-    derivative at its node.
+    derivative at its node.  The frozen fields are built once per distinct
+    substage time (rk4 stages 2 and 3 share t + h/2), so their values are
+    transformed once.
     """
     dt = float(times[1] - times[0])
+    velocity = lru_cache(maxsize=1)(prev.velocity)
+    frozen_theta = lru_cache(maxsize=1)(prev.theta)
 
     def rhs(t: float, y: tuple) -> tuple[SpectralField, VectorField]:
         theta, u = y
-        return _rhs(theta, u, prev.velocity(t), prev.theta(t) if theta_lag else theta)
+        return _rhs(theta, u, velocity(t), frozen_theta(t) if theta_lag else theta)
 
     for v in prev.node_velocities:
         _check_cfl(v, dt, float(times[0]))

@@ -8,10 +8,11 @@ stored.  Along the first axis the mode labels are the ``fftfreq`` order
 0..n/2-1, -n/2..-1; along the second axis they are 0..n/2-1, -n/2 (the
 last column is the Nyquist column, labelled -n/2 as in the full layout).
 
-The forward transform is normalized "unitary in mean": a constant field c
-has a single nonzero coefficient equal to c, and cos(2*pi*x/L) splits
-into the two modes m = +-1 with coefficient 1/2 each.  With this
-convention Parseval reads
+The forward transform is normalized "unitary in mean" (numpy's
+``norm="forward"``: the forward transform carries the 1/n^2, the inverse
+none): a constant field c has a single nonzero coefficient equal to c,
+and cos(2*pi*x/L) splits into the two modes m = +-1 with coefficient 1/2
+each.  With this convention Parseval reads
 
     ||f||_{L^2(grid)} = L * sqrt(sum_m w_m |c_m|^2),
 
@@ -162,7 +163,7 @@ class SpectralField:
             raise ValueError(
                 f"value array shape {values.shape} does not match grid {(grid.n, grid.n)}"
             )
-        return cls(grid, np.fft.rfft2(values) / grid.n**2)
+        return cls(grid, np.fft.rfft2(values, norm="forward"))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -172,7 +173,9 @@ class SpectralField:
         """Collocation-grid samples: the (n, n) inverse real transform.
 
         The stored (n, n//2 + 1) half spectrum is extended by Hermitian
-        symmetry, so the result is real by construction.
+        symmetry, so the result is real by construction.  The inverse uses
+        ``norm="forward"``, the "unitary in mean" convention of the
+        module: it is unscaled, and a coefficient is a mode amplitude.
 
         Cached on first call (fields are immutable); the returned array
         is read-only.
@@ -180,7 +183,7 @@ class SpectralField:
         cache = self.__dict__.get("_values_cache")
         if cache is None:
             n = self.grid.n
-            cache = np.fft.irfft2(self.coeffs * n**2, s=(n, n))
+            cache = np.fft.irfft2(self.coeffs, s=(n, n), norm="forward")
             cache.setflags(write=False)
             object.__setattr__(self, "_values_cache", cache)
         return cache
@@ -237,6 +240,16 @@ class VectorField:
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
         return self.u1.values(), self.u2.values()
+
+    def max_speed(self) -> float:
+        """max over the grid of |v|; cached like ``values()`` (fields are
+        immutable), so a frozen velocity pays for it once."""
+        cache = self.__dict__.get("_max_speed_cache")
+        if cache is None:
+            v1, v2 = self.values()
+            cache = float(np.max(np.hypot(v1, v2)))
+            object.__setattr__(self, "_max_speed_cache", cache)
+        return cache
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.u1 + other.u1, self.u2 + other.u2)

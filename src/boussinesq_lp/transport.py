@@ -45,14 +45,9 @@ class CFLViolation(RuntimeError):
         self.bound = bound
 
 
-def max_speed(v: VectorField) -> float:
-    v1, v2 = v.values()
-    return float(np.max(np.hypot(v1, v2)))
-
-
 def cfl_bound(v: VectorField, grid: Grid) -> float:
     """Largest admissible dt for velocity v: 0.5 * dx / max|v|."""
-    speed = max_speed(v)
+    speed = v.max_speed()
     if speed == 0.0:
         return np.inf
     return CFL_NUMBER * grid.dx / speed

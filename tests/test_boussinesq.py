@@ -58,6 +58,24 @@ class TestPressureGradient:
         assert linf_norm(divergence(rhs)) < 1e-10
 
 
+class TestSelfAdvection:
+    """The flux form of the direct step against the advective form."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("data", ["taylor-green", "divfree"])
+    def test_flux_form_matches_advective_form(self, n, data):
+        grid = make_grid(n)
+        if data == "taylor-green":
+            u = bq.taylor_green_data(grid, 1.0, 0.0).u
+        else:
+            u = bq.synthesize_divfree_velocity(grid, 1.5, 1.0, 5)
+        flux = bq._self_advection(u)
+        advective = advect_vector(u, u)
+        assert vec_linf(flux - advective) / vec_linf(advective) < 1e-12
+        for c in (flux.u1, flux.u2):
+            assert np.all(c.coeffs[~grid.dealias_mask] == 0.0)
+
+
 class TestDirectRun:
     def test_hydrostatic_steady_state_short(self, grid64):
         state0 = bq.hydrostatic_data(grid64)

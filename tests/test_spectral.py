@@ -112,6 +112,23 @@ class TestTransform:
             SpectralField(grid64, np.zeros((64, 64), dtype=complex))
 
 
+class TestTransformScaling:
+    """norm="forward" reproduces the explicit 1/n^2 scaling bit for bit:
+    scaling by a power of two is exact."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_bit_identical_to_explicit_scaling(self, n):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n))
+        f = SpectralField.from_values(grid, x)
+        assert np.array_equal(f.coeffs, np.fft.rfft2(x) / n**2)
+        c = rng.standard_normal(grid.spectral_shape) + 1j * rng.standard_normal(grid.spectral_shape)
+        for coeffs in (f.coeffs, c):
+            values = SpectralField(grid, coeffs).values()
+            assert np.array_equal(values, np.fft.irfft2(coeffs * n**2, s=(n, n)))
+
+
 class TestHalfSpectrumLayout:
     """The half-spectrum operators against the same multipliers built on the
     full fftfreq mesh and applied through fft2/ifft2."""

@@ -59,10 +59,10 @@ def _q_max() -> int:
 
 
 def test_direct_step(count):
-    # the CFL check reads u (2); each RHS makes three advection terms of
-    # 3 transforms, and the stages after the first also read their
-    # substage velocity (2): 2 + 9 + 3 * 11
-    assert count(bq.direct_step, _tg(), DT) == 44
+    # the CFL check reads u (2); stage 1 advects theta (3) and transforms
+    # the three products of the flux tensor u (x) u (3); the stages after
+    # the first also read their substage velocity (2): 2 + (3 + 3) + 3 * 8
+    assert count(bq.direct_step, _tg(), DT) == 32
 
 
 def test_run_direct_monitor_sample(count):
@@ -103,4 +103,4 @@ def test_iterate_scheme_run(count):
     theta0 = bq.synthesize_holder_field(grid, 1.5, 0.05, 1)
     u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
     # two linearised iterates over 3 steps, plus the Cauchy gap norms
-    assert count(bq.iterate_scheme, theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30) == 382
+    assert count(bq.iterate_scheme, theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30) == 376
