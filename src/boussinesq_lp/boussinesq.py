@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .littlewood_paley import (
-    DyadicPartition,
     build_partition,
     holder_norm,
     holder_norm_vector,
@@ -155,10 +154,6 @@ class IterationRecord:
     ratio: float | None
 
 
-def _e2(theta: SpectralField) -> VectorField:
-    return VectorField(SpectralField.zero(theta.grid), theta)
-
-
 def pressure_gradient(u: VectorField, theta: SpectralField) -> VectorField:
     """Gradient of the pressure balancing advection and buoyancy.
 
@@ -196,9 +191,8 @@ def _rhs(
     6 transforms, and it would cache the values of u on every stored node.
     """
     dtheta = -advect(v, theta)
-    force = -(_self_advection(u) if v is u else advect_vector(v, u))
-    if source is not None:
-        force = force + _e2(source)
+    m = _self_advection(u) if v is u else advect_vector(v, u)
+    force = -m if source is None else VectorField(-m.u1, source - m.u2)
     return dtheta, leray_project(force)
 
 
@@ -234,7 +228,6 @@ def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> Bou
 def _monitor_sample(
     state: BoussinesqState,
     r: float,
-    part: DyadicPartition,
     prev: MonitorSample | None = None,
     h: float = 0.0,
 ) -> MonitorSample:
@@ -246,8 +239,8 @@ def _monitor_sample(
         t=state.t,
         grad_u_inf=g,
         bkm_integral=bkm,
-        theta_r=holder_norm(state.theta, r, part).value,
-        u_r=holder_norm_vector(state.u, r, part),
+        theta_r=holder_norm(state.theta, r).value,
+        u_r=holder_norm_vector(state.u, r),
         div_residual=divergence_residual(state.u),
     )
 
@@ -269,15 +262,14 @@ def run_direct(
     Returns the final state (``state0`` when T = 0) and the monitor record.
     """
     validate_state(state0)
-    part = build_partition(state0.grid)
-    record = MonitorRecord(r=r, samples=[_monitor_sample(state0, r, part)])
+    record = MonitorRecord(r=r, samples=[_monitor_sample(state0, r)])
     state = state0
     if on_step is not None:
         on_step(state)
     for h, t in _step_lattice(T, dt, state0.t):
         stepped = direct_step(state, h, buoyancy)
         state = BoussinesqState(stepped.theta, stepped.u, t)
-        record.append(_monitor_sample(state, r, part, record.final(), h))
+        record.append(_monitor_sample(state, r, record.final(), h))
         if on_step is not None:
             on_step(state)
     return state, record
@@ -307,41 +299,41 @@ def blowup_integral(record: MonitorRecord) -> float:
 
 
 def velocity_envelope(
-    record: MonitorRecord,
-    theta0_r: float,
-    u0_r: float,
-    c_frozen: float,
-    r: float | None = None,
+    record: MonitorRecord, theta0_r: float, u0_r: float, c_frozen: float
 ) -> np.ndarray:
     """Gronwall envelope for ||u(t)||_r along a recorded trajectory.
 
     env(t) = ||u0||_r e^{C I(t)} + (2 + 2^-r) ||theta0||_r
              * (int_0^t e^{C I(s)} ds) * e^{C I(t)},
-    with I(t) the running integral of sup|grad u| and C the frozen
-    empirical constant.
+    with r = ``record.r``, I(t) the running integral of sup|grad u| and C
+    the frozen empirical constant.
     """
     t = record.times()
     integral = record.series("bkm_integral")
     growth = np.exp(c_frozen * integral)
     inner = np.concatenate([[0.0], np.cumsum(0.5 * (growth[1:] + growth[:-1]) * np.diff(t))])
-    coeff = 2.0 + 2.0 ** (-(r if r is not None else record.r))
+    coeff = 2.0 + 2.0 ** (-record.r)
     return u0_r * growth + coeff * theta0_r * inner * growth
 
 
-def _doubling_time_decreasing(record: MonitorRecord, windows: int = 5) -> bool:
+DOUBLING_WINDOWS = 5
+
+
+def _doubling_time_decreasing(record: MonitorRecord) -> bool:
     """True when the growth of the monitor integral is superlinear.
 
-    Splits the run into equal windows and checks that the local doubling
-    time of the running integral strictly decreases over the last three
-    windows.  The first window is skipped: the integral starts at zero,
-    so its log-rate there is a start-up artifact.  Linear growth gives
-    increasing doubling times and is never flagged.
+    Splits the run into ``DOUBLING_WINDOWS`` equal windows and checks that
+    the local doubling time of the running integral strictly decreases
+    over the last three windows.  The first window is skipped: the
+    integral starts at zero, so its log-rate there is a start-up
+    artifact.  Linear growth gives increasing doubling times and is never
+    flagged.
     """
     t = record.times()
     integral = record.series("bkm_integral")
-    if len(t) < windows + 1 or integral[-1] <= 1e-12:
+    if len(t) < DOUBLING_WINDOWS + 1 or integral[-1] <= 1e-12:
         return False
-    edges = np.linspace(t[0], t[-1], windows + 1)
+    edges = np.linspace(t[0], t[-1], DOUBLING_WINDOWS + 1)
     vals = np.interp(edges, t, integral)
     if np.any(vals[1:] <= 0):
         return False
@@ -362,24 +354,21 @@ class ContinuationVerdict:
     envelope_violated: bool | None
 
 
-def continuation_check(
-    record: MonitorRecord,
-    *,
-    theta0_r: float | None = None,
-    u0_r: float | None = None,
-    c_frozen: float | None = None,
-) -> ContinuationVerdict:
+def continuation_check(record: MonitorRecord, c_frozen: float | None = None) -> ContinuationVerdict:
     """Classify a run as continuable (FINITE) or SUSPECT.
 
     SUSPECT needs both superlinear growth of the monitor integral and a
-    violation of the Gronwall envelope; single signals are too noisy at
-    desk scale.  Without frozen constants the envelope leg is skipped.
+    violation of the Gronwall velocity envelope; single signals are too
+    noisy at desk scale.  The envelope starts from the initial norms of
+    the record's first sample at exponent ``record.r``.  Without a frozen
+    constant the envelope leg is skipped and ``envelope_violated`` is None.
     """
     integral = blowup_integral(record)
     superlinear = _doubling_time_decreasing(record)
     violated: bool | None = None
-    if c_frozen is not None and theta0_r is not None and u0_r is not None:
-        env = velocity_envelope(record, theta0_r, u0_r, c_frozen)
+    if c_frozen is not None:
+        initial = record.samples[0]
+        env = velocity_envelope(record, initial.theta_r, initial.u_r, c_frozen)
         violated = bool(np.any(record.series("u_r") > env * (1.0 + 1e-9)))
     suspect = superlinear and bool(violated)
     return ContinuationVerdict(
@@ -419,7 +408,7 @@ def synthesize_holder_field(
             continue
         total += piece.coeffs * (amplitude * 2.0 ** (-q * r) / peak)
     f = dealias(SpectralField(grid, total))
-    measured = holder_norm(f, r, part).value
+    measured = holder_norm(f, r).value
     if measured > 0.0:
         f = f * (amplitude / measured)
     return f
@@ -608,8 +597,7 @@ def iterate_scheme(
         raise ValueError(f"need r > 1, got {r}")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2 to measure a Cauchy gap, got {n_max}")
-    grid = theta0.grid
-    part = build_partition(grid)
+    q_max = build_partition(theta0.grid).q_max
     if abs(theta0.mean()) > 1e-12 or abs(u0.u1.mean()) > 1e-12 or abs(u0.u2.mean()) > 1e-12:
         raise ValueError("initial data must be mean-zero")
     if linf_norm(dealias(theta0) - theta0) > 1e-13:
@@ -620,17 +608,17 @@ def iterate_scheme(
     n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
     times = np.linspace(0.0, T, n_steps + 1)
 
-    current = _ConstantTrajectory(low_pass(2, theta0, part), low_pass_vector(2, u0, part), times)
+    current = _ConstantTrajectory(low_pass(2, theta0), low_pass_vector(2, u0), times)
     records: list[IterationRecord] = []
     prev_gap: float | None = None
     rising = 0
 
     for m in range(2, n_max + 1):
-        level = min(m + 1, part.q_max + 1)
+        level = min(m + 1, q_max + 1)
         new = _solve_linear_iterate(
             current,
-            low_pass(level, theta0, part),
-            low_pass_vector(level, u0, part),
+            low_pass(level, theta0),
+            low_pass_vector(level, u0),
             times,
             theta_lag,
         )
@@ -639,8 +627,8 @@ def iterate_scheme(
         for k in range(len(times)):
             dth = new.theta_at_node(k) - current.theta_at_node(k)
             duv = new.u_at_node(k) - current.u_at_node(k)
-            gap_theta = max(gap_theta, holder_norm(dth, r - 1, part).value)
-            gap_u = max(gap_u, holder_norm_vector(duv, r - 1, part))
+            gap_theta = max(gap_theta, holder_norm(dth, r - 1).value)
+            gap_u = max(gap_u, holder_norm_vector(duv, r - 1))
         gap = max(gap_theta, gap_u)
         ratio = (gap / prev_gap) if (prev_gap is not None and prev_gap > 1e-14) else None
         records.append(
@@ -704,16 +692,14 @@ def uniqueness_probe(
     reference are measured in C^{r-1} every ``sample_every`` steps and
     after the last step.
     """
-    grid = state0.grid
-    part = build_partition(grid)
-    direction = synthesize_holder_field(grid, r - 1.0, 1.0, seed=7)
+    direction = synthesize_holder_field(state0.grid, r - 1.0, 1.0, seed=7)
     ref = BoussinesqState(state0.theta, state0.u, 0.0)
     runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
 
     def gaps(b: BoussinesqState) -> tuple[float, float]:
         return (
-            holder_norm(ref.theta - b.theta, r - 1.0, part).value,
-            holder_norm_vector(ref.u - b.u, r - 1.0, part),
+            holder_norm(ref.theta - b.theta, r - 1.0).value,
+            holder_norm_vector(ref.u - b.u, r - 1.0),
         )
 
     times = [0.0]

@@ -340,10 +340,7 @@ def _cmd_solve(config: RunConfig) -> str:
     fileio.write_snapshot(
         _out(config, "theta_final.snap"), final_state.theta, "theta", final_state.t
     )
-    initial = record.samples[0]
-    verdict = bq.continuation_check(
-        record, theta0_r=initial.theta_r, u0_r=initial.u_r, c_frozen=config.C
-    )
+    verdict = bq.continuation_check(record, config.C)
     final = record.final()
     label = f"solve[{config.preset}]" if config.preset else "solve"
     return (
@@ -400,7 +397,7 @@ def _cmd_thresholds(config: RunConfig) -> str:
     C = config.C
     if C is None:
         estimate = harness.verify("lemma2.1", _quick_corpus(config))
-        C = harness.frozen_constant(estimate, "lemma2.1", config.r)
+        C = harness.frozen_constant(estimate, config.r)
     report = harness.compute_thresholds(
         state0.theta, state0.u, config.r,
         P=config.P, Q=config.Q, S=config.S, a0=config.a0, C=C,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -196,9 +196,8 @@ def _ratio_sample(descriptor, lhs, rhs, r, n) -> EstimateSample:
 
 
 def commutator_sample(v: VectorField, f: SpectralField, q: int, r: float) -> tuple[float, float]:
-    part = build_partition(f.grid)
-    lhs = linf_norm(commutator(v, q, f, part))
-    rhs = 2.0 ** (-q * r) * holder_norm(f, r, part).value * grad_linf_norm(v)
+    lhs = linf_norm(commutator(v, q, f))
+    rhs = 2.0 ** (-q * r) * holder_norm(f, r).value * grad_linf_norm(v)
     return lhs, rhs
 
 
@@ -264,31 +263,31 @@ def velocity_growth_ratio(
     return max(0.0, excess) / (2.0 * weighted_integral)
 
 
-def _lemma2_1_samples(fl: dict, r: float, part) -> list[tuple[str, float, float]]:
+def _lemma2_1_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
     # commutator_sample per q with its q-independent norms hoisted; the rhs
     # keeps commutator_sample's factor order, so the floats are the same
     v, f = fl["v"], fl["f"]
-    holder_f = holder_norm(f, r, part).value
+    holder_f = holder_norm(f, r).value
     grad_v = grad_linf_norm(v)
     return [
-        (f",q={q}", linf_norm(commutator(v, q, f, part)), 2.0 ** (-q * r) * holder_f * grad_v)
-        for q in range(-1, part.q_max + 1)
+        (f",q={q}", linf_norm(commutator(v, q, f)), 2.0 ** (-q * r) * holder_f * grad_v)
+        for q in range(-1, build_partition(f.grid).q_max + 1)
     ]
 
 
-def _eq4_18_samples(fl: dict, r: float, part) -> list[tuple[str, float, float]]:
+def _eq4_18_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
     pairs = ((fl["v"], fl["w"]), (fl["w"], fl["v"]))
     return [(f",pair={k}", *pressure_bilinear_sample(a, b, r - 1.0)) for k, (a, b) in enumerate(pairs)]
 
 
-# static estimate -> kernel(fields, r, partition) -> [(descriptor suffix, lhs, rhs)]
+# static estimate -> kernel(fields, r) -> [(descriptor suffix, lhs, rhs)]
 _STATIC_KERNELS = {
     "lemma2.1": _lemma2_1_samples,
-    "lemma2.2.1": lambda fl, r, part: [("", *embedding_linf_sample(fl["f"], r))],
-    "lemma2.2.3": lambda fl, r, part: [("", *embedding_b1_sample(fl["f"], r))],
-    "lemma2.3": lambda fl, r, part: [("", *product_sample(fl["f"], fl["g"], r))],
-    "lemma2.4": lambda fl, r, part: [("", *advection_product_sample(fl["v"], fl["f"], r))],
-    "lemma2.5": lambda fl, r, part: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))],
+    "lemma2.2.1": lambda fl, r: [("", *embedding_linf_sample(fl["f"], r))],
+    "lemma2.2.3": lambda fl, r: [("", *embedding_b1_sample(fl["f"], r))],
+    "lemma2.3": lambda fl, r: [("", *product_sample(fl["f"], fl["g"], r))],
+    "lemma2.4": lambda fl, r: [("", *advection_product_sample(fl["v"], fl["f"], r))],
+    "lemma2.5": lambda fl, r: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))],
     "eq4.18": _eq4_18_samples,
 }
 
@@ -320,14 +319,13 @@ def _static_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateSa
     samples = []
     for n in resolutions:
         grid = make_grid(n, corpus.box)
-        part = build_partition(grid)
         for r in corpus.r_values:
             if name == "eq4.18" and not (1.0 < r < 2.0):
                 continue
             for seed in corpus.seeds:
                 fl = _fields(grid, r, seed, corpus.amplitude)
                 tag = f"n={n},r={r:g},seed={seed}"
-                for suffix, lhs, rhs in kernel(fl, r, part):
+                for suffix, lhs, rhs in kernel(fl, r):
                     samples.append(_ratio_sample(tag + suffix, lhs, rhs, r, n))
     return samples
 
@@ -433,36 +431,29 @@ def verify(
     return _finish(name, samples, resolutions)
 
 
-def frozen_constant(reports, name: str, r: float | None = None) -> float:
-    """Frozen (2x) constant for an estimate, per-exponent when available."""
-    if isinstance(reports, EstimateReport):
-        rep = reports
-    else:
-        by_name = {rep.name: rep for rep in (reports.values() if isinstance(reports, dict) else reports)}
-        rep = by_name[name]
+def frozen_constant(report: EstimateReport, r: float | None = None) -> float:
+    """Frozen (2x) constant of one estimate report: twice the largest ratio
+    measured at exponent r when the report has samples at r, else the
+    report's corpus-wide ``c_frozen``."""
     if r is not None:
-        for rv, c in rep.per_r.items():
+        for rv, c in report.per_r.items():
             if abs(rv - r) < 1e-9:
                 return 2.0 * c
-    return rep.c_frozen
+    return report.c_frozen
 
 
 GRONWALL_SOURCES = ("lemma2.1", "lemma3.1", "eq3.3", "eq3.4")
 
 
-def gronwall_constant(reports, r: float | None = None) -> float:
-    """Frozen constant for Gronwall-type replays.
+def gronwall_constant(reports: dict[str, EstimateReport], r: float | None = None) -> float:
+    """Frozen constant for Gronwall-type replays, from reports keyed by name.
 
     The exponent slot in the growth bounds is the commutator constant;
     the dynamic measurements can come out at zero on mild runs (norms
     that never grow), so the frozen value dominates every available
     source rather than trusting a single degenerate one.
     """
-    by_name = {rep.name: rep for rep in (reports.values() if isinstance(reports, dict) else reports)}
-    values = []
-    for name in GRONWALL_SOURCES:
-        if name in by_name:
-            values.append(frozen_constant(by_name[name], name, r))
+    values = [frozen_constant(reports[name], r) for name in GRONWALL_SOURCES if name in reports]
     if not values:
         raise ValueError(f"no Gronwall source among reports; need one of {GRONWALL_SOURCES}")
     return max(values)
@@ -497,21 +488,7 @@ class ThresholdReport:
     t2_3_interior: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "P": self.P,
-            "Q": self.Q,
-            "S": self.S,
-            "C": self.C,
-            "r": self.r,
-            "theta0_r": self.theta0_r,
-            "u0_r": self.u0_r,
-            "t1": self.t1,
-            "t2": self.t2,
-            "t_star": self.t_star,
-            "t2_3_residual": self.t2_3_residual,
-            "t2_3_interior": self.t2_3_interior,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -527,7 +504,7 @@ def compute_thresholds(
     theta0: SpectralField,
     u0: VectorField,
     r: float,
-    reports=None,
+    reports: dict[str, EstimateReport] | None = None,
     *,
     P: float = 32.0,
     Q: float = 32.0,
@@ -537,15 +514,16 @@ def compute_thresholds(
 ) -> ThresholdReport:
     """Evaluate the eight existence-time formulas with frozen constants.
 
-    C defaults to the frozen commutator constant at this exponent; a0 to
-    the measured kernel mass; S to 10x the larger initial norm.
+    C defaults to the frozen commutator constant at this exponent, read from
+    ``reports["lemma2.1"]``; a0 to the measured kernel mass; S to 10x the
+    larger initial norm.
     """
     tn = holder_norm(theta0, r).value
     un = holder_norm_vector(u0, r)
     if C is None:
         if reports is None:
             raise ValueError("need estimate reports or an explicit constant C")
-        C = frozen_constant(reports, "lemma2.1", r)
+        C = frozen_constant(reports["lemma2.1"], r)
     if a0 is None:
         a0 = compute_a0().a0
     if S is None:
@@ -621,15 +599,7 @@ class ContractionSummary:
     contracting: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "alpha": self.alpha,
-            "monotone": self.monotone,
-            "converged": self.converged,
-            "final_gap": self.final_gap,
-            "n_used": self.n_used,
-            "contracting": self.contracting,
-        }
+        return asdict(self)
 
 
 RHO_TARGET = 3.0 / 5.0 + 0.2
@@ -698,14 +668,11 @@ def _envelope_verdict(
 
 
 def blowup_envelope_check(
-    record: MonitorRecord,
-    theta0_r: float,
-    u0_r: float,
-    r: float,
-    c_frozen: float,
+    record: MonitorRecord, theta0_r: float, u0_r: float, c_frozen: float
 ) -> EnvelopeVerdict:
-    """Replay the Gronwall velocity envelope along a recorded run."""
-    env = velocity_envelope(record, theta0_r, u0_r, c_frozen, r=r)
+    """Replay the Gronwall velocity envelope along a recorded run, at the
+    record's exponent ``record.r``."""
+    env = velocity_envelope(record, theta0_r, u0_r, c_frozen)
     return _envelope_verdict(record, env, record.series("u_r"))
 
 

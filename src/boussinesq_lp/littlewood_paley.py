@@ -23,6 +23,11 @@ definition (below q_min there is no nonzero grid frequency left).  The
 Hoelder norm C^r is the inhomogeneous B^r_{inf,inf} norm and needs none
 of them, so a :class:`BesovReport` builds its negative blocks only on the
 first read of ``homogeneous_blocks`` or ``homogeneous_value``.
+
+Every operator here (blocks, low-pass, norms, paraproducts, commutator,
+Bernstein ratios) uses the partition of its field's own grid,
+``build_partition(f.grid)``; a grid has exactly one partition, so none of
+them takes one as an argument.
 """
 
 from __future__ import annotations
@@ -170,20 +175,18 @@ def build_partition(grid: Grid) -> DyadicPartition:
     return DyadicPartition(grid)
 
 
-def block(q: int, f: SpectralField, partition: DyadicPartition | None = None) -> SpectralField:
+def block(q: int, f: SpectralField) -> SpectralField:
     """Dyadic block: apply the annulus multiplier of index q."""
-    part = partition or build_partition(f.grid)
-    return f.multiplied(part.multiplier(q))
+    return f.multiplied(build_partition(f.grid).multiplier(q))
 
 
-def low_pass(q: int, f: SpectralField, partition: DyadicPartition | None = None) -> SpectralField:
+def low_pass(q: int, f: SpectralField) -> SpectralField:
     """Cumulative low-pass: sum of blocks p <= q-1."""
-    part = partition or build_partition(f.grid)
-    return f.multiplied(part.lowpass_multiplier(q))
+    return f.multiplied(build_partition(f.grid).lowpass_multiplier(q))
 
 
-def low_pass_vector(q: int, w: VectorField, partition: DyadicPartition | None = None) -> VectorField:
-    return VectorField(low_pass(q, w.u1, partition), low_pass(q, w.u2, partition))
+def low_pass_vector(q: int, w: VectorField) -> VectorField:
+    return VectorField(low_pass(q, w.u1), low_pass(q, w.u2))
 
 
 @dataclass
@@ -201,11 +204,10 @@ class BesovReport:
     block_norms: list[tuple[int, float]]
     value: float
     source: SpectralField = field(repr=False, compare=False)
-    partition: DyadicPartition = field(repr=False, compare=False)
 
     @cached_property
     def homogeneous_blocks(self) -> list[tuple[int, float]]:
-        part = self.partition
+        part = build_partition(self.source.grid)
         hom = [
             (q, lp_norm(self.source.multiplied(part.homogeneous_multiplier(q)), self.p))
             for q in range(part.q_min_homogeneous, 0)
@@ -247,38 +249,29 @@ def besov_norm(
     s: float,
     p: float = np.inf,
     q_index: float = np.inf,
-    partition: DyadicPartition | None = None,
 ) -> BesovReport:
     """Inhomogeneous Besov norm; the homogeneous variant is built on first read."""
     if p < 1 or q_index < 1:
         raise ValueError("integrability indices must be >= 1")
-    part = partition or build_partition(f.grid)
+    q_max = build_partition(f.grid).q_max
+    blocks = [(q, lp_norm(block(q, f), p)) for q in range(-1, q_max + 1)]
+    return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f)
 
-    blocks = [(q, lp_norm(block(q, f, part), p)) for q in range(-1, part.q_max + 1)]
-    return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f, part)
 
-
-def holder_norm(
-    f: SpectralField, r: float, partition: DyadicPartition | None = None
-) -> BesovReport:
+def holder_norm(f: SpectralField, r: float) -> BesovReport:
     """Hoelder norm: sup-type Besov norm with p = q = infinity."""
     if r <= 0:
         raise ValueError(f"Hoelder exponent must be positive, got {r}")
-    return besov_norm(f, r, np.inf, np.inf, partition)
+    return besov_norm(f, r, np.inf, np.inf)
 
 
-def holder_norm_vector(
-    w: VectorField, r: float, partition: DyadicPartition | None = None
-) -> float:
+def holder_norm_vector(w: VectorField, r: float) -> float:
     """Componentwise maximum of the Hoelder norms."""
-    part = partition or build_partition(w.grid)
-    return max(holder_norm(w.u1, r, part).value, holder_norm(w.u2, r, part).value)
+    return max(holder_norm(w.u1, r).value, holder_norm(w.u2, r).value)
 
 
 def bony_decompose(
-    u: SpectralField,
-    v: SpectralField,
-    partition: DyadicPartition | None = None,
+    u: SpectralField, v: SpectralField
 ) -> tuple[SpectralField, SpectralField, SpectralField]:
     """Split the product uv into (T_u v, T_v u, R(u, v)).
 
@@ -286,14 +279,14 @@ def bony_decompose(
     the diagonal |p - q| <= 1.  The three parts sum to the dealiased
     pointwise product.
     """
-    part = partition or build_partition(u.grid)
     grid = u.grid
+    part = build_partition(grid)
     qs = range(-1, part.q_max + 1)
 
-    ub = {q: block(q, u, part).values() for q in qs}
-    vb = {q: block(q, v, part).values() for q in qs}
-    us = {q: low_pass(q, u, part).values() for q in qs}
-    vs = {q: low_pass(q, v, part).values() for q in qs}
+    ub = {q: block(q, u).values() for q in qs}
+    vb = {q: block(q, v).values() for q in qs}
+    us = {q: low_pass(q, u).values() for q in qs}
+    vs = {q: low_pass(q, v).values() for q in qs}
 
     t_uv = np.zeros((grid.n, grid.n))
     t_vu = np.zeros((grid.n, grid.n))
@@ -312,17 +305,11 @@ def bony_decompose(
     return mk(t_uv), mk(t_vu), mk(rem)
 
 
-def commutator(
-    v: VectorField,
-    q: int,
-    f: SpectralField,
-    partition: DyadicPartition | None = None,
-) -> SpectralField:
+def commutator(v: VectorField, q: int, f: SpectralField) -> SpectralField:
     """Commutator of advection with a dyadic block: v.grad(D_q f) - D_q(v.grad f)."""
     if not is_divergence_free(v):
         raise ValueError("commutator requires a divergence-free velocity field")
-    part = partition or build_partition(f.grid)
-    return advect(v, block(q, f, part)) - block(q, advect(v, f), part)
+    return advect(v, block(q, f)) - block(q, advect(v, f))
 
 
 @dataclass
@@ -345,15 +332,13 @@ def bernstein_report(
     k: int,
     a: float,
     b: float,
-    partition: DyadicPartition | None = None,
 ) -> BernsteinRecord:
     """Measure derivative-vs-scale norm ratios on the block-q part of f."""
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    part = partition or build_partition(f.grid)
-    g = block(q, f, part)
+    g = block(q, f)
     lam = 2.0**q
 
     base = lp_norm(g, a)

@@ -96,12 +96,11 @@ class Grid:
         self.k2 = np.where(self.m2 == -nyq, 0.0, self.k2_full)
 
         self.ksq = self.k1_full**2 + self.k2_full**2
-        self.ksq_safe = self.ksq.copy()
-        self.ksq_safe[0, 0] = 1.0
         self.abs_k = np.sqrt(self.ksq)
         # inverse-Laplacian denominators use the Nyquist-zeroed wavenumbers so
         # the k (x) k / |k|^2 operators stay exact projections on every bin;
-        # bins where both odd wavenumbers vanish map to 0
+        # bins where both odd wavenumbers vanish have a zero numerator, so
+        # dividing by 1 there maps them to 0
         self.ksq_odd = self.k1**2 + self.k2**2
         self.ksq_odd_safe = np.where(self.ksq_odd == 0.0, 1.0, self.ksq_odd)
 
@@ -307,7 +306,6 @@ def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     """
     g = w.grid
     s = (g.k1 * w.u1.coeffs + g.k2 * w.u2.coeffs) / g.ksq_odd_safe
-    s[g.ksq_odd == 0.0] = 0.0
     return VectorField(SpectralField(g, g.k1 * s), SpectralField(g, g.k2 * s))
 
 
@@ -324,7 +322,6 @@ def grad_inv_laplacian_partial(theta: SpectralField, axis: int = 2) -> VectorFie
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     s = ka * theta.coeffs / g.ksq_odd_safe
-    s[g.ksq_odd == 0.0] = 0.0
     return VectorField(SpectralField(g, g.k1 * s), SpectralField(g, g.k2 * s))
 
 
@@ -377,6 +374,10 @@ def divergence_residual(w: VectorField) -> float:
     return linf_norm(divergence(w))
 
 
-def is_divergence_free(w: VectorField, rtol: float = 1e-10, atol: float = 1e-13) -> bool:
-    """Check ||div w||_inf <= rtol * ||grad w||_inf + atol."""
-    return divergence_residual(w) <= rtol * grad_linf_norm(w) + atol
+DIVFREE_RTOL = 1e-10
+DIVFREE_ATOL = 1e-13
+
+
+def is_divergence_free(w: VectorField) -> bool:
+    """Check ||div w||_inf <= DIVFREE_RTOL * ||grad w||_inf + DIVFREE_ATOL."""
+    return divergence_residual(w) <= DIVFREE_RTOL * grad_linf_norm(w) + DIVFREE_ATOL

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, advect, is_divergence_free
+from .spectral import SpectralField, VectorField, advect, is_divergence_free
 
 __all__ = [
     "CFLViolation",
@@ -45,16 +45,16 @@ class CFLViolation(RuntimeError):
         self.bound = bound
 
 
-def cfl_bound(v: VectorField, grid: Grid) -> float:
-    """Largest admissible dt for velocity v: 0.5 * dx / max|v|."""
+def cfl_bound(v: VectorField) -> float:
+    """Largest admissible dt for velocity v on its grid: 0.5 * dx / max|v|."""
     speed = v.max_speed()
     if speed == 0.0:
         return np.inf
-    return CFL_NUMBER * grid.dx / speed
+    return CFL_NUMBER * v.grid.dx / speed
 
 
 def _check_cfl(v: VectorField, dt: float, t: float) -> None:
-    bound = cfl_bound(v, v.grid)
+    bound = cfl_bound(v)
     if dt > bound:
         raise CFLViolation(t, dt, bound)
 

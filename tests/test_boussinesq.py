@@ -5,7 +5,6 @@ import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp.littlewood_paley import (
-    build_partition,
     holder_norm,
     holder_norm_vector,
     low_pass,
@@ -180,7 +179,6 @@ class TestDirectRun:
 
 class TestIterationScheme:
     def test_low_block_data_not_truncated(self, grid64):
-        part = build_partition(grid64)
         # velocity supported in blocks <= 0: the level-2 low-pass is the identity
         coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[1, 0] = -0.5j
@@ -190,7 +188,7 @@ class TestIterationScheme:
             SpectralField(grid64, -1j * grid64.k2 * psi.coeffs),
             SpectralField(grid64, 1j * grid64.k1 * psi.coeffs),
         )
-        assert rel_linf(low_pass_vector(2, u0, part).u1, u0.u1) < 1e-14
+        assert rel_linf(low_pass_vector(2, u0).u1, u0.u1) < 1e-14
         theta0 = SpectralField.zero(grid64)
         records = bq.iterate_scheme(theta0, u0, 1.5, 6, 0.02, 2e-3, 1e-13)
         for rec in records:
@@ -299,11 +297,23 @@ class TestBlowupMonitor:
             )
             g_prev = g
         assert bq._doubling_time_decreasing(record)
-        # without constants the envelope leg is unavailable: stays FINITE
+        # without a constant the envelope leg is unavailable: stays FINITE
         assert bq.continuation_check(record).verdict == "FINITE"
         # with a tight constant the envelope is violated: SUSPECT
-        verdict = bq.continuation_check(record, theta0_r=1.0, u0_r=1.0, c_frozen=0.1)
+        verdict = bq.continuation_check(record, 0.1)
         assert verdict.verdict == "SUSPECT"
+
+    def test_envelope_starts_from_first_sample(self):
+        # the envelope reads theta0_r = 1 and u0_r = 1 from samples[0]; with
+        # sup|grad u| = 0 it is 1 + (2 + 2^-1.5) t, which 1 + 10 t exceeds
+        # and 1 + t does not
+        for slope, violated in ((10.0, True), (1.0, False)):
+            record = bq.MonitorRecord(r=1.5)
+            for t in np.linspace(0.0, 1.0, 11):
+                record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 1.0 + slope * t, 0.0))
+            verdict = bq.continuation_check(record, 2.0)
+            assert verdict.envelope_violated is violated
+            assert verdict.verdict == "FINITE"  # no superlinear growth
 
     def test_linear_growth_not_superlinear(self, grid64):
         record = bq.MonitorRecord(r=1.5)

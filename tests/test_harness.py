@@ -99,9 +99,9 @@ class TestSharedCorpus:
         commutator_calls = []
         original = harness.commutator
 
-        def counting(v, q, f, partition=None):
+        def counting(v, q, f):
             commutator_calls.append(q)
-            return original(v, q, f, partition)
+            return original(v, q, f)
 
         monkeypatch.setattr(harness, "commutator", counting)
         # amplitude 0.7, not 1: the rhs then depends on the order of its three factors
@@ -273,7 +273,7 @@ class TestEnvelopes:
         coeff = 2.0 + 2.0 ** (-1.5)
         expected = u0_r + coeff * theta0_r * record.times()
         assert np.max(np.abs(env - expected)) < 1e-12
-        verdict = harness.blowup_envelope_check(record, theta0_r, u0_r, 1.5, c)
+        verdict = harness.blowup_envelope_check(record, theta0_r, u0_r, c)
         assert verdict.passed
 
     def test_hydrostatic_run_passes(self, grid64, reports):
@@ -281,7 +281,7 @@ class TestEnvelopes:
         _, record = bq.run_direct(state0, 0.5, 0.02, 1.5)
         c = harness.gronwall_constant(reports, 1.5)
         theta0_r = holder_norm(state0.theta, 1.5).value
-        verdict = harness.blowup_envelope_check(record, theta0_r, 0.0, 1.5, c)
+        verdict = harness.blowup_envelope_check(record, theta0_r, 0.0, c)
         assert verdict.passed
         assert harness.temperature_envelope_check(record, theta0_r, c).passed
 
@@ -289,7 +289,7 @@ class TestEnvelopes:
         record = bq.MonitorRecord(r=1.5)
         for t in np.linspace(0.0, 1.0, 11):
             record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 10.0 * t, 0.0))
-        verdict = harness.blowup_envelope_check(record, 0.0, 1.0, 1.5, 2.0)
+        verdict = harness.blowup_envelope_check(record, 0.0, 1.0, 2.0)
         assert not verdict.passed
 
     def test_velocity_integral_inequality_replay(self, taylor_green_run, reports):
@@ -312,10 +312,21 @@ class TestEnvelopes:
 
 
 class TestGronwallConstant:
+    def test_frozen_constant_per_exponent(self):
+        samples = [
+            harness.EstimateSample("a", 1.0, 1.0, 0.5, 1.5, 64),
+            harness.EstimateSample("b", 3.0, 1.0, 3.0, 2.5, 64),
+        ]
+        report = harness._finish("lemma2.1", samples, (64,))
+        assert harness.frozen_constant(report, 1.5) == 1.0
+        assert harness.frozen_constant(report, 2.5) == 6.0
+        assert harness.frozen_constant(report) == report.c_frozen == 6.0
+        assert harness.frozen_constant(report, 2.0) == 6.0  # no samples at r = 2
+
     def test_dominates_every_source(self, reports):
         c = harness.gronwall_constant(reports, 1.5)
         for name in harness.GRONWALL_SOURCES:
-            assert c >= harness.frozen_constant(reports[name], name, 1.5) - 1e-12
+            assert c >= harness.frozen_constant(reports[name], 1.5) - 1e-12
 
     def test_requires_a_source(self):
         with pytest.raises(ValueError):

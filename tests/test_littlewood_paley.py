@@ -90,17 +90,17 @@ class TestBlocks:
         coeffs = SpectralField.zero(grid64).coeffs.copy()
         coeffs[idx[0], idx[1]] = 1.0
         f = SpectralField(grid64, coeffs)
-        assert rel_linf(block(q0, f, part), f) < 1e-14
+        assert rel_linf(block(q0, f), f) < 1e-14
         for p in range(-1, part.q_max + 1):
             if abs(p - q0) >= 2:
-                assert linf_norm(block(p, f, part)) == 0.0
+                assert linf_norm(block(p, f)) == 0.0
 
     def test_block_of_constant(self, grid64):
         part = build_partition(grid64)
         c = transform(grid64, np.full((64, 64), 4.0))
-        assert rel_linf(block(-1, c, part), c) < 1e-14
+        assert rel_linf(block(-1, c), c) < 1e-14
         for q in range(0, part.q_max + 1):
-            assert linf_norm(block(q, c, part)) == 0.0
+            assert linf_norm(block(q, c)) == 0.0
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_reconstruction(self, n):
@@ -108,9 +108,9 @@ class TestBlocks:
         part = build_partition(grid)
         for seed in range(5):
             f = random_dealiased_field(grid, seed)
-            total = block(-1, f, part)
+            total = block(-1, f)
             for q in range(0, part.q_max + 1):
-                total = total + block(q, f, part)
+                total = total + block(q, f)
             assert rel_linf(total, f) < 1e-12
 
     def test_lowpass_matches_cumulative_bump(self, grid64):
@@ -120,23 +120,23 @@ class TestBlocks:
 
         for q in range(0, part.q_max + 1):
             expected = f.multiplied(chi_profile(grid64.abs_k / 2.0**q))
-            assert rel_linf(low_pass(q, f, part), expected) < 1e-12
+            assert rel_linf(low_pass(q, f), expected) < 1e-12
 
     def test_lowpass_bounds(self, grid64):
         part = build_partition(grid64)
         f = random_dealiased_field(grid64, 4)
-        assert linf_norm(low_pass(-1, f, part)) == 0.0
-        assert rel_linf(low_pass(part.q_max + 1, f, part), f) < 1e-14
+        assert linf_norm(low_pass(-1, f)) == 0.0
+        assert rel_linf(low_pass(part.q_max + 1, f), f) < 1e-14
         with pytest.raises(ValueError):
-            low_pass(part.q_max + 2, f, part)
+            low_pass(part.q_max + 2, f)
 
     def test_block_out_of_range(self, grid64):
         f = SpectralField.zero(grid64)
         part = build_partition(grid64)
         with pytest.raises(ValueError):
-            block(part.q_max + 1, f, part)
+            block(part.q_max + 1, f)
         with pytest.raises(ValueError):
-            block(-2, f, part)
+            block(-2, f)
 
 
 class TestNorms:
@@ -160,7 +160,7 @@ class TestNorms:
         # neighbors may contribute, never the blocks |p-q0| >= 2
         assert value >= 2.0 ** (q0 * r) * amplitude * (1 - 1e-6)
         expected = max(
-            2.0 ** (q * r) * linf_norm(block(q, f, part))
+            2.0 ** (q * r) * linf_norm(block(q, f))
             for q in (q0 - 1, q0, q0 + 1)
         )
         assert np.isclose(value, expected, rtol=1e-12)
@@ -170,7 +170,7 @@ class TestNorms:
         f = synthesize_holder_field(grid64, r, 1.0, 42)
         part = build_partition(grid64)
         weighted = [
-            2.0 ** (q * r) * linf_norm(block(q, f, part))
+            2.0 ** (q * r) * linf_norm(block(q, f))
             for q in range(0, part.q_max - 1)
         ]
         assert max(weighted) <= 2.0 * min(weighted)
@@ -240,7 +240,7 @@ class TestLazyHomogeneousBlocks:
             (q, lp_norm(f.multiplied(part.homogeneous_multiplier(q)), p))
             for q in range(part.q_min_homogeneous, 0)
         ]
-        eager += [(q, lp_norm(block(q, f, part), p)) for q in range(0, part.q_max + 1)]
+        eager += [(q, lp_norm(block(q, f), p)) for q in range(0, part.q_max + 1)]
         if np.isinf(q_index):
             eager_value = max(2.0 ** (q * s) * v for q, v in eager)
         else:
