@@ -36,7 +36,7 @@ from .littlewood_paley import (
     bernstein_report,
     compute_a0,
 )
-from .transport import TransportProblem, CFLViolation, step, solve
+from .transport import TransportProblem, CFLViolation, solve
 from .boussinesq import (
     BoussinesqState,
     MonitorRecord,

@@ -27,7 +27,7 @@ from . import boussinesq as bq
 from . import fileio
 from . import harness
 from .littlewood_paley import besov_norm
-from .spectral import SpectralField, VectorField, make_grid
+from .spectral import make_grid
 from .transport import CFLViolation
 
 __all__ = ["RunConfig", "PRESETS", "parse_config", "run", "main", "ConfigError"]
@@ -375,7 +375,7 @@ def _quick_corpus(config: RunConfig) -> harness.CorpusSpec:
 
 
 def _cmd_verify(config: RunConfig) -> str:
-    corpus = _quick_corpus(config) if config.quick else harness.default_corpus()
+    corpus = _quick_corpus(config) if config.quick else harness.CorpusSpec()
     report = harness.verify(config.estimate, corpus)
     out_name = f"estimate_{config.estimate.replace('.', '_')}.json"
     fileio.write_json(_out(config, out_name), report)

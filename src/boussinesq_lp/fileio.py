@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .boussinesq import IterationRecord, MonitorRecord
-from .spectral import Grid, SpectralField, make_grid
+from .spectral import SpectralField, make_grid
 
 __all__ = [
     "write_snapshot",

@@ -73,7 +73,6 @@ __all__ = [
     "ContractionSummary",
     "EnvelopeVerdict",
     "ESTIMATE_NAMES",
-    "default_corpus",
     "verify",
     "frozen_constant",
     "gronwall_constant",
@@ -95,10 +94,6 @@ class CorpusSpec:
     resolutions: tuple = (64, 128)
     box: float = 2.0 * np.pi
     amplitude: float = 1.0
-
-
-def default_corpus() -> CorpusSpec:
-    return CorpusSpec()
 
 
 @dataclass
@@ -366,7 +361,7 @@ def _coupled_runs(corpus: CorpusSpec, n: int):
             for label, state0 in configs:
                 T = 0.5 if n <= 64 else 0.3
                 _, record = run_direct(state0, T, 2e-3, r)
-                runs.append((r, label, state0, record))
+                runs.append((r, label, record))
         _RUN_CACHE[key] = runs
     return _RUN_CACHE[key]
 
@@ -385,8 +380,8 @@ def _dynamic_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateS
                     ratio = transport_growth_ratio(norms[i], norm0, weighted)
                     tag = f"n={n},r={r:g},seed={seed},t={times[i]:.3f}"
                     samples.append(EstimateSample(tag, norms[i] - norm0, weighted, ratio, r, n))
-        elif name in ("eq3.3", "eq3.4"):
-            for r, label, state0, record in _coupled_runs(corpus, n):
+        else:  # eq3.3, eq3.4
+            for r, label, record in _coupled_runs(corpus, n):
                 t = record.times()
                 theta_r = record.series("theta_r")
                 u_r = record.series("u_r")
@@ -409,8 +404,6 @@ def _dynamic_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateS
                             samples.append(
                                 EstimateSample(tag, u_r[i], 2.0 * weighted, ratio, r, n)
                             )
-        else:
-            raise ValueError(f"unknown dynamic estimate {name!r}")
     return samples
 
 
@@ -422,7 +415,7 @@ def verify(
     """Measure one registered estimate over the corpus."""
     if name not in ESTIMATE_NAMES:
         raise ValueError(f"unknown estimate {name!r}; registered: {ESTIMATE_NAMES}")
-    corpus = corpus or default_corpus()
+    corpus = corpus or CorpusSpec()
     resolutions = tuple(resolutions or corpus.resolutions)
     if name in _STATIC_KERNELS:
         samples = _static_sweep(name, corpus, resolutions)

@@ -46,9 +46,7 @@ from .spectral import (
     advect,
     dealias,
     derivative,
-    grad_linf_norm,
     is_divergence_free,
-    linf_norm,
     lp_norm,
     make_grid,
 )

@@ -1,12 +1,11 @@
 """Linear transport on the torus: d/dt f + v . grad f = g.
 
-Pseudo-spectral advection with classical RK4 in time.  Velocity and
-forcing enter through time-indexed providers that are sampled at the RK
-substage times; a plain field is treated as a constant-in-time provider.
-The CFL bound dt <= CFL_NUMBER * (L/n) / max|v|, with CFL_NUMBER = 0.5, is
-checked on every step and a violation raises instead of silently
-clamping.  ``rk4`` is the one RK4 step of the package: the coupled solver
-and its linearised iterates use it too.
+Pseudo-spectral advection with classical RK4 in time.  The velocity v
+and the optional forcing g are fields frozen in time; v is checked for
+divergence once per run.  The CFL bound dt <= CFL_NUMBER * (L/n) / max|v|,
+with CFL_NUMBER = 0.5, is checked on every step and a violation raises
+instead of silently clamping.  ``rk4`` is the one RK4 step of the
+package: the coupled solver and its linearised iterates use it too.
 """
 
 from __future__ import annotations
@@ -23,14 +22,10 @@ __all__ = [
     "TransportProblem",
     "TransportTrajectory",
     "cfl_bound",
-    "step",
     "solve",
 ]
 
 CFL_NUMBER = 0.5
-
-VelocityProvider = Callable[[float], VectorField]
-ForcingProvider = Callable[[float], SpectralField]
 
 
 class CFLViolation(RuntimeError):
@@ -92,39 +87,11 @@ def rk4(y: tuple, rhs: Callable[[float, tuple], tuple], t: float, h: float) -> t
     return y_new, k1
 
 
-def step(
-    f: SpectralField,
-    v: VectorField,
-    g: SpectralField | None,
-    dt: float,
-    t: float = 0.0,
-) -> SpectralField:
-    """One RK4 step with velocity and forcing held fixed over the step."""
-    if not is_divergence_free(v):
-        raise ValueError("transport velocity must be divergence-free")
-    _check_cfl(v, dt, t)
-    if g is None:
-        rhs = lambda _t, y: (-advect(v, y[0]),)
-    else:
-        rhs = lambda _t, y: (-advect(v, y[0]) + g,)
-    return rk4((f,), rhs, t, dt)[0][0]
-
-
-def _as_velocity_provider(v) -> VelocityProvider:
-    return v if callable(v) else (lambda t: v)
-
-
-def _as_forcing_provider(g) -> ForcingProvider | None:
-    if g is None:
-        return None
-    return g if callable(g) else (lambda t: g)
-
-
 @dataclass
 class TransportProblem:
     f0: SpectralField
-    velocity: VectorField | VelocityProvider
-    forcing: SpectralField | ForcingProvider | None = None
+    velocity: VectorField
+    forcing: SpectralField | None = None
     T: float = 1.0
     dt: float = 1e-3
 
@@ -141,49 +108,32 @@ class TransportTrajectory:
 
 
 def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
-    """March the transport problem to T, sampling providers at substages.
+    """March f from f0 to T with the velocity and forcing held fixed.
 
     Steps follow ``_step_lattice``: steps of dt ending at i*dt, then a
     remainder step ending at T.  The field is recorded at t = 0, after
-    every ``observers``-th step, and at T.  Every distinct velocity
-    object the provider returns at a substage is checked for divergence
-    before use, so a constant provider is checked once per run.
+    every ``observers``-th step, and at T.  The velocity is checked for
+    divergence once, before the first step.
     """
-    v_of = _as_velocity_provider(problem.velocity)
-    g_of = _as_forcing_provider(problem.forcing)
+    v, g = problem.velocity, problem.forcing
     T, dt = float(problem.T), float(problem.dt)
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
+    if not is_divergence_free(v):
+        raise ValueError("transport velocity must be divergence-free")
+
+    if g is None:
+        rhs = lambda _t, y: (-advect(v, y[0]),)
+    else:
+        rhs = lambda _t, y: (-advect(v, y[0]) + g,)
 
     f = problem.f0
     t = 0.0
     times = [0.0]
     fields = [f]
-
-    checked = None  # the last velocity object found divergence-free
-
-    def advance(f: SpectralField, t: float, h: float) -> SpectralField:
-        nonlocal checked
-        # the velocity at each substage time rk4 asks for
-        v_at = {tt: v_of(tt) for tt in (t, t + h / 2, t + h)}
-        # a constant provider returns one object every time: check it once
-        for v in v_at.values():
-            if v is not checked:
-                if not is_divergence_free(v):
-                    raise ValueError("velocity provider returned a non-divergence-free field")
-                checked = v
-        _check_cfl(v_at[t], h, t)
-
-        def rhs(tt: float, y: tuple) -> tuple:
-            out = -advect(v_at[tt], y[0])
-            if g_of is not None:
-                out = out + g_of(tt)
-            return (out,)
-
-        return rk4((f,), rhs, t, h)[0][0]
-
     for i, (h, t_end) in enumerate(_step_lattice(T, dt), 1):
-        f = advance(f, t, h)
+        _check_cfl(v, h, t)
+        f = rk4((f,), rhs, t, h)[0][0]
         t = t_end
         if i % observers == 0 and t < T - 1e-12:
             times.append(t)

@@ -7,7 +7,6 @@ Each test prints one `ACCEPTANCE <id> <name>: PASS/FAIL` line (run with
 import time
 
 import numpy as np
-import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness

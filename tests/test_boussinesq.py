@@ -7,7 +7,6 @@ from boussinesq_lp import boussinesq as bq
 from boussinesq_lp.littlewood_paley import (
     holder_norm,
     holder_norm_vector,
-    low_pass,
     low_pass_vector,
 )
 from boussinesq_lp.spectral import (
@@ -15,9 +14,7 @@ from boussinesq_lp.spectral import (
     VectorField,
     advect_vector,
     dealias,
-    grad_inv_laplacian_div,
     divergence,
-    leray_project,
     linf_norm,
     make_grid,
     transform,

@@ -1,7 +1,6 @@
 """Configuration parsing, command dispatch, artifact outputs."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from boussinesq_lp import cli, fileio
 from boussinesq_lp.boussinesq import synthesize_holder_field
-from boussinesq_lp.spectral import linf_norm, make_grid
+from boussinesq_lp.spectral import linf_norm
 
 
 class TestParseConfig:

@@ -9,7 +9,7 @@ import pytest
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import fileio, harness
 from boussinesq_lp.littlewood_paley import build_partition, holder_norm
-from boussinesq_lp.spectral import SpectralField, VectorField, make_grid, transform
+from boussinesq_lp.spectral import SpectralField, VectorField, make_grid
 
 
 class TestVerify:

@@ -92,10 +92,6 @@ def test_constant_velocity_transport_step(count):
     # the first step also checks the velocity for divergence once (5) and
     # reads its values (2)
     assert one == 12 + 5 + 2
-    grid = _grid()
-    f = bq.synthesize_holder_field(grid, 1.5, 1.0, 3)
-    v = bq.synthesize_divfree_velocity(grid, 1.5, 1.0, 4)
-    assert count(transport.step, f, v, None, DT) == 12 + 5 + 2
 
 
 def test_iterate_scheme_run(count):
