@@ -41,7 +41,6 @@ from .boussinesq import (
     BoussinesqState,
     MonitorRecord,
     IterationRecord,
-    pressure_gradient,
     direct_step,
     run_direct,
     iterate_scheme,
@@ -59,7 +58,6 @@ from .harness import (
     verify,
     compute_thresholds,
     contraction_report,
-    blowup_envelope_check,
 )
 
 __version__ = "0.1.0"

@@ -51,8 +51,6 @@ from .spectral import (
     dealias_vector,
     derivative,
     divergence_residual,
-    grad_inv_laplacian_div,
-    grad_inv_laplacian_partial,
     grad_linf_norm,
     is_divergence_free,
     leray_project,
@@ -68,7 +66,6 @@ __all__ = [
     "IterationRecord",
     "ProbeCurve",
     "NumericsError",
-    "pressure_gradient",
     "run_direct",
     "iterate_scheme",
     "blowup_integral",
@@ -152,16 +149,6 @@ class IterationRecord:
     cauchy_gap_theta: float
     cauchy_gap_u: float
     ratio: float | None
-
-
-def pressure_gradient(u: VectorField, theta: SpectralField) -> VectorField:
-    """Gradient of the pressure balancing advection and buoyancy.
-
-    The full right-hand side -u.grad u - grad Pi + theta e2 is then
-    divergence-free.
-    """
-    adv = advect_vector(u, u)
-    return -grad_inv_laplacian_div(adv) + grad_inv_laplacian_partial(theta, axis=2)
 
 
 def _self_advection(u: VectorField) -> VectorField:
@@ -298,22 +285,22 @@ def blowup_integral(record: MonitorRecord) -> float:
     return float(np.trapezoid(g, t))
 
 
-def velocity_envelope(
-    record: MonitorRecord, theta0_r: float, u0_r: float, c_frozen: float
-) -> np.ndarray:
+def velocity_envelope(record: MonitorRecord, c_frozen: float) -> np.ndarray:
     """Gronwall envelope for ||u(t)||_r along a recorded trajectory.
 
     env(t) = ||u0||_r e^{C I(t)} + (2 + 2^-r) ||theta0||_r
              * (int_0^t e^{C I(s)} ds) * e^{C I(t)},
-    with r = ``record.r``, I(t) the running integral of sup|grad u| and C
-    the frozen empirical constant.
+    with r = ``record.r``, the initial norms read from the record's first
+    sample, I(t) the running integral of sup|grad u| and C the frozen
+    empirical constant.
     """
+    initial = record.samples[0]
     t = record.times()
     integral = record.series("bkm_integral")
     growth = np.exp(c_frozen * integral)
     inner = np.concatenate([[0.0], np.cumsum(0.5 * (growth[1:] + growth[:-1]) * np.diff(t))])
     coeff = 2.0 + 2.0 ** (-record.r)
-    return u0_r * growth + coeff * theta0_r * inner * growth
+    return initial.u_r * growth + coeff * initial.theta_r * inner * growth
 
 
 DOUBLING_WINDOWS = 5
@@ -347,35 +334,66 @@ def _doubling_time_decreasing(record: MonitorRecord) -> bool:
 
 
 @dataclass
+class EnvelopeLeg:
+    """One Gronwall envelope replayed along a record.
+
+    ``passed`` when every sample has measured <= env (1 + 1e-9) + 1e-12.
+    ``min_margin`` is the smallest env - measured over the samples after
+    the first (at t0 the envelope equals the measured norm by
+    construction), and ``worst_time`` its time; both are None for a
+    one-sample record.
+    """
+
+    passed: bool
+    min_margin: float | None
+    worst_time: float | None
+
+
+def _envelope_leg(record: MonitorRecord, env: np.ndarray, measured: np.ndarray) -> EnvelopeLeg:
+    passed = bool(np.all(measured <= env * (1.0 + 1e-9) + 1e-12))
+    if len(measured) < 2:
+        return EnvelopeLeg(passed, None, None)
+    margins = (env - measured)[1:]
+    worst = int(np.argmin(margins))
+    return EnvelopeLeg(passed, float(margins[worst]), float(record.times()[worst + 1]))
+
+
+@dataclass
 class ContinuationVerdict:
     verdict: str  # "FINITE" or "SUSPECT"
     bkm_integral: float
     superlinear: bool
-    envelope_violated: bool | None
+    theta_envelope: EnvelopeLeg | None
+    u_envelope: EnvelopeLeg | None
 
 
 def continuation_check(record: MonitorRecord, c_frozen: float | None = None) -> ContinuationVerdict:
-    """Classify a run as continuable (FINITE) or SUSPECT.
+    """Classify a run as continuable (FINITE) or SUSPECT, replaying the
+    Gronwall envelopes along it.
 
-    SUSPECT needs both superlinear growth of the monitor integral and a
-    violation of the Gronwall velocity envelope; single signals are too
-    noisy at desk scale.  The envelope starts from the initial norms of
-    the record's first sample at exponent ``record.r``.  Without a frozen
-    constant the envelope leg is skipped and ``envelope_violated`` is None.
+    With a frozen constant C, two legs start from the initial norms of the
+    record's first sample at exponent ``record.r``: the temperature bound
+    ||theta(t)||_r <= ||theta0||_r e^{C I(t)}, with I(t) the running
+    integral of sup|grad u|, and the velocity bound ``velocity_envelope``.
+    Both use one tolerance (see ``EnvelopeLeg``).  SUSPECT needs both
+    superlinear growth of the monitor integral and a failed velocity leg;
+    single signals are too noisy at desk scale, and the temperature leg is
+    only reported.  Without a frozen constant both legs are None.
     """
     integral = blowup_integral(record)
     superlinear = _doubling_time_decreasing(record)
-    violated: bool | None = None
+    theta_leg = u_leg = None
     if c_frozen is not None:
-        initial = record.samples[0]
-        env = velocity_envelope(record, initial.theta_r, initial.u_r, c_frozen)
-        violated = bool(np.any(record.series("u_r") > env * (1.0 + 1e-9)))
-    suspect = superlinear and bool(violated)
+        theta_env = record.samples[0].theta_r * np.exp(c_frozen * record.series("bkm_integral"))
+        theta_leg = _envelope_leg(record, theta_env, record.series("theta_r"))
+        u_leg = _envelope_leg(record, velocity_envelope(record, c_frozen), record.series("u_r"))
+    suspect = superlinear and u_leg is not None and not u_leg.passed
     return ContinuationVerdict(
         verdict="SUSPECT" if suspect else "FINITE",
         bkm_integral=integral,
         superlinear=superlinear,
-        envelope_violated=violated,
+        theta_envelope=theta_leg,
+        u_envelope=u_leg,
     )
 
 

@@ -341,6 +341,7 @@ def _cmd_solve(config: RunConfig) -> str:
         _out(config, "theta_final.snap"), final_state.theta, "theta", final_state.t
     )
     verdict = bq.continuation_check(record, config.C)
+    fileio.write_json(_out(config, "verdict.json"), verdict)
     final = record.final()
     label = f"solve[{config.preset}]" if config.preset else "solve"
     return (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -86,5 +87,7 @@ def iterations_to_csv(path, records: list[IterationRecord]) -> None:
 
 
 def write_json(path, payload) -> None:
-    data = payload.to_dict() if hasattr(payload, "to_dict") else payload
+    """Write a report as indented, key-sorted JSON: through its own
+    ``to_dict`` when it has one, else a dataclass through ``asdict``."""
+    data = payload.to_dict() if hasattr(payload, "to_dict") else asdict(payload)
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

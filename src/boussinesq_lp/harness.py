@@ -29,19 +29,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boussinesq import (
     BoussinesqState,
     IterationRecord,
-    MonitorRecord,
     run_direct,
     synthesize_divfree_velocity,
     synthesize_holder_field,
     taylor_green_data,
-    velocity_envelope,
 )
 from .littlewood_paley import (
     besov_norm,
@@ -71,15 +69,12 @@ __all__ = [
     "ThresholdReport",
     "ThresholdDomainError",
     "ContractionSummary",
-    "EnvelopeVerdict",
     "ESTIMATE_NAMES",
     "verify",
     "frozen_constant",
     "gronwall_constant",
     "compute_thresholds",
     "contraction_report",
-    "blowup_envelope_check",
-    "temperature_envelope_check",
 ]
 
 DEGENERATE_RHS = 1e-13
@@ -480,12 +475,6 @@ class ThresholdReport:
     t2_3_residual: float | None
     t2_3_interior: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def _ln_or_raise(arg: float, formula: str) -> float:
     if not arg > 1.0:
@@ -578,7 +567,7 @@ def compute_thresholds(
 
 
 # ---------------------------------------------------------------------------
-# contraction and envelope verdicts
+# contraction
 
 
 @dataclass
@@ -590,9 +579,6 @@ class ContractionSummary:
     final_gap: float
     n_used: int
     contracting: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 RHO_TARGET = 3.0 / 5.0 + 0.2
@@ -629,49 +615,3 @@ def contraction_report(records: list[IterationRecord]) -> ContractionSummary:
         n_used=int(usable.sum()),
         contracting=converged or rho <= RHO_TARGET,
     )
-
-
-@dataclass
-class EnvelopeVerdict:
-    passed: bool
-    min_margin: float
-    worst_time: float
-    margins: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "worst_time": self.worst_time,
-        }
-
-
-def _envelope_verdict(
-    record: MonitorRecord, env: np.ndarray, measured: np.ndarray
-) -> EnvelopeVerdict:
-    """Compare a measured series with its envelope along the record."""
-    margins = env - measured
-    worst = int(np.argmin(margins))
-    return EnvelopeVerdict(
-        passed=bool(np.all(measured <= env * (1.0 + 1e-9) + 1e-12)),
-        min_margin=float(margins[worst]),
-        worst_time=float(record.times()[worst]),
-        margins=margins,
-    )
-
-
-def blowup_envelope_check(
-    record: MonitorRecord, theta0_r: float, u0_r: float, c_frozen: float
-) -> EnvelopeVerdict:
-    """Replay the Gronwall velocity envelope along a recorded run, at the
-    record's exponent ``record.r``."""
-    env = velocity_envelope(record, theta0_r, u0_r, c_frozen)
-    return _envelope_verdict(record, env, record.series("u_r"))
-
-
-def temperature_envelope_check(
-    record: MonitorRecord, theta0_r: float, c_frozen: float
-) -> EnvelopeVerdict:
-    """Replay the temperature Gronwall bound ||theta(t)|| <= ||theta0|| e^{C I(t)}."""
-    env = theta0_r * np.exp(c_frozen * record.series("bkm_integral"))
-    return _envelope_verdict(record, env, record.series("theta_r"))

@@ -119,6 +119,8 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     T, dt = float(problem.T), float(problem.dt)
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
+    if observers < 1:
+        raise ValueError(f"observers must be a positive step count, got {observers}")
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 

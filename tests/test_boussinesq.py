@@ -24,36 +24,6 @@ from boussinesq_lp.transport import CFLViolation
 from helpers import rel_linf, vec_linf
 
 
-class TestPressureGradient:
-    def test_hydrostatic_balance(self, grid64):
-        theta = transform(grid64, np.sin(grid64.x2))
-        grad_pi = bq.pressure_gradient(VectorField.zero(grid64), theta)
-        assert linf_norm(grad_pi.u1) < 1e-14
-        assert rel_linf(grad_pi.u2, theta) < 1e-13
-
-    def test_zero_state(self, grid64):
-        out = bq.pressure_gradient(VectorField.zero(grid64), SpectralField.zero(grid64))
-        assert vec_linf(out) == 0.0
-
-    def test_matches_analytic_taylor_green_pressure(self, grid64):
-        # steady vortex: u.grad u = (sin 2x, sin 2y)/2, so the balancing
-        # pressure is Pi = (cos 2x + cos 2y)/4 (up to amplitude squared)
-        A = 1.0
-        state = bq.taylor_green_data(grid64, A, 0.0)
-        grad_pi = bq.pressure_gradient(state.u, SpectralField.zero(grid64))
-        expected1 = -(A**2 / 2.0) * np.sin(2 * grid64.x1)
-        expected2 = -(A**2 / 2.0) * np.sin(2 * grid64.x2)
-        assert np.max(np.abs(grad_pi.u1.values() - expected1)) < 1e-12
-        assert np.max(np.abs(grad_pi.u2.values() - expected2)) < 1e-12
-
-    def test_forced_system_is_divergence_free(self, grid64):
-        theta = bq.synthesize_holder_field(grid64, 1.5, 0.5, 1)
-        u = bq.synthesize_divfree_velocity(grid64, 1.5, 1.0, 2)
-        grad_pi = bq.pressure_gradient(u, theta)
-        rhs = -advect_vector(u, u) - grad_pi + VectorField(SpectralField.zero(grid64), theta)
-        assert linf_norm(divergence(rhs)) < 1e-10
-
-
 class TestSelfAdvection:
     """The flux form of the direct step against the advective form."""
 
@@ -304,13 +274,46 @@ class TestBlowupMonitor:
         # the envelope reads theta0_r = 1 and u0_r = 1 from samples[0]; with
         # sup|grad u| = 0 it is 1 + (2 + 2^-1.5) t, which 1 + 10 t exceeds
         # and 1 + t does not
-        for slope, violated in ((10.0, True), (1.0, False)):
+        for slope, passed in ((10.0, False), (1.0, True)):
             record = bq.MonitorRecord(r=1.5)
             for t in np.linspace(0.0, 1.0, 11):
                 record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 1.0 + slope * t, 0.0))
             verdict = bq.continuation_check(record, 2.0)
-            assert verdict.envelope_violated is violated
+            assert verdict.u_envelope.passed is passed
             assert verdict.verdict == "FINITE"  # no superlinear growth
+
+    def test_worst_margin_at_a_later_sample(self):
+        # envelope 1 + (2 + 2^-1.5) t; the gaps below it are smallest at t = 0.4
+        coeff = 2.0 + 2.0 ** (-1.5)
+        gaps = [0.0, 0.5, 0.3, 0.4, 0.05, 0.2]
+        record = bq.MonitorRecord(r=1.5)
+        for t, gap in zip(np.linspace(0.0, 0.5, 6), gaps):
+            record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 1.0 + coeff * t - gap, 0.0))
+        leg = bq.continuation_check(record, 2.0).u_envelope
+        assert leg.passed
+        assert abs(leg.min_margin - 0.05) < 1e-12
+        assert leg.worst_time == 0.4
+
+    def test_one_sample_record_has_no_margin(self):
+        record = bq.MonitorRecord(r=1.5, samples=[bq.MonitorSample(0.0, 1.0, 0.0, 1.0, 1.0, 0.0)])
+        verdict = bq.continuation_check(record, 2.0)
+        for leg in (verdict.theta_envelope, verdict.u_envelope):
+            assert leg.passed and leg.min_margin is None and leg.worst_time is None
+
+    def test_failed_theta_leg_stays_finite(self):
+        # superlinear monitor growth and theta above its envelope, with u
+        # inside its envelope: the theta leg is reported, not a SUSPECT signal
+        record = bq.MonitorRecord(r=1.5)
+        times = np.linspace(0.0, 1.0, 101)
+        g = (1.2 - times) ** (-2.0)
+        bkm = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times))])
+        for t, gi, b in zip(times, g, bkm):
+            record.append(bq.MonitorSample(t, gi, b, np.exp(b), 1.0, 0.0))
+        verdict = bq.continuation_check(record, 0.1)
+        assert verdict.superlinear
+        assert not verdict.theta_envelope.passed
+        assert verdict.u_envelope.passed
+        assert verdict.verdict == "FINITE"
 
     def test_linear_growth_not_superlinear(self, grid64):
         record = bq.MonitorRecord(r=1.5)

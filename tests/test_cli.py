@@ -154,6 +154,23 @@ class TestRun:
         assert rows[0] == "t,grad_u_inf,bkm_integral,theta_r,u_r,div_residual"
         assert len(rows) > 2
 
+    @pytest.mark.parametrize("C", [None, "1.0"])
+    def test_solve_writes_verdict(self, tmp_path, capsys, C):
+        argv = ["solve", "--preset", "taylor-green", "--n", "32", "--T", "0.01",
+                "--out-dir", str(tmp_path)]
+        config = cli.parse_config(argv + ([] if C is None else ["--C", C]))
+        assert cli.run(config) == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert f"verdict={verdict['verdict']}" in capsys.readouterr().out
+        legs = [verdict["theta_envelope"], verdict["u_envelope"]]
+        if C is None:
+            assert legs == [None, None]
+        else:
+            for leg in legs:
+                assert set(leg) == {"passed", "min_margin", "worst_time"}
+                assert leg["passed"] is True
+                assert leg["worst_time"] > 0.0
+
     def test_solve_cfl_violation_exit_code(self, tmp_path):
         config = cli.parse_config(
             ["solve", "--preset", "taylor-green", "--T", "1.0", "--dt", "0.5",

@@ -265,32 +265,28 @@ class TestContractionReport:
 
 class TestEnvelopes:
     def test_resting_trajectory_envelope_formula(self):
+        # sup|grad u| = 0 with the initial norms theta0_r = 0.7, u0_r = 0.3
+        # held in every sample
         record = bq.MonitorRecord(r=1.5)
         for t in np.linspace(0.0, 2.0, 21):
-            record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 0.0, 0.0))
-        theta0_r, u0_r, c = 0.7, 0.3, 2.0
-        env = bq.velocity_envelope(record, theta0_r, u0_r, c)
+            record.append(bq.MonitorSample(t, 0.0, 0.0, 0.7, 0.3, 0.0))
+        c = 2.0
+        env = bq.velocity_envelope(record, c)
         coeff = 2.0 + 2.0 ** (-1.5)
-        expected = u0_r + coeff * theta0_r * record.times()
+        expected = 0.3 + coeff * 0.7 * record.times()
         assert np.max(np.abs(env - expected)) < 1e-12
-        verdict = harness.blowup_envelope_check(record, theta0_r, u0_r, c)
-        assert verdict.passed
+        verdict = bq.continuation_check(record, c)
+        assert verdict.u_envelope.passed and verdict.theta_envelope.passed
 
     def test_hydrostatic_run_passes(self, grid64, reports):
         state0 = bq.hydrostatic_data(grid64)
         _, record = bq.run_direct(state0, 0.5, 0.02, 1.5)
+        assert record.samples[0].theta_r == holder_norm(state0.theta, 1.5).value
+        assert record.samples[0].u_r == 0.0
         c = harness.gronwall_constant(reports, 1.5)
-        theta0_r = holder_norm(state0.theta, 1.5).value
-        verdict = harness.blowup_envelope_check(record, theta0_r, 0.0, c)
-        assert verdict.passed
-        assert harness.temperature_envelope_check(record, theta0_r, c).passed
-
-    def test_violation_detected(self):
-        record = bq.MonitorRecord(r=1.5)
-        for t in np.linspace(0.0, 1.0, 11):
-            record.append(bq.MonitorSample(t, 0.0, 0.0, 1.0, 10.0 * t, 0.0))
-        verdict = harness.blowup_envelope_check(record, 0.0, 1.0, 2.0)
-        assert not verdict.passed
+        verdict = bq.continuation_check(record, c)
+        assert verdict.u_envelope.passed
+        assert verdict.theta_envelope.passed
 
     def test_velocity_integral_inequality_replay(self, taylor_green_run, reports):
         # ||u(t)||_r <= ||u0||_r + 2C int ||u||_r ||grad u|| + (2+2^-r) int ||theta||_r

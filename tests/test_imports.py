@@ -1,10 +1,14 @@
-"""Every imported name is read by the module that imports it.
+"""Every imported name is read by the module that imports it, and every
+``__all__`` entry of the package names a definition of its own module.
 
-No linter runs in this repository, so this scan stands in for the
+No linter runs in this repository, so these scans stand in for the
 unused-import rule.  Each module of the package and of the tests is
 parsed with ``ast``; a name bound by an import counts as read when the
 module loads it somewhere or lists it in ``__all__``.  The imports of
 the package ``__init__.py`` are its public re-exports and are exempt.
+The ``__all__`` lists are kept to each module's own top-level
+definitions because the perfbench tracer wraps every listed name and
+attributes its time to that module.
 """
 
 import ast
@@ -29,14 +33,35 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-def _read(tree: ast.Module) -> set[str]:
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree: ast.Module) -> list[str]:
+    """The names listed in the module's ``__all__``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            names |= set(ast.literal_eval(node.value))
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_exported(tree))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at the top level of the module by a def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
     return names
+
+
+def foreign_exports(tree: ast.Module) -> list[str]:
+    defined = _defined(tree)
+    return [name for name in _exported(tree) if name not in defined]
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -59,3 +84,18 @@ def test_scan_flags_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi as PI, tau\n__all__ = ['tau']\nprint(sys)\n"
     tree = ast.parse(source)
     assert sorted(set(_imported(tree)) - _read(tree)) == ["PI", "os"]
+
+
+def test_all_lists_only_own_definitions():
+    found = {
+        path.name: foreign
+        for path in sorted((ROOT / "src" / "boussinesq_lp").glob("*.py"))
+        if (foreign := foreign_exports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+
+
+def test_scan_flags_a_foreign_export():
+    source = "from math import pi\nTAU: float = 6.28\ndef f(): pass\n"
+    source += "__all__ = ['f', 'TAU', 'pi', 'g']\n"
+    assert foreign_exports(ast.parse(source)) == ["pi", "g"]

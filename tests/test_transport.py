@@ -160,3 +160,9 @@ class TestSolve:
         expected = translated_profile(grid64, c, 0.2505)
         assert np.max(np.abs(traj.final().values() - expected)) < 1e-8
         assert np.isclose(traj.times[-1], 0.2505)
+
+    def test_observers_must_be_positive(self, grid64):
+        problem, _ = constant_velocity_problem(grid64, T=0.01, dt=1e-3)
+        for observers in (0, -1):
+            with pytest.raises(ValueError, match="observers"):
+                solve(problem, observers=observers)
