@@ -14,11 +14,9 @@ from .spectral import (
     SpectralField,
     VectorField,
     make_grid,
-    transform,
     derivative,
     dealias,
     grad_inv_laplacian_div,
-    grad_inv_laplacian_partial,
     leray_project,
     linf_norm,
     lp_norm,
@@ -44,7 +42,6 @@ from .boussinesq import (
     direct_step,
     run_direct,
     iterate_scheme,
-    blowup_integral,
     continuation_check,
     synthesize_holder_field,
     synthesize_divfree_velocity,

@@ -27,7 +27,7 @@ divergence residual for blow-up diagnostics.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -68,7 +68,6 @@ __all__ = [
     "NumericsError",
     "run_direct",
     "iterate_scheme",
-    "blowup_integral",
     "continuation_check",
     "velocity_envelope",
     "synthesize_holder_field",
@@ -248,12 +247,13 @@ def run_direct(
     called with the initial state and with the state after every step.
     Returns the final state (``state0`` when T = 0) and the monitor record.
     """
+    lattice = _step_lattice(T, dt, state0.t)
     validate_state(state0)
     record = MonitorRecord(r=r, samples=[_monitor_sample(state0, r)])
     state = state0
     if on_step is not None:
         on_step(state)
-    for h, t in _step_lattice(T, dt, state0.t):
+    for h, t in lattice:
         stepped = direct_step(state, h, buoyancy)
         state = BoussinesqState(stepped.theta, stepped.u, t)
         record.append(_monitor_sample(state, r, record.final(), h))
@@ -274,15 +274,6 @@ def buoyancy_work(theta: SpectralField, u: VectorField) -> float:
 
 # ---------------------------------------------------------------------------
 # blow-up monitoring
-
-
-def blowup_integral(record: MonitorRecord) -> float:
-    """Trapezoidal integral of sup|grad u| over the recorded samples."""
-    if not record.samples:
-        raise ValueError("empty monitor record")
-    t = record.times()
-    g = record.series("grad_u_inf")
-    return float(np.trapezoid(g, t))
 
 
 def velocity_envelope(record: MonitorRecord, c_frozen: float) -> np.ndarray:
@@ -378,9 +369,11 @@ def continuation_check(record: MonitorRecord, c_frozen: float | None = None) -> 
     Both use one tolerance (see ``EnvelopeLeg``).  SUSPECT needs both
     superlinear growth of the monitor integral and a failed velocity leg;
     single signals are too noisy at desk scale, and the temperature leg is
-    only reported.  Without a frozen constant both legs are None.
+    only reported.  Without a frozen constant both legs are None.  The
+    BKM integral is the record's own running integral at its last sample.
     """
-    integral = blowup_integral(record)
+    if not record.samples:
+        raise ValueError("empty monitor record")
     superlinear = _doubling_time_decreasing(record)
     theta_leg = u_leg = None
     if c_frozen is not None:
@@ -390,7 +383,7 @@ def continuation_check(record: MonitorRecord, c_frozen: float | None = None) -> 
     suspect = superlinear and u_leg is not None and not u_leg.passed
     return ContinuationVerdict(
         verdict="SUSPECT" if suspect else "FINITE",
-        bkm_integral=integral,
+        bkm_integral=record.final().bkm_integral,
         superlinear=superlinear,
         theta_envelope=theta_leg,
         u_envelope=u_leg,
@@ -475,58 +468,53 @@ def taylor_green_data(
 
 
 class _HermiteTrajectory:
-    """Iterate sampled on a uniform step lattice with stored time
-    derivatives; cubic Hermite interpolation serves the RK substages.
-    A node time returns the stored node object itself, and a one-node
-    trajectory is constant in time."""
+    """Iterate stored at the node times of its step lattice (node 0 at
+    t = 0, node i at the end of step i) with its time derivatives.
 
-    def __init__(self, times: np.ndarray, theta, u, dtheta, du):
-        self.times = times
-        self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-        self._theta = theta  # a SpectralField per node
-        self._u = u  # a VectorField per node
-        self._dtheta = dtheta
-        self._du = du
+    A read at t finds the step that holds t among the node times and
+    interpolates by cubic Hermite over that step's own width, so a
+    remainder step is read on its own width.  A read within 1e-12 of a
+    step's ends (in units of its width) returns the stored node object
+    itself, and a one-node trajectory is constant in time.  theta and u
+    share the one read path ``_read``.
+    """
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        if self.dt == 0.0:
-            return 0, 0.0
-        j = min(max(math.floor((t - self.times[0]) / self.dt + 1e-12), 0), len(self.times) - 2)
-        s = (t - self.times[j]) / self.dt
-        return j, min(max(float(s), 0.0), 1.0)
+    def __init__(self, lattice: list[tuple[float, float]], nodes: list, slopes: list):
+        self.times = [0.0] + [t for _, t in lattice]
+        self._widths = [h for h, _ in lattice]
+        self._nodes = nodes  # (theta, u) per node
+        self._slopes = slopes  # (dtheta/dt, du/dt) per node
 
-    @staticmethod
-    def _hermite(y0, y1, d0, d1, s: float, h: float):
+    def _read(self, t: float, c: int):
+        if not self._widths:
+            return self._nodes[0][c]
+        j = min(max(bisect.bisect_right(self.times, t) - 1, 0), len(self._widths) - 1)
+        h = self._widths[j]
+        s = (t - self.times[j]) / h
+        if s < 1e-12:
+            return self._nodes[j][c]
+        if s > 1.0 - 1e-12:
+            return self._nodes[j + 1][c]
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
         h01 = -2 * s**3 + 3 * s**2
         h11 = s**3 - s**2
+        y0, y1 = self._nodes[j][c], self._nodes[j + 1][c]
+        d0, d1 = self._slopes[j][c], self._slopes[j + 1][c]
         return h00 * y0 + (h10 * h) * d0 + h01 * y1 + (h11 * h) * d1
 
     def theta(self, t: float) -> SpectralField:
-        j, s = self._locate(t)
-        if s < 1e-12:
-            return self._theta[j]
-        if s > 1.0 - 1e-12:
-            return self._theta[j + 1]
-        return self._hermite(
-            self._theta[j], self._theta[j + 1], self._dtheta[j], self._dtheta[j + 1], s, self.dt
-        )
+        return self._read(t, 0)
 
     def velocity(self, t: float) -> VectorField:
-        j, s = self._locate(t)
-        if s < 1e-12:
-            return self._u[j]
-        if s > 1.0 - 1e-12:
-            return self._u[j + 1]
-        return self._hermite(self._u[j], self._u[j + 1], self._du[j], self._du[j + 1], s, self.dt)
+        return self._read(t, 1)
 
 
 def _solve_linear_iterate(
     prev: _HermiteTrajectory,
     theta_init: SpectralField,
     u_init: VectorField,
-    times: np.ndarray,
+    lattice: list[tuple[float, float]],
     theta_lag: bool,
 ) -> _HermiteTrajectory:
     """Advance the linearized system driven by the previous iterate.
@@ -535,12 +523,13 @@ def _solve_linear_iterate(
     velocity frozen to the previous iterate and the buoyancy source set
     to the current (or, with ``theta_lag``, the previous) temperature;
     the pressure gradient is refreshed at every substage through the
-    projection.  The stage-one slope of each step is kept as the Hermite
-    derivative at its node.  The frozen fields are built once per distinct
-    substage time (rk4 stages 2 and 3 share t + h/2), so their values are
-    transformed once.
+    projection.  It steps on ``lattice`` (from ``transport._step_lattice``)
+    and checks each step against the CFL bound of the advecting velocity
+    at its start, as ``direct_step`` does.  The stage-one slope of each
+    step is kept as the Hermite derivative at its node.  The frozen fields
+    are built once per distinct substage time (rk4 stages 2 and 3 share
+    t + h/2), so their values are transformed once.
     """
-    dt = float(times[1] - times[0])
     velocity = lru_cache(maxsize=1)(prev.velocity)
     frozen_theta = lru_cache(maxsize=1)(prev.theta)
 
@@ -548,19 +537,17 @@ def _solve_linear_iterate(
         theta, u = y
         return _rhs(theta, u, velocity(t), frozen_theta(t) if theta_lag else theta)
 
-    for t in prev.times:
-        _check_cfl(prev.velocity(t), dt, float(times[0]))
-
-    states = [(theta_init, u_init)]
+    nodes = [(theta_init, u_init)]
     slopes = []
-    for j in range(len(times) - 1):
-        y, k1 = _coupled_step(states[-1], rhs, float(times[j]), dt)
-        states.append(y)
+    t = 0.0
+    for h, t_end in lattice:
+        _check_cfl(velocity(t), h, t)
+        y, k1 = _coupled_step(nodes[-1], rhs, t, h)
+        nodes.append(y)
         slopes.append(k1)
-    slopes.append(rhs(float(times[-1]), states[-1]))
-    thetas, us = zip(*states)
-    dthetas, dus = zip(*slopes)
-    return _HermiteTrajectory(times, thetas, us, dthetas, dus)
+        t = t_end
+    slopes.append(rhs(t, nodes[-1]))
+    return _HermiteTrajectory(lattice, nodes, slopes)
 
 
 def iterate_scheme(
@@ -578,12 +565,17 @@ def iterate_scheme(
 
     Iterate 1 is the frequency-truncated initial data held fixed in
     time; iterate m >= 2 solves the linear transport problems with
-    initial data truncated at low-pass level m+1.  Record m carries the
-    gap sup_{t <= T} ||x_m - x_{m-1}||_{C^{r-1}} and the ratio to the
-    previous gap.  Stops when the gap drops below tol, after three
+    initial data truncated at low-pass level m+1.  Every iterate steps on
+    ``transport._step_lattice(T, dt)``, the lattice of ``run_direct``:
+    steps of dt ending at i*dt, then a remainder step ending at T, each
+    checked against the CFL bound, so a (T, dt) means the same here as in
+    a direct run; a bad (T, dt) raises ``ValueError`` before any step.
+    Record m carries the gap sup_{t <= T} ||x_m - x_{m-1}||_{C^{r-1}},
+    taken at the node times, and the ratio to the previous gap.  Stops when the gap drops below tol, after three
     consecutive ratio > 1 events (non-contraction at this horizon), or
     at n_max.
     """
+    lattice = _step_lattice(T, dt)
     if r <= 1:
         raise ValueError(f"need r > 1, got {r}")
     if n_max < 2:
@@ -593,17 +585,12 @@ def iterate_scheme(
         raise ValueError("initial data must be dealiased")
     q_max = build_partition(theta0.grid).q_max
 
-    n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
-    times = np.linspace(0.0, T, n_steps + 1)
-
     # iterate 1 is constant in time: one node with zero slopes
     grid = theta0.grid
     current = _HermiteTrajectory(
-        times[:1],
-        (low_pass(2, theta0),),
-        (low_pass_vector(2, u0),),
-        (SpectralField.zero(grid),),
-        (VectorField.zero(grid),),
+        [],
+        [(low_pass(2, theta0), low_pass_vector(2, u0))],
+        [(SpectralField.zero(grid), VectorField.zero(grid))],
     )
     records: list[IterationRecord] = []
     prev_gap: float | None = None
@@ -615,12 +602,12 @@ def iterate_scheme(
             current,
             low_pass(level, theta0),
             low_pass_vector(level, u0),
-            times,
+            lattice,
             theta_lag,
         )
         gap_theta = 0.0
         gap_u = 0.0
-        for t in times:
+        for t in new.times:
             dth = new.theta(t) - current.theta(t)
             duv = new.velocity(t) - current.velocity(t)
             gap_theta = max(gap_theta, holder_norm(dth, r - 1).value)
@@ -630,8 +617,8 @@ def iterate_scheme(
         records.append(
             IterationRecord(
                 n=m,
-                theta_n=new.theta(times[-1]),
-                u_n=new.velocity(times[-1]),
+                theta_n=new.theta(new.times[-1]),
+                u_n=new.velocity(new.times[-1]),
                 cauchy_gap_theta=gap_theta,
                 cauchy_gap_u=gap_u,
                 ratio=ratio,
@@ -686,8 +673,11 @@ def uniqueness_probe(
     lockstep with every perturbed run on ``transport._step_lattice``, the
     lattice of ``run_direct``, so each curve ends at T.  The gaps to the
     reference are measured in C^{r-1} every ``sample_every`` steps and
-    after the last step.
+    after the last step.  A bad (T, dt) raises ``ValueError`` and a bad
+    initial state the ``ValueError`` of ``run_direct``, before any step.
     """
+    lattice = _step_lattice(T, dt)
+    validate_state(state0)
     direction = synthesize_holder_field(state0.grid, r - 1.0, 1.0, seed=7)
     ref = BoussinesqState(state0.theta, state0.u, 0.0)
     runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
@@ -700,7 +690,6 @@ def uniqueness_probe(
 
     times = [0.0]
     sampled = [[gaps(b)] for b in runs]
-    lattice = _step_lattice(T, dt)
     for i, (h, t) in enumerate(lattice, 1):
         ref = direct_step(ref, h)
         runs = [direct_step(b, h) for b in runs]

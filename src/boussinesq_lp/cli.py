@@ -98,10 +98,10 @@ class RunConfig:
             problems.append("r must be positive")
         if self.command == "iterate" and not self.r > 1:
             problems.append("iterate requires r > 1")
-        if self.T < 0:
-            problems.append("T must be nonnegative")
-        if not self.dt > 0:
-            problems.append("dt must be positive")
+        if not 0 <= self.T < np.inf:
+            problems.append("T must be finite and nonnegative")
+        if not 0 < self.dt < np.inf:
+            problems.append("dt must be finite and positive")
         if self.seed < 0:
             problems.append("seed must be nonnegative")
         if self.command == "iterate":

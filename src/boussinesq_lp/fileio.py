@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .boussinesq import IterationRecord, MonitorRecord
+from .boussinesq import IterationRecord, MonitorRecord, MonitorSample
 from .spectral import SpectralField, make_grid
 
 __all__ = [
@@ -65,14 +65,13 @@ def read_snapshot(path) -> tuple[SpectralField, dict]:
 
 
 def monitor_to_csv(path, record: MonitorRecord) -> None:
+    """One column per ``MonitorSample`` field, in declaration order."""
+    names = [f.name for f in fields(MonitorSample)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "grad_u_inf", "bkm_integral", "theta_r", "u_r", "div_residual"])
+        writer.writerow(names)
         for s in record.samples:
-            writer.writerow(
-                [f"{s.t:.12g}", f"{s.grad_u_inf:.12g}", f"{s.bkm_integral:.12g}",
-                 f"{s.theta_r:.12g}", f"{s.u_r:.12g}", f"{s.div_residual:.12g}"]
-            )
+            writer.writerow([f"{getattr(s, name):.12g}" for name in names])
 
 
 def iterations_to_csv(path, records: list[IterationRecord]) -> None:

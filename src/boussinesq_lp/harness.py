@@ -365,11 +365,11 @@ def _dynamic_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateS
     samples = []
     for n in resolutions:
         if name == "lemma3.1":
-            for r, seed, v, f0, traj in _transport_runs(corpus, n):
+            for r, seed, v, _, traj in _transport_runs(corpus, n):
                 gradv = grad_linf_norm(v)
-                norm0 = holder_norm(f0, r).value
                 times = np.array(traj.times)
                 norms = np.array([holder_norm(f, r).value for f in traj.fields])
+                norm0 = norms[0]  # traj.fields[0] is the initial field
                 for i in range(1, len(times)):
                     weighted = float(np.trapezoid(gradv * norms[: i + 1], times[: i + 1]))
                     ratio = transport_growth_ratio(norms[i], norm0, weighted)

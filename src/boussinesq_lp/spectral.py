@@ -43,14 +43,11 @@ __all__ = [
     "SpectralField",
     "VectorField",
     "make_grid",
-    "transform",
     "derivative",
-    "gradient",
     "divergence",
     "dealias",
     "dealias_vector",
     "grad_inv_laplacian_div",
-    "grad_inv_laplacian_partial",
     "leray_project",
     "advect",
     "advect_vector",
@@ -265,11 +262,6 @@ class VectorField:
         return VectorField(-self.u1, -self.u2)
 
 
-def transform(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real grid samples."""
-    return SpectralField.from_values(grid, values)
-
-
 def derivative(f: SpectralField, axis: int) -> SpectralField:
     """Spectral partial derivative along axis 1 or 2 (Nyquist zeroed)."""
     if axis == 1:
@@ -279,10 +271,6 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     return f.multiplied(1j * k)
-
-
-def gradient(f: SpectralField) -> VectorField:
-    return VectorField(derivative(f, 1), derivative(f, 2))
 
 
 def divergence(w: VectorField) -> SpectralField:
@@ -306,22 +294,6 @@ def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     """
     g = w.grid
     s = (g.k1 * w.u1.coeffs + g.k2 * w.u2.coeffs) / g.ksq_odd_safe
-    return VectorField(SpectralField(g, g.k1 * s), SpectralField(g, g.k2 * s))
-
-
-def grad_inv_laplacian_partial(theta: SpectralField, axis: int = 2) -> VectorField:
-    """Apply the multiplier k * k_axis / |k|^2 to a scalar field.
-
-    For theta depending only on x2 this recovers theta*e2 exactly.
-    """
-    g = theta.grid
-    if axis == 1:
-        ka = g.k1
-    elif axis == 2:
-        ka = g.k2
-    else:
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    s = ka * theta.coeffs / g.ksq_odd_safe
     return VectorField(SpectralField(g, g.k1 * s), SpectralField(g, g.k2 * s))
 
 

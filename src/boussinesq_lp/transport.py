@@ -59,7 +59,13 @@ def _step_lattice(T: float, dt: float, t0: float = 0.0) -> list[tuple[float, flo
 
     Steps of dt end on the lattice t0 + i*dt (end times are not summed),
     then one remainder step ends at t0 + T when more than 1e-12 is left.
+    This is the only place that turns (T, dt) into steps: every
+    integrator of the package (``solve``, ``run_direct``,
+    ``uniqueness_probe``, ``iterate_scheme``) steps on it, and it raises
+    ``ValueError`` unless 0 <= T < inf and 0 < dt < inf.
     """
+    if not (0.0 <= T < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"need 0 <= T < inf and 0 < dt < inf, got T={T}, dt={dt}")
     n_steps = int(np.floor(T / dt + 1e-9))
     lattice = [(dt, t0 + i * dt) for i in range(1, n_steps + 1)]
     remainder = T - n_steps * dt
@@ -111,14 +117,14 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     """March f from f0 to T with the velocity and forcing held fixed.
 
     Steps follow ``_step_lattice``: steps of dt ending at i*dt, then a
-    remainder step ending at T.  The field is recorded at t = 0, after
+    remainder step ending at T; a bad (T, dt) raises its ``ValueError``
+    before any step.  The field is recorded at t = 0, after
     every ``observers``-th step, and at T.  The velocity is checked for
     divergence once, before the first step.
     """
     v, g = problem.velocity, problem.forcing
-    T, dt = float(problem.T), float(problem.dt)
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    T = float(problem.T)
+    lattice = _step_lattice(T, float(problem.dt))
     if observers < 1:
         raise ValueError(f"observers must be a positive step count, got {observers}")
     if not is_divergence_free(v):
@@ -133,7 +139,7 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     t = 0.0
     times = [0.0]
     fields = [f]
-    for i, (h, t_end) in enumerate(_step_lattice(T, dt), 1):
+    for i, (h, t_end) in enumerate(lattice, 1):
         _check_cfl(v, h, t)
         f = rk4((f,), rhs, t, h)[0][0]
         t = t_end

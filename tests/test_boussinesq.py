@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boussinesq_lp import boussinesq as bq
+from boussinesq_lp import transport
 from boussinesq_lp.littlewood_paley import (
     holder_norm,
     holder_norm_vector,
@@ -17,7 +18,6 @@ from boussinesq_lp.spectral import (
     divergence,
     linf_norm,
     make_grid,
-    transform,
 )
 from boussinesq_lp.transport import CFLViolation
 
@@ -138,7 +138,7 @@ class TestDirectRun:
             bq.direct_step(state, 1e-3)
 
     def test_rejects_non_mean_zero(self, grid64):
-        theta = transform(grid64, np.full((64, 64), 1.0))
+        theta = SpectralField.from_values(grid64, np.full((64, 64), 1.0))
         state = bq.BoussinesqState(theta, VectorField.zero(grid64), 0.0)
         with pytest.raises(ValueError):
             bq.run_direct(state, 0.1, 1e-3, 1.5)
@@ -201,7 +201,7 @@ class TestIterationScheme:
             bq.iterate_scheme(theta0, u0, 0.9, 5, 0.01, 2e-3, 1e-10)
         with pytest.raises(ValueError):
             bq.iterate_scheme(theta0, u0, 1.5, 1, 0.01, 2e-3, 1e-10)
-        lumpy = theta0 + transform(grid64, np.full((64, 64), 1.0))
+        lumpy = theta0 + SpectralField.from_values(grid64, np.full((64, 64), 1.0))
         with pytest.raises(ValueError):
             bq.iterate_scheme(lumpy, u0, 1.5, 5, 0.01, 2e-3, 1e-10)
 
@@ -210,6 +210,110 @@ class TestIterationScheme:
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         with pytest.raises(CFLViolation):
             bq.iterate_scheme(state0.theta, state0.u, 1.5, 5, 0.4, 0.2, 1e-10)
+
+    def test_same_dt_same_cfl_verdict_as_direct_run(self, grid64):
+        # amplitude 27: the bound is 0.5 * dx / 27 = 1.82e-3 < dt; T/dt = 2.5
+        state0 = bq.taylor_green_data(grid64, 27.0, 0.05)
+        with pytest.raises(CFLViolation):
+            bq.run_direct(state0, 0.005, 2e-3, 1.5)
+        with pytest.raises(CFLViolation):
+            bq.iterate_scheme(state0.theta, state0.u, 1.5, 6, 0.005, 2e-3, 1e-13)
+
+    def test_iterates_step_on_the_direct_lattice(self, small_data, monkeypatch):
+        # T/dt = 3.65: three steps of dt and a remainder step ending at T
+        theta0, u0 = small_data
+        steps = []
+        coupled_step = bq._coupled_step
+
+        def recorded(y, rhs, t, h):
+            steps.append((t, h))
+            return coupled_step(y, rhs, t, h)
+
+        monkeypatch.setattr(bq, "_coupled_step", recorded)
+        records = bq.iterate_scheme(theta0, u0, 1.5, 3, 0.0073, 2e-3, 1e-30)
+        lattice = [(0.0, 2e-3), (2e-3, 2e-3), (4e-3, 2e-3), (6e-3, 0.0073 - 3 * 2e-3)]
+        assert len(records) == 2
+        assert steps == 2 * lattice
+
+
+class TestHermiteTrajectory:
+    """Reads of a stored iterate: a cubic in time with exact slopes is
+    reproduced on every step, the remainder step on its own width."""
+
+    @staticmethod
+    def cubic(t):
+        return 1.0 + 3.0 * t - 40.0 * t**2 + 500.0 * t**3
+
+    @staticmethod
+    def slope(t):
+        return 3.0 - 80.0 * t + 1500.0 * t**2
+
+    def trajectory(self, grid):
+        f = SpectralField.from_values(grid, np.sin(grid.x1))
+        w = VectorField(f, -f)
+        lattice = transport._step_lattice(0.0073, 2e-3)
+        times = [0.0] + [t for _, t in lattice]
+        nodes = [(self.cubic(t) * f, self.cubic(t) * w) for t in times]
+        slopes = [(self.slope(t) * f, self.slope(t) * w) for t in times]
+        return f, w, bq._HermiteTrajectory(lattice, nodes, slopes), nodes
+
+    def test_node_times_return_the_stored_nodes(self):
+        _, _, traj, nodes = self.trajectory(make_grid(16))
+        assert traj.times == [0.0, 2e-3, 4e-3, 6e-3, 0.0073]
+        for t, (theta, u) in zip(traj.times, nodes):
+            assert traj.theta(t) is theta
+            assert traj.velocity(t) is u
+        # an rk4 stage time t + h can round to either side of the next node
+        for t in (4e-3 * (1.0 - 1e-15), 4e-3 * (1.0 + 1e-15)):
+            assert t != 4e-3 and traj.theta(t) is nodes[2][0]
+
+    @pytest.mark.parametrize("t", [1e-3, 3.3e-3, 5.5e-3, 6.65e-3, 7.2e-3])
+    def test_reads_reproduce_a_cubic(self, t):
+        f, w, traj, _ = self.trajectory(make_grid(16))
+        scale = self.cubic(t)
+        assert rel_linf(traj.theta(t), scale * f) < 1e-13
+        assert rel_linf(traj.velocity(t).u2, scale * w.u2) < 1e-13
+
+    def test_one_node_is_constant(self, grid64):
+        f = SpectralField.from_values(grid64, np.sin(grid64.x1))
+        zero = SpectralField.zero(grid64)
+        traj = bq._HermiteTrajectory([], [(f, None)], [(zero, None)])
+        assert traj.times == [0.0]
+        assert traj.theta(0.0) is f and traj.theta(0.5) is f
+
+
+BAD_T_DT = [
+    (-0.01, 2e-3),
+    (0.01, 0.0),
+    (0.01, -2e-3),
+    (np.inf, 2e-3),
+    (np.nan, 2e-3),
+    (0.01, np.inf),
+    (0.01, np.nan),
+]
+
+
+INTEGRATORS = {
+    "run_direct": lambda s, T, dt: bq.run_direct(s, T, dt, 1.5),
+    "uniqueness_probe": lambda s, T, dt: bq.uniqueness_probe(s, [1e-4], T, dt, 1.5),
+    "iterate_scheme": lambda s, T, dt: bq.iterate_scheme(s.theta, s.u, 1.5, 3, T, dt, 1e-13),
+    "transport.solve": lambda s, T, dt: transport.solve(
+        transport.TransportProblem(s.theta, s.u, None, T, dt)
+    ),
+}
+
+
+@pytest.mark.parametrize("T,dt", BAD_T_DT)
+@pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+def test_bad_time_lattice_rejected_before_any_step(integrator, T, dt, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("an integrator stepped on a bad (T, dt)")
+
+    monkeypatch.setattr(bq, "rk4", no_step)
+    monkeypatch.setattr(transport, "rk4", no_step)
+    state0 = bq.taylor_green_data(make_grid(16), 1.0, 0.05)
+    with pytest.raises(ValueError, match="need 0 <= T < inf and 0 < dt < inf"):
+        INTEGRATORS[integrator](state0, T, dt)
 
 
 class TestSynthesize:
@@ -245,9 +349,14 @@ class TestBlowupMonitor:
     def test_zero_velocity_trajectory(self, grid64):
         state0 = bq.hydrostatic_data(grid64)
         _, record = bq.run_direct(state0, 0.2, 0.02, 1.5)
-        assert bq.blowup_integral(record) <= 1e-10
         verdict = bq.continuation_check(record)
+        assert verdict.bkm_integral <= 1e-10
         assert verdict.verdict == "FINITE"
+
+    def test_bkm_integral_is_the_monitor_integral(self, taylor_green_run):
+        record = taylor_green_run["record"]
+        verdict = bq.continuation_check(record)
+        assert verdict.bkm_integral == record.final().bkm_integral
 
     def test_suspect_needs_both_signals(self, grid64):
         # synthetic monitor with pole-type gradient growth (finite-time shape)
@@ -323,7 +432,7 @@ class TestBlowupMonitor:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            bq.blowup_integral(bq.MonitorRecord(r=1.5))
+            bq.continuation_check(bq.MonitorRecord(r=1.5))
 
 
 class TestUniquenessProbe:
@@ -352,6 +461,24 @@ class TestUniquenessProbe:
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         with pytest.raises(CFLViolation):
             bq.uniqueness_probe(state0, [1e-4], 0.4, 0.2, 1.5)
+
+    @pytest.mark.parametrize("defect", ["theta mean", "compressible u"])
+    def test_rejects_invalid_initial_state(self, grid64, defect):
+        # the checks of run_direct, before any step
+        state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
+        if defect == "theta mean":
+            lifted = state0.theta + SpectralField.from_values(grid64, np.full((64, 64), 0.3))
+            bad, message = bq.BoussinesqState(lifted, state0.u), "theta must be mean-zero"
+        else:
+            rng = np.random.default_rng(3)
+            u = VectorField.from_values(grid64, *rng.standard_normal((2, 64, 64)))
+            u = u - VectorField.from_values(grid64, np.full((64, 64), u.u1.mean()),
+                                            np.full((64, 64), u.u2.mean()))
+            bad, message = bq.BoussinesqState(state0.theta, u), "divergence-free"
+        with pytest.raises(ValueError, match=message):
+            bq.run_direct(bad, 0.01, 2e-3, 1.5)
+        with pytest.raises(ValueError, match=message):
+            bq.uniqueness_probe(bad, [1e-4], 0.01, 2e-3, 1.5)
 
     @pytest.mark.parametrize(
         "T,times", [(0.07, [0.0, 0.02, 0.04, 0.06, 0.07]), (0.05, [0.0, 0.02, 0.04, 0.05])]

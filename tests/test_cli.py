@@ -86,6 +86,12 @@ class TestParseConfig:
             cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert any(p.startswith(f"{field} ") for p in err.value.problems)
 
+    @pytest.mark.parametrize("flag,value", [("--T", "nan"), ("--T", "inf"), ("--dt", "inf")])
+    def test_non_finite_time_lattice_exits_2(self, tmp_path, capsys, flag, value):
+        argv = ["iterate", "--preset", "small-data-iteration", flag, value, "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert f"config error: {flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_parse_leaves_out_dir_to_run(self, tmp_path):
         out_dir = tmp_path / "fresh" / "nested"
         config = cli.parse_config(

@@ -28,7 +28,6 @@ from boussinesq_lp.spectral import (
     linf_norm,
     lp_norm,
     make_grid,
-    transform,
 )
 
 from helpers import random_dealiased_field, rel_linf
@@ -97,7 +96,7 @@ class TestBlocks:
 
     def test_block_of_constant(self, grid64):
         part = build_partition(grid64)
-        c = transform(grid64, np.full((64, 64), 4.0))
+        c = SpectralField.from_values(grid64, np.full((64, 64), 4.0))
         assert rel_linf(block(-1, c), c) < 1e-14
         for q in range(0, part.q_max + 1):
             assert linf_norm(block(q, c)) == 0.0
@@ -141,7 +140,7 @@ class TestBlocks:
 
 class TestNorms:
     def test_constant_holder_norm(self, grid64):
-        c = transform(grid64, np.full((64, 64), 3.0))
+        c = SpectralField.from_values(grid64, np.full((64, 64), 3.0))
         for r in (0.5, 1.5, 2.5):
             assert np.isclose(holder_norm(c, r).value, 2.0 ** (-r) * 3.0, rtol=1e-12)
 
@@ -256,7 +255,7 @@ class TestLazyHomogeneousBlocks:
 class TestBony:
     def test_constant_second_factor(self, grid64):
         u = random_dealiased_field(grid64, 20)
-        c = transform(grid64, np.full((64, 64), 2.0))
+        c = SpectralField.from_values(grid64, np.full((64, 64), 2.0))
         t_uc, t_cu, rem = bony_decompose(u, c)
         assert linf_norm(t_uc) < 1e-13
         total = t_cu + rem

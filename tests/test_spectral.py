@@ -12,14 +12,11 @@ from boussinesq_lp.spectral import (
     divergence,
     divergence_residual,
     grad_inv_laplacian_div,
-    grad_inv_laplacian_partial,
-    gradient,
     grad_linf_norm,
     leray_project,
     linf_norm,
     lp_norm,
     make_grid,
-    transform,
 )
 
 from helpers import (
@@ -55,21 +52,21 @@ class TestGrid:
 
 class TestTransform:
     def test_constant_field_single_mode(self, grid64):
-        f = transform(grid64, np.full((64, 64), 3.25))
+        f = SpectralField.from_values(grid64, np.full((64, 64), 3.25))
         assert np.isclose(f.coeffs[0, 0].real, 3.25, atol=1e-14)
         other = f.coeffs.copy()
         other[0, 0] = 0.0
         assert np.max(np.abs(other)) < 1e-14
 
     def test_cosine_splits_into_half_amplitude_modes(self, grid64):
-        f = transform(grid64, np.cos(grid64.x1))
+        f = SpectralField.from_values(grid64, np.cos(grid64.x1))
         assert np.isclose(f.coeffs[1, 0], 0.5, atol=1e-13)
         assert np.isclose(f.coeffs[-1, 0], 0.5, atol=1e-13)
 
     def test_roundtrip(self, grid64):
         rng = np.random.default_rng(11)
         values = rng.standard_normal((64, 64))
-        back = transform(grid64, values).values()
+        back = SpectralField.from_values(grid64, values).values()
         assert np.max(np.abs(back - values)) < 1e-12 * np.max(np.abs(values))
 
     def test_against_direct_dft(self):
@@ -77,7 +74,7 @@ class TestTransform:
         g = make_grid(16, 2.0 * np.pi)
         rng = np.random.default_rng(5)
         values = rng.standard_normal((16, 16))
-        f = transform(g, values)
+        f = SpectralField.from_values(g, values)
         n = 16
         j = np.arange(n)
         direct = np.zeros((n, n), dtype=complex)
@@ -99,11 +96,11 @@ class TestTransform:
 
     def test_shape_mismatch(self, grid64):
         with pytest.raises(ValueError):
-            transform(grid64, np.zeros((32, 32)))
+            SpectralField.from_values(grid64, np.zeros((32, 32)))
 
     def test_half_spectrum_shape(self, grid64):
         assert grid64.spectral_shape == (64, 33)
-        assert transform(grid64, np.cos(grid64.x1)).coeffs.shape == (64, 33)
+        assert SpectralField.from_values(grid64, np.cos(grid64.x1)).coeffs.shape == (64, 33)
         assert SpectralField.zero(grid64).coeffs.shape == (64, 33)
         assert list(grid64.m2[0, [0, 1, 31, 32]]) == [0, 1, 31, -32]
 
@@ -140,7 +137,7 @@ class TestHalfSpectrumLayout:
         g = make_grid(n, 2.0 * np.pi)
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal((2, n, n))
-        f = transform(g, a)
+        f = SpectralField.from_values(g, a)
         w = VectorField.from_values(g, a, b)
 
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
@@ -157,9 +154,6 @@ class TestHalfSpectrumLayout:
 
         for axis, ka in ((1, k1), (2, k2)):
             check(derivative(f, axis).values(), 1j * ka * ca)
-            out = grad_inv_laplacian_partial(f, axis)
-            check(out.u1.values(), k1 * ka * inv_ksq * ca)
-            check(out.u2.values(), k2 * ka * inv_ksq * ca)
 
         s = (k1 * ca + k2 * cb) * inv_ksq
         out = leray_project(w)
@@ -173,18 +167,18 @@ class TestHalfSpectrumLayout:
 class TestDerivative:
     def test_sine(self, grid64):
         L = grid64.length
-        f = transform(grid64, np.sin(2 * np.pi * grid64.x1 / L))
+        f = SpectralField.from_values(grid64, np.sin(2 * np.pi * grid64.x1 / L))
         expected = (2 * np.pi / L) * np.cos(2 * np.pi * grid64.x1 / L)
         assert np.max(np.abs(derivative(f, 1).values() - expected)) < 1e-12
 
     def test_constant(self, grid64):
-        f = transform(grid64, np.full((64, 64), 2.0))
+        f = SpectralField.from_values(grid64, np.full((64, 64), 2.0))
         assert linf_norm(derivative(f, 1)) < 1e-14
         assert linf_norm(derivative(f, 2)) < 1e-14
 
     def test_single_mode_multiplier(self, grid64):
         values = np.cos(3 * grid64.x1 + 5 * grid64.x2)
-        f = transform(grid64, values)
+        f = SpectralField.from_values(grid64, values)
         expected = -3 * np.sin(3 * grid64.x1 + 5 * grid64.x2)
         assert np.max(np.abs(derivative(f, 1).values() - expected)) < 1e-11
 
@@ -203,7 +197,7 @@ class TestDerivative:
 class TestRieszOperators:
     def test_gradient_projection_identity(self, grid64):
         psi = mean_zero_smooth_field(grid64, 7)
-        w = gradient(psi)
+        w = VectorField(derivative(psi, 1), derivative(psi, 2))
         out = grad_inv_laplacian_div(w)
         assert rel_linf(out.u1, w.u1) < 1e-12
         assert rel_linf(out.u2, w.u2) < 1e-12
@@ -217,36 +211,14 @@ class TestRieszOperators:
     def test_shear_mode_is_divergence_free(self, grid64):
         # d/dx1 of sin(2 pi x2 / L) vanishes, so div w = 0 and the output is zero
         w = VectorField(
-            transform(grid64, np.sin(grid64.x2)), SpectralField.zero(grid64)
+            SpectralField.from_values(grid64, np.sin(grid64.x2)), SpectralField.zero(grid64)
         )
         assert vec_linf(grad_inv_laplacian_div(w)) < 1e-13
 
-    def test_vertical_multiplier_recovers_stratified_field(self, grid64):
-        theta = transform(grid64, np.sin(grid64.x2))
-        out = grad_inv_laplacian_partial(theta, axis=2)
-        assert linf_norm(out.u1) < 1e-14
-        assert rel_linf(out.u2, theta) < 1e-13
-
-    def test_vertical_multiplier_constant_and_horizontal(self, grid64):
-        const = transform(grid64, np.full((64, 64), 1.5))
-        assert vec_linf(grad_inv_laplacian_partial(const, 2)) < 1e-14
-        horiz = transform(grid64, np.sin(grid64.x1))
-        assert vec_linf(grad_inv_laplacian_partial(horiz, 2)) < 1e-14
-
     def test_zero_mode_exactly_zero(self, grid64):
-        f = mean_zero_smooth_field(grid64, 9) + transform(grid64, np.ones((64, 64)))
-        out = grad_inv_laplacian_partial(f, 2)
+        f = mean_zero_smooth_field(grid64, 9) + SpectralField.from_values(grid64, np.ones((64, 64)))
+        out = grad_inv_laplacian_div(VectorField(f, f))
         assert out.u1.coeffs[0, 0] == 0.0 and out.u2.coeffs[0, 0] == 0.0
-
-    def test_multiplier_composability(self, grid64):
-        # derivative(grad_inv_laplacian_partial(theta)) against the composed symbol
-        theta = mean_zero_smooth_field(grid64, 10)
-        via_ops = derivative(grad_inv_laplacian_partial(theta, 2).u1, 1)
-        g = grid64
-        symbol = (1j * g.k1) * (g.k1 * g.k2) / g.ksq_odd_safe
-        symbol[g.ksq_odd == 0.0] = 0.0
-        direct = SpectralField(g, theta.coeffs * symbol)
-        assert linf_norm(via_ops - direct) < 1e-13 * max(linf_norm(direct), 1e-300)
 
 
 class TestLeray:
@@ -258,7 +230,8 @@ class TestLeray:
         assert rel_linf(out.u2, w.u2) < 1e-13
 
     def test_annihilates_gradients(self, grid64):
-        w = gradient(mean_zero_smooth_field(grid64, 13))
+        psi = mean_zero_smooth_field(grid64, 13)
+        w = VectorField(derivative(psi, 1), derivative(psi, 2))
         assert vec_linf(leray_project(w)) < 1e-13 * vec_linf(w)
 
     def test_idempotent(self, grid64):
@@ -293,12 +266,12 @@ class TestDealiasAndNorms:
         assert linf_norm(dealias(f)) == 0.0
 
     def test_linf_of_sine(self, grid64):
-        f = transform(grid64, np.sin(grid64.x1))
+        f = SpectralField.from_values(grid64, np.sin(grid64.x1))
         assert abs(linf_norm(f) - 1.0) < 1e-3
 
     def test_lp_norm_of_constant(self, grid64):
         c = 2.5
-        f = transform(grid64, np.full((64, 64), c))
+        f = SpectralField.from_values(grid64, np.full((64, 64), c))
         for p in (1, 2, 4):
             expected = c * grid64.length ** (2.0 / p)
             assert np.isclose(lp_norm(f, p), expected, rtol=1e-12)

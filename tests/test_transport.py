@@ -14,7 +14,6 @@ from boussinesq_lp.spectral import (
     grad_linf_norm,
     is_divergence_free,
     linf_norm,
-    transform,
 )
 from boussinesq_lp.transport import (
     CFLViolation,
@@ -31,7 +30,7 @@ def _trig_profile(x1, x2):
 
 
 def constant_velocity_problem(grid, c=(1.0, 0.0), T=1.0, dt=1e-3):
-    f0 = transform(grid, _trig_profile(grid.x1, grid.x2))
+    f0 = SpectralField.from_values(grid, _trig_profile(grid.x1, grid.x2))
     v = VectorField.from_values(
         grid, np.full((grid.n, grid.n), c[0]), np.full((grid.n, grid.n), c[1])
     )
@@ -106,7 +105,7 @@ class TestSolve:
 
     def test_mean_conservation(self, grid64):
         v = synthesize_divfree_velocity(grid64, 1.5, 1.0, 11)
-        f0 = mean_zero_smooth_field(grid64, 12) + transform(
+        f0 = mean_zero_smooth_field(grid64, 12) + SpectralField.from_values(
             grid64, np.full((64, 64), 0.5)
         )
         traj = solve(TransportProblem(f0, v, None, 0.3, 2e-3), observers=50)
