@@ -96,8 +96,8 @@ class RunConfig:
             problems.append("L must be positive")
         if not self.r > 0:
             problems.append("r must be positive")
-        if self.command == "iterate" and not self.r > 1:
-            problems.append("iterate requires r > 1")
+        if self.command in ("iterate", "probe") and not self.r > 1:
+            problems.append(f"{self.command} requires r > 1")  # both measure gaps in C^{r-1}
         if not 0 <= self.T < np.inf:
             problems.append("T must be finite and nonnegative")
         if not 0 < self.dt < np.inf:

@@ -254,13 +254,10 @@ def velocity_growth_ratio(
 
 
 def _lemma2_1_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
-    # commutator_sample per q with its q-independent norms hoisted; the rhs
-    # keeps commutator_sample's factor order, so the floats are the same
+    # the q-independent norms are cached on f and v, so each is paid once
     v, f = fl["v"], fl["f"]
-    holder_f = holder_norm(f, r).value
-    grad_v = grad_linf_norm(v)
     return [
-        (f",q={q}", linf_norm(commutator(v, q, f)), 2.0 ** (-q * r) * holder_f * grad_v)
+        (f",q={q}", *commutator_sample(v, f, q, r))
         for q in range(-1, build_partition(f.grid).q_max + 1)
     ]
 

@@ -28,6 +28,15 @@ Every operator here (blocks, low-pass, norms, paraproducts, commutator,
 Bernstein ratios) uses the partition of its field's own grid,
 ``build_partition(f.grid)``; a grid has exactly one partition, so none of
 them takes one as an argument.
+
+The sup-norm block profile [(q, ||D_q f||_inf)], q = -1..q_max, does not
+depend on the smoothness index.  It is computed once per field and cached
+on the (immutable) ``SpectralField``, next to the values cache described
+in ``spectral``; ``besov_norm`` reads it whenever p = inf, so every
+``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and its
+B^1_{inf,1} norm cost one profile.  Finite p is computed afresh on every
+call.  Each :class:`BesovReport` gets its own ``block_norms`` list, so a
+caller that edits a report cannot reach the cache.
 """
 
 from __future__ import annotations
@@ -242,17 +251,34 @@ def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> flo
     return float(total ** (1.0 / q_index))
 
 
+def _block_norms(f: SpectralField, p: float) -> list[tuple[int, float]]:
+    """[(q, ||D_q f||_p)] for the inhomogeneous blocks q = -1..q_max."""
+    q_max = build_partition(f.grid).q_max
+    return [(q, lp_norm(block(q, f), p)) for q in range(-1, q_max + 1)]
+
+
+def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
+    """[(q, ||D_q f||_inf)] for q = -1..q_max, cached on f on first call."""
+    cache = f.__dict__.get("_sup_profile_cache")
+    if cache is None:
+        cache = tuple(_block_norms(f, np.inf))
+        object.__setattr__(f, "_sup_profile_cache", cache)
+    return cache
+
+
 def besov_norm(
     f: SpectralField,
     s: float,
     p: float = np.inf,
     q_index: float = np.inf,
 ) -> BesovReport:
-    """Inhomogeneous Besov norm; the homogeneous variant is built on first read."""
+    """Inhomogeneous Besov norm; the homogeneous variant is built on first read.
+
+    For p = inf the block norms come from the profile cached on f.
+    """
     if p < 1 or q_index < 1:
         raise ValueError("integrability indices must be >= 1")
-    q_max = build_partition(f.grid).q_max
-    blocks = [(q, lp_norm(block(q, f), p)) for q in range(-1, q_max + 1)]
+    blocks = list(_sup_profile(f)) if np.isinf(p) else _block_norms(f, p)
     return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f)
 
 

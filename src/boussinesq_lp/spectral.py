@@ -29,6 +29,20 @@ otherwise be ambiguous.  The zero mode of any inverse-Laplacian operator
 is set to 0 (fields of interest are mean-zero).  Every multiplier is
 thereby Hermitian-preserving, so restricting it to the stored half loses
 nothing.
+
+Fields are immutable: a ``SpectralField`` never changes its coefficients
+after construction, and no code writes into ``coeffs`` in place.  Values
+derived from a field are therefore computed once and cached on the field
+object on first use:
+
+* ``SpectralField.values()``: the grid samples (read-only array);
+* ``VectorField.max_speed()``: max |v| over the grid;
+* ``grad_linf_norm(w)`` and ``divergence_residual(w)``, cached on the
+  ``VectorField`` (so ``is_divergence_free`` pays once per field);
+* the sup-norm block profile of ``littlewood_paley`` (see there).
+
+Writing into ``f.coeffs`` after one of these was read leaves the cache
+stale; build a new field instead.
 """
 
 from __future__ import annotations
@@ -334,16 +348,26 @@ def grad_linf_norm(w: VectorField) -> float:
     """sup-norm of the Jacobian as max over the grid of the max row sum.
 
     Consistent with the operator norm of v -> v . grad acting on scalars.
+    Cached on ``w`` like ``max_speed()``.
     """
-    d11 = np.abs(derivative(w.u1, 1).values())
-    d12 = np.abs(derivative(w.u1, 2).values())
-    d21 = np.abs(derivative(w.u2, 1).values())
-    d22 = np.abs(derivative(w.u2, 2).values())
-    return float(max(np.max(d11 + d12), np.max(d21 + d22)))
+    cache = w.__dict__.get("_grad_linf_cache")
+    if cache is None:
+        d11 = np.abs(derivative(w.u1, 1).values())
+        d12 = np.abs(derivative(w.u1, 2).values())
+        d21 = np.abs(derivative(w.u2, 1).values())
+        d22 = np.abs(derivative(w.u2, 2).values())
+        cache = float(max(np.max(d11 + d12), np.max(d21 + d22)))
+        object.__setattr__(w, "_grad_linf_cache", cache)
+    return cache
 
 
 def divergence_residual(w: VectorField) -> float:
-    return linf_norm(divergence(w))
+    """||div w||_inf; cached on ``w`` like ``max_speed()``."""
+    cache = w.__dict__.get("_div_residual_cache")
+    if cache is None:
+        cache = linf_norm(divergence(w))
+        object.__setattr__(w, "_div_residual_cache", cache)
+    return cache
 
 
 DIVFREE_RTOL = 1e-10
@@ -351,5 +375,8 @@ DIVFREE_ATOL = 1e-13
 
 
 def is_divergence_free(w: VectorField) -> bool:
-    """Check ||div w||_inf <= DIVFREE_RTOL * ||grad w||_inf + DIVFREE_ATOL."""
+    """Check ||div w||_inf <= DIVFREE_RTOL * ||grad w||_inf + DIVFREE_ATOL.
+
+    Both norms are cached on ``w``, so a repeated check is free.
+    """
     return divergence_residual(w) <= DIVFREE_RTOL * grad_linf_norm(w) + DIVFREE_ATOL

@@ -92,6 +92,13 @@ class TestParseConfig:
         assert cli.main(argv) == 2
         assert f"config error: {flag[2:]} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,preset", [("probe", "taylor-green"), ("iterate", "small-data-iteration")])
+    def test_gap_commands_require_r_above_one(self, tmp_path, capsys, command, preset):
+        # both measure gaps in C^{r-1}, which needs r - 1 > 0
+        argv = [command, "--preset", preset, "--r", "1", "--T", "0.01", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert f"config error: {command} requires r > 1" in capsys.readouterr().err
+
     def test_parse_leaves_out_dir_to_run(self, tmp_path):
         out_dir = tmp_path / "fresh" / "nested"
         config = cli.parse_config(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boussinesq_lp import littlewood_paley as lp
 from boussinesq_lp.littlewood_paley import (
     DyadicPartition,
     bernstein_report,
@@ -250,6 +251,41 @@ class TestLazyHomogeneousBlocks:
         assert rep.homogeneous_value == eager_value
         assert rep.homogeneous_blocks == eager
         assert rep.homogeneous_blocks is rep.homogeneous_blocks  # cached on the report
+
+
+class TestBlockProfileCache:
+    """The sup-norm block profile is computed once per field and shared."""
+
+    def test_cached_profile_gives_the_fresh_values(self, grid64):
+        f = synthesize_holder_field(grid64, 1.5, 1.0, 62)
+        holder_norm(f, 2.0)  # f now holds its profile
+        fresh = lambda: SpectralField(grid64, f.coeffs.copy())
+        for r in (1.1, 1.5, 3.0):
+            assert holder_norm(f, r).value == holder_norm(fresh(), r).value
+        cached, cold = besov_norm(f, 1.0, np.inf, 1.0), besov_norm(fresh(), 1.0, np.inf, 1.0)
+        assert cached.value == cold.value
+        assert cached.homogeneous_value == cold.homogeneous_value
+
+    def test_finite_p_does_not_read_the_sup_profile(self, grid64, monkeypatch):
+        f = synthesize_holder_field(grid64, 1.5, 1.0, 63)
+        expected = besov_norm(SpectralField(grid64, f.coeffs.copy()), 1.5, 2.0).to_json()
+        holder_norm(f, 1.5)
+
+        def forbidden(_f):
+            raise AssertionError("finite p read the sup-norm profile")
+
+        monkeypatch.setattr(lp, "_sup_profile", forbidden)
+        assert besov_norm(f, 1.5, 2.0).to_json() == expected
+
+    def test_reports_own_their_block_lists(self, grid64):
+        f = synthesize_holder_field(grid64, 1.5, 1.0, 64)
+        first = holder_norm(f, 1.5)
+        expected = list(first.block_norms)
+        first.block_norms[0] = (-1, 1e9)
+        first.block_norms.append((99, 1e9))
+        second = holder_norm(f, 1.5)
+        assert second.block_norms == expected
+        assert second.value == holder_norm(SpectralField(grid64, f.coeffs.copy()), 1.5).value
 
 
 class TestBony:

@@ -13,6 +13,7 @@ from boussinesq_lp.spectral import (
     divergence_residual,
     grad_inv_laplacian_div,
     grad_linf_norm,
+    is_divergence_free,
     leray_project,
     linf_norm,
     lp_norm,
@@ -291,3 +292,13 @@ class TestDealiasAndNorms:
         psi = mean_zero_smooth_field(grid64, 18)
         w = VectorField(-derivative(psi, 2), derivative(psi, 1))
         assert linf_norm(divergence(w)) < 1e-12 * grad_linf_norm(w)
+
+    def test_cached_velocity_norms_equal_fresh_ones(self, grid64):
+        psi = mean_zero_smooth_field(grid64, 19)
+        w = VectorField(-derivative(psi, 2), derivative(psi, 1))
+        assert is_divergence_free(w)  # caches both norms on w
+        fresh = VectorField(
+            SpectralField(grid64, w.u1.coeffs.copy()), SpectralField(grid64, w.u2.coeffs.copy())
+        )
+        assert grad_linf_norm(w) == grad_linf_norm(fresh)
+        assert divergence_residual(w) == divergence_residual(fresh)

@@ -6,18 +6,18 @@ work that dominates a step.  The counts do not depend on the machine, so
 they gate a refactor where wall times on a shared host cannot.  The
 numbers were recorded before the steppers were merged into one RK4.
 
-Inputs are built fresh for every count: ``SpectralField.values()`` is
-cached per field, so a field whose values were already read would give a
-smaller count.
+Inputs are built fresh for every count: ``SpectralField.values()``, the
+sup-norm block profile and the velocity norms are cached per field, so a
+field whose values or norms were already read would give a smaller count.
 """
 
 import numpy as np
 import pytest
 
 from boussinesq_lp import boussinesq as bq
-from boussinesq_lp import transport
-from boussinesq_lp.littlewood_paley import build_partition
-from boussinesq_lp.spectral import make_grid
+from boussinesq_lp import harness, transport
+from boussinesq_lp.littlewood_paley import build_partition, holder_norm
+from boussinesq_lp.spectral import is_divergence_free, make_grid
 
 N = 64
 DT = 1e-3
@@ -74,8 +74,9 @@ def test_run_direct_monitor_sample(count):
     # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms
     # of q_max + 2 blocks each
     assert sample == 5 + 3 * (_q_max() + 2)
-    # T = 0: validation (divergence-free check) plus the initial sample
-    assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 5 + 3 * (_q_max() + 2)
+    # T = 0: validation (divergence-free check) plus the initial sample,
+    # which reads the two velocity norms the check cached on u0
+    assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3 * (_q_max() + 2)
 
 
 def _transport_problem(T):
@@ -100,3 +101,33 @@ def test_iterate_scheme_run(count):
     u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
     # two linearised iterates over 3 steps, plus the Cauchy gap norms
     assert count(bq.iterate_scheme, theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30) == 376
+
+
+def test_holder_norms_share_one_block_profile(count):
+    f = bq.synthesize_holder_field(_grid(), 1.5, 1.0, 3) * 0.5  # a fresh field
+    assert count(holder_norm, f, 1.5) == _q_max() + 2  # one inverse transform per block
+    assert count(holder_norm, f, 2.5) == 0
+
+
+def test_divergence_check_paid_once_per_velocity(count):
+    v = bq.synthesize_divfree_velocity(_grid(), 1.5, 1.0, 4) * 0.5  # a fresh field
+
+    def check_twice():
+        assert is_divergence_free(v) and is_divergence_free(v)
+
+    # divergence_residual (1) + grad_linf_norm (4), for both calls together
+    assert count(check_twice) == 5
+
+
+def test_static_verify_run(count, monkeypatch):
+    monkeypatch.setattr(harness, "_RUN_CACHE", {})
+    corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
+    q_max = _q_max()
+    # a synthesized field: two transforms per populated block, then its
+    # Hoelder norm; a velocity adds the Hoelder norms of both components
+    holder = 2 * (q_max - 1) + (q_max + 2)
+    velocity = holder + 2 * (q_max + 2)
+    # per exponent: synthesize f, g, v, w; one block profile of f, which
+    # besov_norm and holder_norm share; the 4 negative homogeneous blocks
+    per_r = 2 * holder + 2 * velocity + (q_max + 2) + 4
+    assert count(harness.verify, "lemma2.2.3", corpus) == 5 * per_r == 325
