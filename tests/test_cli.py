@@ -115,6 +115,91 @@ class TestParseConfig:
         assert "config error: out_dir" in capsys.readouterr().err
 
 
+# Every flag of every command: (flag, its arguments, the field it sets, the
+# value expected there).  "{tmp}" stands for the test's tmp_path.
+_COMMON_FLAGS = [
+    ("--preset", ["hydrostatic"], "preset", "hydrostatic"),
+    ("--out-dir", ["{tmp}/other"], "out_dir", "{tmp}/other"),
+    ("--n", ["32"], "n", 32),
+    ("--L", ["3.5"], "L", 3.5),
+    ("--r", ["1.25"], "r", 1.25),
+    ("--seed", ["7"], "seed", 7),
+    ("--amplitude", ["0.5"], "amplitude", 0.5),
+    ("--theta-amplitude", ["0.25"], "theta_amplitude", 0.25),
+    ("--data", ["random"], "data", "random"),
+]
+_TIME_FLAGS = [("--T", ["0.5"], "T", 0.5), ("--dt", ["2e-3"], "dt", 2e-3)]
+_COMMAND_FLAGS = {
+    "lp-analyze": [
+        ("--s", ["0.5"], "s", 0.5),
+        ("--p", ["2"], "p", "2"),
+        ("--q", ["2"], "q", "2"),
+        ("--input", ["{tmp}/in.snap"], "input", "{tmp}/in.snap"),
+    ],
+    "solve": _TIME_FLAGS + [
+        ("--no-buoyancy", [], "buoyancy", False),
+        ("--C", ["2.5"], "C", 2.5),
+    ],
+    "iterate": _TIME_FLAGS + [
+        ("--n-max", ["5"], "n_max", 5),
+        ("--tol", ["1e-8"], "tol", 1e-8),
+        ("--theta-lag", [], "theta_lag", True),
+    ],
+    "verify": [
+        ("--estimate", ["lemma2.1"], "estimate", "lemma2.1"),
+        ("--quick", [], "quick", True),
+    ],
+    "thresholds": [
+        ("--P", ["16"], "P", 16.0),
+        ("--Q", ["8"], "Q", 8.0),
+        ("--S", ["3.5"], "S", 3.5),
+        ("--C", ["2.7"], "C", 2.7),
+        ("--a0", ["0.02"], "a0", 0.02),
+    ],
+    "probe": _TIME_FLAGS + [("--eps", ["1e-3", "1e-4"], "eps", (1e-3, 1e-4))],
+}
+_BASE_ARGS = {"verify": ["--estimate", "lemma2.5"]}
+
+
+def _base_argv(command, tmp_path):
+    (tmp_path / "in.snap").write_text("")  # --input only has to name a file
+    return [command, "--out-dir", str(tmp_path)] + _BASE_ARGS.get(command, [])
+
+
+@pytest.mark.parametrize(
+    "command,flag,args,field,expected",
+    [
+        pytest.param(command, *entry, id=f"{command} {entry[0]}")
+        for command, own in _COMMAND_FLAGS.items()
+        for entry in _COMMON_FLAGS + own
+    ],
+)
+def test_every_flag_sets_its_field(tmp_path, command, flag, args, field, expected):
+    def fill(x):
+        return x.replace("{tmp}", str(tmp_path)) if isinstance(x, str) else x
+
+    argv = _base_argv(command, tmp_path)
+    config = cli.parse_config(argv + [flag] + [fill(a) for a in args])
+    assert getattr(config, field) == fill(expected)
+    assert getattr(cli.parse_config(argv), field) != fill(expected)
+
+
+_ALL_FLAGS = {flag: args for own in _COMMAND_FLAGS.values() for flag, args, _, _ in own}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, own in _COMMAND_FLAGS.items()
+        for flag in sorted(set(_ALL_FLAGS) - {f for f, *_ in own})
+    ],
+)
+def test_flag_of_another_command_exits(tmp_path, command, flag):
+    with pytest.raises(SystemExit):
+        cli.parse_config(_base_argv(command, tmp_path) + [flag] + _ALL_FLAGS[flag])
+
+
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
