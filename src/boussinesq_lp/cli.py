@@ -1,10 +1,13 @@
 """Command-line entry point and run configuration.
 
 Commands: lp-analyze, solve, iterate, verify, thresholds, probe.
-Values are resolved in the order: built-in defaults < preset < config
-file (--config, JSON) < explicit command-line flags.  All outputs land
-under --out-dir; reruns with identical config and seed are byte-stable
-(headers carry no timestamps).
+Each option is a RunConfig field, set by the flag ``--field-name``
+(``--no-buoyancy`` for ``buoyancy``), and each command is one ``_COMMANDS``
+entry.  Values are resolved in the order: built-in defaults < preset <
+config file (--config, JSON) < explicit command-line flags.  A config file
+may not set the command or the preset, and every number must be finite.
+All outputs land under --out-dir; reruns with identical config and seed are
+byte-stable (headers carry no timestamps).
 
 Exit codes: 0 success, 1 numerical abort (CFL violation or non-finite
 values), 2 configuration error (including a value of the wrong type in a
@@ -16,12 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from collections.abc import Callable
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import boussinesq as bq
 from . import fileio
@@ -33,6 +37,29 @@ from .transport import CFLViolation
 __all__ = ["RunConfig", "PRESETS", "parse_config", "run", "main", "ConfigError"]
 
 
+_DATA_KINDS = ("hydrostatic", "taylor-green", "random")
+
+PRESETS: dict[str, dict] = {
+    "hydrostatic": {
+        "data": "hydrostatic", "n": 64, "r": 1.5, "T": 5.0, "dt": 0.02,
+        "amplitude": 1.0, "theta_amplitude": 1.0,
+    },
+    "taylor-green": {
+        "data": "taylor-green", "n": 64, "r": 1.5, "T": 1.0, "dt": 1e-3,
+        "amplitude": 1.0, "theta_amplitude": 0.05,
+    },
+    "euler-reduction": {
+        "data": "taylor-green", "n": 64, "r": 1.5, "T": 1.0, "dt": 1e-3,
+        "amplitude": 1.0, "theta_amplitude": 0.0,
+    },
+    "small-data-iteration": {
+        "data": "random", "n": 64, "r": 1.5, "T": 0.0073, "dt": 2e-3,
+        "amplitude": 0.05, "theta_amplitude": 0.05,
+        "n_max": 25, "tol": 1e-13, "seed": 1,
+    },
+}
+
+
 class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
@@ -42,11 +69,11 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     command: str
-    preset: str | None = None
+    preset: str | None = dc_field(default=None, metadata={"choices": sorted(PRESETS)})
     out_dir: str = "out"
     # grid
     n: int = 64
-    L: float = 2.0 * np.pi
+    L: float = 2.0 * math.pi
     # physics
     r: float = 1.5
     T: float = 1.0
@@ -54,72 +81,60 @@ class RunConfig:
     seed: int = 0
     amplitude: float = 1.0
     theta_amplitude: float = 0.05
-    data: str = "taylor-green"  # hydrostatic | taylor-green | random
+    data: str = dc_field(default="taylor-green", metadata={"choices": _DATA_KINDS})
     buoyancy: bool = True
-    # iteration
     n_max: int = 25
     tol: float = 1e-6
     theta_lag: bool = False
-    # constants overrides
+    # constants of the growth bounds and time formulas
     P: float = 32.0
     Q: float = 32.0
     S: float | None = None
-    C: float | None = None
+    C: float | None = dc_field(default=None, metadata={"help": "frozen constant of the growth bounds"})
     a0: float | None = None
-    # verify
     estimate: str | None = None
     quick: bool = False
-    # probe
     eps: tuple = (1e-3, 1e-4, 1e-5)
-    # lp-analyze
     s: float | None = None
     p: str = "inf"
     q: str = "inf"
-    input: str | None = None
+    input: str | None = dc_field(default=None, metadata={"help": "snapshot file to analyze"})
 
     def validate(self) -> list[str]:
         problems = []
         for f in dc_fields(self):
-            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            value, kind = getattr(self, f.name), _kind(f)
             if value is None and kind != f.type:
                 continue  # an optional field left unset
             if not _has_kind(value, kind):
-                problems.append(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
-        if problems:  # the value checks below assume the declared types
-            return problems
-        if self.command not in COMMANDS:
+                problems.append(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+            elif kind in ("float", "tuple") and not _finite(value):
+                problems.append(f"{f.name} must be finite, got {value!r}")
+        if self.command not in _COMMANDS:
             problems.append(f"unknown command {self.command!r}")
-        n = self.n
-        if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
-            problems.append("n must be a power of two >= 16")
-        if not self.L > 0:
-            problems.append("L must be positive")
-        if not self.r > 0:
-            problems.append("r must be positive")
-        if self.command in ("iterate", "probe") and not self.r > 1:
-            problems.append(f"{self.command} requires r > 1")  # both measure gaps in C^{r-1}
-        if not 0 <= self.T < np.inf:
-            problems.append("T must be finite and nonnegative")
-        if not 0 < self.dt < np.inf:
-            problems.append("dt must be finite and positive")
-        if self.seed < 0:
-            problems.append("seed must be nonnegative")
-        if self.command == "iterate":
-            if self.n_max < 2:
-                problems.append("n_max must be >= 2")
-            if not self.tol > 0:
-                problems.append("tol must be positive")
-        if self.command == "verify":
-            if self.estimate is None:
-                problems.append("verify needs --estimate")
-            elif self.estimate not in harness.ESTIMATE_NAMES:
-                problems.append(
-                    f"unknown estimate {self.estimate!r}; choose from {', '.join(harness.ESTIMATE_NAMES)}"
-                )
-        if self.command == "probe" and any(e < 0 for e in self.eps):
-            problems.append("eps values must be nonnegative")
-        if self.data not in ("hydrostatic", "taylor-green", "random"):
-            problems.append(f"unknown data preset {self.data!r}")
+        if problems:  # the value checks below assume finite values of the declared types
+            return problems
+        command = _COMMANDS[self.command]
+        rules = [  # (broken, problem)
+            (self.n < 16 or self.n & (self.n - 1), "n must be a power of two >= 16"),
+            (self.L <= 0, "L must be positive"),
+            (self.r <= 0, "r must be positive"),
+            (command.gaps and self.r <= 1, f"{self.command} requires r > 1"),
+            (self.T < 0, "T must be finite and nonnegative"),
+            (self.dt <= 0, "dt must be finite and positive"),
+            (self.seed < 0, "seed must be nonnegative"),
+            # a field that only some commands read is checked for those
+            ("n_max" in command.fields and self.n_max < 2, "n_max must be >= 2"),
+            ("tol" in command.fields and self.tol <= 0, "tol must be positive"),
+            ("estimate" in command.fields and self.estimate is None, f"{self.command} needs --estimate"),
+            (
+                "estimate" in command.fields and self.estimate not in (None, *harness.ESTIMATE_NAMES),
+                f"unknown estimate {self.estimate!r}; choose from {', '.join(harness.ESTIMATE_NAMES)}",
+            ),
+            ("eps" in command.fields and any(e < 0 for e in self.eps), "eps values must be nonnegative"),
+            (self.data not in _DATA_KINDS, f"unknown data preset {self.data!r}"),
+        ]
+        problems = [problem for broken, problem in rules if broken]
         for name in ("p", "q"):
             try:
                 ok = float(getattr(self, name)) >= 1.0
@@ -153,129 +168,72 @@ def _out_dir_problem(out_dir: str) -> str | None:
     return None
 
 
-_KIND_NAMES = {
-    "int": "an integer",
-    "float": "a number",
-    "str": "a string",
-    "bool": "true or false",
-    "tuple": "a list of numbers",
+# kind: (the Python types a config value of that kind may have, its name in messages)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "tuple": (tuple, "a list of numbers"),
 }
+
+
+def _kind(f) -> str:
+    """The kind a RunConfig field declares, which its flag and type check read."""
+    return f.type.removesuffix(" | None")
 
 
 def _has_kind(value, kind: str) -> bool:
     """Whether a config value has the kind its RunConfig field declares."""
-    if kind == "bool":
-        return isinstance(value, bool)
-    if isinstance(value, bool):  # bool is an int subclass, but never a number here
+    if isinstance(value, bool) != (kind == "bool"):
+        return False  # bool is an int subclass, but never a number here
+    if not isinstance(value, _KINDS[kind][0]):
         return False
-    if kind == "int":
-        return isinstance(value, int)
-    if kind == "float":
-        return isinstance(value, (int, float))
-    if kind == "str":
-        return isinstance(value, str)
-    return isinstance(value, tuple) and all(_has_kind(x, "float") for x in value)
+    return kind != "tuple" or all(_has_kind(x, "float") for x in value)
 
 
-COMMANDS = ("lp-analyze", "solve", "iterate", "verify", "thresholds", "probe")
+def _finite(value) -> bool:
+    """Whether a number, or each number of a tuple, is finite (an int always is)."""
+    values = value if isinstance(value, tuple) else (value,)
+    return all(isinstance(x, int) or math.isfinite(x) for x in values)
 
-PRESETS: dict[str, dict] = {
-    "hydrostatic": {
-        "data": "hydrostatic", "n": 64, "r": 1.5, "T": 5.0, "dt": 0.02,
-        "amplitude": 1.0, "theta_amplitude": 1.0,
-    },
-    "taylor-green": {
-        "data": "taylor-green", "n": 64, "r": 1.5, "T": 1.0, "dt": 1e-3,
-        "amplitude": 1.0, "theta_amplitude": 0.05,
-    },
-    "euler-reduction": {
-        "data": "taylor-green", "n": 64, "r": 1.5, "T": 1.0, "dt": 1e-3,
-        "amplitude": 1.0, "theta_amplitude": 0.0,
-    },
-    "small-data-iteration": {
-        "data": "random", "n": 64, "r": 1.5, "T": 0.0073, "dt": 2e-3,
-        "amplitude": 0.05, "theta_amplitude": 0.05,
-        "n_max": 25, "tol": 1e-13, "seed": 1,
-    },
-}
+
+# the flags every command takes; each command adds its own in _COMMANDS
+_COMMON_FIELDS = ("preset", "out_dir", "n", "L", "r", "seed", "amplitude", "theta_amplitude", "data")
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command and one flag per field it takes; every
+    flag defaults to None, so that only flags given override."""
     parser = argparse.ArgumentParser(
         prog="boussinesq-lp",
         description="Pseudo-spectral toolkit for buoyancy-coupled inviscid flow",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    fields = {f.name: f for f in dc_fields(RunConfig)}
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--preset", type=str, default=None, choices=sorted(PRESETS))
-        p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--amplitude", type=float, default=None)
-        p.add_argument("--theta-amplitude", dest="theta_amplitude", type=float, default=None)
-        p.add_argument("--data", type=str, default=None,
-                       choices=("hydrostatic", "taylor-green", "random"))
-
-    p = sub.add_parser("lp-analyze", help="dyadic-block analysis of one field")
-    common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--p", type=str, default=None)
-    p.add_argument("--q", type=str, default=None)
-    p.add_argument("--input", type=str, default=None, help="snapshot file to analyze")
-
-    p = sub.add_parser("solve", help="direct coupled run with monitor output")
-    common(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--no-buoyancy", dest="buoyancy", action="store_false", default=None)
-    p.add_argument("--C", type=float, default=None, help="frozen constant for envelope verdicts")
-
-    p = sub.add_parser("iterate", help="successive-approximation run")
-    common(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--theta-lag", dest="theta_lag", action="store_true", default=None)
-
-    p = sub.add_parser("verify", help="measure one estimate over the corpus")
-    common(p)
-    p.add_argument("--estimate", type=str, default=None)
-    p.add_argument("--quick", action="store_true", default=None)
-
-    p = sub.add_parser("thresholds", help="evaluate the existence-time formulas")
-    common(p)
-    p.add_argument("--P", type=float, default=None)
-    p.add_argument("--Q", type=float, default=None)
-    p.add_argument("--S", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--a0", type=float, default=None)
-
-    p = sub.add_parser("probe", help="twin-run perturbation probe")
-    common(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--eps", type=float, nargs="+", default=None)
-
+        for f in [fields[field_name] for field_name in _COMMON_FIELDS + command.fields]:
+            flag, kind = "--" + f.name.replace("_", "-"), _kind(f)
+            if f.name == "buoyancy":
+                p.add_argument("--no-buoyancy", dest="buoyancy", action="store_false", default=None)
+            elif kind == "bool":
+                p.add_argument(flag, action="store_true", default=None)
+            elif kind == "tuple":
+                p.add_argument(flag, type=float, nargs="+", default=None)
+            else:
+                p.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"),
+                               default=None, help=f.metadata.get("help"))
     return parser
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional JSON file) into a validated RunConfig."""
     ns = vars(_build_parser().parse_args(argv))
-    command = ns.pop("command")
-    config_path = ns.pop("config", None)
-
-    merged: dict = {"command": command}
-    if ns.get("preset"):
-        if ns["preset"] not in PRESETS:
-            raise ConfigError([f"unknown preset {ns['preset']!r}"])
-        merged.update(PRESETS[ns["preset"]])
-        merged["preset"] = ns["preset"]
+    config_path = ns.pop("config")
+    merged: dict = {"command": ns.pop("command"), **PRESETS.get(ns["preset"], {})}
     if config_path:
         try:
             file_cfg = json.loads(Path(config_path).read_text())
@@ -283,17 +241,18 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError([f"config file {config_path!r}: {exc}"])
         if not isinstance(file_cfg, dict):
             raise ConfigError([f"config file {config_path!r}: expected a JSON object"])
+        chosen = [k for k in ("command", "preset") if k in file_cfg]  # flags choose these
+        unknown = sorted(set(file_cfg) - {f.name for f in dc_fields(RunConfig)})
+        if chosen or unknown:
+            raise ConfigError(
+                [f"{k} is chosen on the command line, not in a config file" for k in chosen]
+                + [f"unknown config field {k!r}" for k in unknown]
+            )
         merged.update(file_cfg)
-    for key, value in ns.items():
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in ns.items() if value is not None)
     if isinstance(merged.get("eps"), list):
         merged["eps"] = tuple(merged["eps"])
 
-    valid_names = {f.name for f in dc_fields(RunConfig)}
-    unknown = sorted(set(merged) - valid_names)
-    if unknown:
-        raise ConfigError([f"unknown config field {k!r}" for k in unknown])
     config = RunConfig(**merged)
     problems = config.validate()
     if problems:
@@ -395,13 +354,12 @@ def _cmd_verify(config: RunConfig) -> str:
 
 def _cmd_thresholds(config: RunConfig) -> str:
     state0 = _initial_state(config)
-    C = config.C
-    if C is None:
-        estimate = harness.verify("lemma2.1", _quick_corpus(config))
-        C = harness.frozen_constant(estimate, config.r)
+    reports = None
+    if config.C is None:
+        reports = {"lemma2.1": harness.verify("lemma2.1", _quick_corpus(config))}
     report = harness.compute_thresholds(
-        state0.theta, state0.u, config.r,
-        P=config.P, Q=config.Q, S=config.S, a0=config.a0, C=C,
+        state0.theta, state0.u, config.r, reports,
+        P=config.P, Q=config.Q, S=config.S, a0=config.a0, C=config.C,
     )
     fileio.write_json(_out(config, "thresholds.json"), report)
     t1 = ", ".join(f"{t:.4g}" for t in report.t1)
@@ -423,20 +381,31 @@ def _cmd_probe(config: RunConfig) -> str:
     return "probe: " + "; ".join(parts)
 
 
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], str]  # returns the one-line summary
+    help: str
+    fields: tuple[str, ...]  # the flags it takes beyond _COMMON_FIELDS
+    gaps: bool = False  # measures gaps in C^{r-1}, so needs r > 1
+
+
+_COMMANDS = {
+    "lp-analyze": _Command(_cmd_lp_analyze, "dyadic-block analysis of one field", ("s", "p", "q", "input")),
+    "solve": _Command(_cmd_solve, "direct coupled run with monitor output", ("T", "dt", "buoyancy", "C")),
+    "iterate": _Command(
+        _cmd_iterate, "successive-approximation run", ("T", "dt", "n_max", "tol", "theta_lag"), gaps=True
+    ),
+    "verify": _Command(_cmd_verify, "measure one estimate over the corpus", ("estimate", "quick")),
+    "thresholds": _Command(_cmd_thresholds, "evaluate the existence-time formulas", ("P", "Q", "S", "C", "a0")),
+    "probe": _Command(_cmd_probe, "twin-run perturbation probe", ("T", "dt", "eps"), gaps=True),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def run(config: RunConfig) -> int:
-    """Create ``out_dir``, dispatch a validated config and return the
-    process exit code."""
-    handlers = {
-        "lp-analyze": _cmd_lp_analyze,
-        "solve": _cmd_solve,
-        "iterate": _cmd_iterate,
-        "verify": _cmd_verify,
-        "thresholds": _cmd_thresholds,
-        "probe": _cmd_probe,
-    }
+    """Create ``out_dir``, run a validated config and return the exit code."""
     try:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        print(handlers[config.command](config))
+        print(_COMMANDS[config.command].handler(config))
         return 0
     except (CFLViolation, bq.NumericsError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ Registered estimate names:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -136,9 +135,6 @@ class EstimateReport:
                 for s in self.samples
             ],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _finish(name: str, samples: list[EstimateSample], resolutions) -> EstimateReport:
@@ -449,7 +445,8 @@ def gronwall_constant(reports: dict[str, EstimateReport], r: float | None = None
 
 
 class ThresholdDomainError(ValueError):
-    """A time formula left its domain (logarithm argument <= 1)."""
+    """A time formula left its domain: a logarithm argument <= 1, or a
+    zero velocity norm or a constant C <= 0 in a denominator."""
 
     def __init__(self, formula: str, message: str):
         super().__init__(f"{formula}: {message}")
@@ -509,6 +506,8 @@ def compute_thresholds(
         S = 10.0 * max(tn, un, 1e-12)
     if un <= 0.0:
         raise ThresholdDomainError("T1_1", "initial velocity norm is zero")
+    if not C > 0.0:
+        raise ThresholdDomainError("T1_1", f"constant C = {C:.6g} is not positive")
 
     pa, qa = P * a0, Q * a0
 

@@ -41,7 +41,6 @@ caller that edits a report cannot reach the cache.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -237,9 +236,6 @@ class BesovReport:
             "value": float(self.value),
             "homogeneous_value": float(self.homogeneous_value),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> float:

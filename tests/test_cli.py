@@ -1,5 +1,6 @@
 """Configuration parsing, command dispatch, artifact outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -98,6 +99,28 @@ class TestParseConfig:
         argv = [command, "--preset", preset, "--r", "1", "--T", "0.01", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 2
         assert f"config error: {command} requires r > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", [{"preset": "hydrostatic", "T": 0.04}, {"preset": "nonexistent"}, {"command": "iterate"}]
+    )
+    def test_config_file_cannot_choose_command_or_preset(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        assert cli.main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        (key,) = set(payload) - {"T"}
+        assert capsys.readouterr().err.startswith(f"config error: {key} is chosen on the command line")
+        assert not (tmp_path / "monitor.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(cli.RunConfig) if f.type.startswith("float")] + ["eps"]
+    )
+    def test_non_finite_number_in_config_file_exits_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "run.json"
+        given = (1e-3, value) if field == "eps" else value
+        cfg.write_text(json.dumps({field: given}))
+        assert cli.main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {field} must be finite, got {given!r}"]
 
     def test_parse_leaves_out_dir_to_run(self, tmp_path):
         out_dir = tmp_path / "fresh" / "nested"
@@ -284,6 +307,25 @@ class TestRun:
         )
         assert cli.run(config) == 2
         assert "T1_1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--preset", "taylor-green", "--T", "0.002", "--L", "inf"],
+            ["solve", "--preset", "taylor-green", "--T", "0.002", "--amplitude", "nan"],
+            ["solve", "--preset", "taylor-green", "--T", "0.002", "--C", "nan"],
+            ["lp-analyze", "--s", "nan"],
+            ["probe", "--preset", "taylor-green", "--T", "0.02", "--eps", "1e-4", "inf"],
+            ["thresholds", "--data", "random", "--amplitude", "0.002", "--theta-amplitude", "0.002",
+             "--seed", "1", "--C", "0"],
+            ["thresholds", "--data", "random", "--amplitude", "0.002", "--theta-amplitude", "0.002",
+             "--seed", "1", "--C", "-2.7"],
+        ],
+    )
+    def test_bad_number_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(("config error: ", "formula domain error: T1_1: constant C"))
 
     def test_thresholds_success(self, tmp_path, capsys):
         config = cli.parse_config(

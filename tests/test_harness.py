@@ -61,7 +61,7 @@ class TestVerify:
         corpus = harness.CorpusSpec(r_values=(1.5,), seeds=(0, 1), resolutions=(32,))
         rep1 = harness.verify("lemma2.5", corpus)
         rep2 = harness.verify("lemma2.5", corpus)
-        assert rep1.to_json() == rep2.to_json()
+        assert json.dumps(rep1.to_dict()) == json.dumps(rep2.to_dict())
 
 
 class TestSharedCorpus:
@@ -90,11 +90,11 @@ class TestSharedCorpus:
         # cached on a shared field is read by several of them
         names = ("lemma2.2.1", "lemma2.3", "lemma2.1", "lemma2.2.3", "lemma2.4", "lemma2.5", "eq4.18")
         assert set(names) == set(harness.ESTIMATE_NAMES) - {"lemma3.1", "eq3.3", "eq3.4"}
-        shared = [harness.verify(name, self.corpus).to_json() for name in names]
+        shared = [json.dumps(harness.verify(name, self.corpus).to_dict()) for name in names]
         cold = []
         for name in names:
             harness._RUN_CACHE.clear()
-            cold.append(harness.verify(name, self.corpus).to_json())
+            cold.append(json.dumps(harness.verify(name, self.corpus).to_dict()))
         assert shared == cold
 
     def test_commutator_samples_match_commutator_sample(self, grid64, monkeypatch):
