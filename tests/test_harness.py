@@ -38,6 +38,26 @@ class TestVerify:
             ), name
             assert rep.c_frozen == 2.0 * rep.c_emp, name
 
+    def test_sample_layout_on_default_corpus(self, reports):
+        # (count, exponents, first descriptor, last descriptor); eq4.18 keeps
+        # only r with rho = r - 1 in (0, 1), the dynamic estimates run at 1.5, 2.5
+        every_r = {1.1, 1.5, 2.0, 2.5, 3.0}
+        static = (100, every_r, "n=64,r=1.1,seed=0", "n=128,r=3,seed=9")
+        coupled = (120, {1.5, 2.5}, "n=64,r=1.5,tg-strong,t=0.040", "n=128,r=2.5,tg-mixed,t=0.288")
+        expected = {
+            "lemma2.1": (550, every_r, "n=64,r=1.1,seed=0,q=-1", "n=128,r=3,seed=9,q=4"),
+            **{name: static for name in ("lemma2.2.1", "lemma2.2.3", "lemma2.3", "lemma2.4", "lemma2.5")},
+            "eq4.18": (80, {1.1, 1.5}, "n=64,r=1.1,seed=0,pair=0", "n=128,r=1.5,seed=9,pair=1"),
+            "lemma3.1": (100, {1.5, 2.5}, "n=64,r=1.5,seed=0,t=0.040", "n=128,r=2.5,seed=1,t=0.400"),
+            "eq3.3": coupled,
+            "eq3.4": coupled,
+        }
+        assert set(expected) == set(reports)
+        for name, rep in reports.items():
+            layout = (len(rep.samples), {s.r for s in rep.samples},
+                      rep.samples[0].descriptor, rep.samples[-1].descriptor)
+            assert layout == expected[name], name
+
     def test_stable_is_a_json_bool_over_two_resolutions(self, tmp_path):
         # the per-resolution comparison runs on numpy floats
         corpus = harness.CorpusSpec(seeds=(0,), resolutions=(32, 64))
