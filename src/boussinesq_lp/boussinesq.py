@@ -99,10 +99,15 @@ class BoussinesqState:
         return self.theta.grid
 
 
+def _mean_zero(f: SpectralField) -> bool:
+    """Whether f's mean is zero up to roundoff on the scale of its largest coefficient."""
+    return abs(f.mean()) <= 1e-12 * max(1.0, float(np.abs(f.coeffs).max()))
+
+
 def validate_state(state: BoussinesqState) -> None:
-    if abs(state.theta.mean()) > 1e-12:
+    if not _mean_zero(state.theta):
         raise ValueError("theta must be mean-zero")
-    if abs(state.u.u1.mean()) > 1e-12 or abs(state.u.u2.mean()) > 1e-12:
+    if not (_mean_zero(state.u.u1) and _mean_zero(state.u.u2)):
         raise ValueError("velocity components must be mean-zero")
     if not is_divergence_free(state.u):
         raise ValueError("velocity must be divergence-free")

@@ -9,9 +9,10 @@ may not set the command or the preset, and every number must be finite.
 All outputs land under --out-dir; reruns with identical config and seed are
 byte-stable (headers carry no timestamps).
 
-Exit codes: 0 success, 1 numerical abort (CFL violation or non-finite
-values), 2 configuration error (including a value of the wrong type in a
-config file or a malformed --input snapshot) or formula-domain error.
+Exit codes: 0 success, 1 numerical abort (CFL violation, non-finite
+values or a float overflow), 2 configuration error (including a value of
+the wrong type in a config file, a malformed --input snapshot or an
+abbreviated flag) or formula-domain error.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ class RunConfig:
     C: float | None = dc_field(default=None, metadata={"help": "frozen constant of the growth bounds"})
     a0: float | None = None
     estimate: str | None = None
-    quick: bool = False
+    quick: bool = dc_field(default=False, metadata={
+        "help": "three seeds at --r and --n only; lemma3.1, eq3.3 and eq3.4 always run at r = "
+        + ", ".join(f"{r:g}" for r in harness.DYNAMIC_R_VALUES)
+    })
     eps: tuple = (1e-3, 1e-4, 1e-5)
     s: float | None = None
     p: str = "inf"
@@ -209,18 +213,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boussinesq-lp",
         description="Pseudo-spectral toolkit for buoyancy-coupled inviscid flow",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fields = {f.name: f for f in dc_fields(RunConfig)}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for f in [fields[field_name] for field_name in _COMMON_FIELDS + command.fields]:
             flag, kind = "--" + f.name.replace("_", "-"), _kind(f)
             if f.name == "buoyancy":
                 p.add_argument("--no-buoyancy", dest="buoyancy", action="store_false", default=None)
             elif kind == "bool":
-                p.add_argument(flag, action="store_true", default=None)
+                p.add_argument(flag, action="store_true", default=None, help=f.metadata.get("help"))
             elif kind == "tuple":
                 p.add_argument(flag, type=float, nargs="+", default=None)
             else:
@@ -407,7 +412,7 @@ def run(config: RunConfig) -> int:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         print(_COMMANDS[config.command].handler(config))
         return 0
-    except (CFLViolation, bq.NumericsError) as exc:
+    except (CFLViolation, bq.NumericsError, OverflowError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 1
     except harness.ThresholdDomainError as exc:

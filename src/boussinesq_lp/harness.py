@@ -11,7 +11,9 @@ synthesized once and kept in ``_RUN_CACHE`` next to the solved runs, so
 every static estimate measured in one process reads the same fields;
 clearing ``_RUN_CACHE`` drops them.
 
-Registered estimate names:
+Each estimate is one ``_SWEEPS`` entry name -> sweep(corpus, n) yielding its
+samples at resolution n (``_static(kernel)`` for a ratio kernel on the corpus
+fields, ``_coupled(slot)`` for a slot of the coupled runs); registered are:
 
     lemma2.1   commutator bound  2^{qr} ||[v.grad, D_q]f|| <= C ||f||_r ||grad v||
     lemma2.2.1 sup-norm embedding  ||f||_inf <= C ||f||_r
@@ -28,7 +30,7 @@ Registered estimate names:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -116,46 +118,33 @@ class EstimateReport:
     flagged_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "c_emp": self.c_emp,
-            "c_frozen": self.c_frozen,
-            "resolutions": list(self.resolutions),
-            "stable": self.stable,
-            "per_resolution": {str(k): v for k, v in self.per_resolution.items()},
-            "per_r": {f"{k:g}": v for k, v in self.per_r.items()},
-            "flagged": self.flagged_count,
-            "samples": [
-                {
-                    "descriptor": s.descriptor,
-                    "lhs": s.lhs,
-                    "rhs": s.rhs,
-                    "ratio": s.ratio,
-                }
-                for s in self.samples
-            ],
-        }
+        """The fields as JSON: ``flagged_count`` written as ``flagged``, dict
+        keys as strings, and each sample as its descriptor, lhs, rhs, ratio."""
+        d = asdict(self)
+        d["flagged"] = d.pop("flagged_count")
+        d["per_resolution"] = {str(k): v for k, v in self.per_resolution.items()}
+        d["per_r"] = {f"{k:g}": v for k, v in self.per_r.items()}
+        d["samples"] = [{k: s[k] for k in ("descriptor", "lhs", "rhs", "ratio")} for s in d["samples"]]
+        return d
+
+
+def _max_ratio_by(samples: list[EstimateSample], key) -> dict:
+    """The largest ratio among the samples sharing each key, in key order."""
+    best: dict = {}
+    for s in samples:
+        k = key(s)
+        best[k] = max(best.get(k, s.ratio), s.ratio)
+    return dict(sorted(best.items()))
 
 
 def _finish(name: str, samples: list[EstimateSample], resolutions) -> EstimateReport:
-    ratios = [s.ratio for s in samples if s.ratio is not None and not s.flagged]
-    if not ratios:
+    usable = [s for s in samples if s.ratio is not None and not s.flagged]
+    if not usable:
         raise ValueError(f"estimate {name}: no usable samples")
-    c_emp = max(ratios)
-    per_resolution = {}
-    for n in sorted({s.n for s in samples}):
-        rs = [s.ratio for s in samples if s.n == n and s.ratio is not None and not s.flagged]
-        if rs:
-            per_resolution[n] = max(rs)
-    per_r = {}
-    for r in sorted({s.r for s in samples}):
-        rs = [s.ratio for s in samples if s.r == r and s.ratio is not None and not s.flagged]
-        if rs:
-            per_r[r] = max(rs)
-    stable = True
-    vals = list(per_resolution.values())
-    if len(vals) >= 2 and min(vals) > 0:
-        stable = bool((max(vals) / min(vals) - 1.0) <= 0.5)
+    c_emp = max(s.ratio for s in usable)
+    per_resolution = _max_ratio_by(usable, lambda s: s.n)
+    vals = per_resolution.values()
+    spread = max(vals) / min(vals) - 1.0 if len(vals) >= 2 and min(vals) > 0 else 0.0
     return EstimateReport(
         name=name,
         samples=samples,
@@ -163,8 +152,8 @@ def _finish(name: str, samples: list[EstimateSample], resolutions) -> EstimateRe
         c_emp=c_emp,
         c_frozen=2.0 * c_emp,
         per_resolution=per_resolution,
-        per_r=per_r,
-        stable=stable,
+        per_r=_max_ratio_by(usable, lambda s: s.r),
+        stable=bool(spread <= 0.5),
         flagged_count=sum(1 for s in samples if s.flagged),
     )
 
@@ -249,6 +238,43 @@ def velocity_growth_ratio(
     return max(0.0, excess) / (2.0 * weighted_integral)
 
 
+# ---------------------------------------------------------------------------
+# corpus sweeps: each registered estimate is one _SWEEPS entry
+
+
+_RUN_CACHE: dict = {}
+
+
+def _cached(key, build):
+    """``_RUN_CACHE[key]``, built by ``build()`` on first use."""
+    if key not in _RUN_CACHE:
+        _RUN_CACHE[key] = build()
+    return _RUN_CACHE[key]
+
+
+def _fields(grid, r, seed, amplitude):
+    return _cached(("fields", grid, r, seed, amplitude), lambda: {
+        "f": synthesize_holder_field(grid, r, amplitude, seed),
+        "g": synthesize_holder_field(grid, r, amplitude, seed + 10_000),
+        "v": synthesize_divfree_velocity(grid, r, amplitude, seed + 20_000),
+        "w": synthesize_divfree_velocity(grid, r, amplitude, seed + 30_000),
+    })
+
+
+def _static(kernel, in_domain=lambda r: True):
+    """Sweep of a static estimate: ``kernel(fields, r)`` yields
+    (descriptor suffix, lhs, rhs) on the field set of each (r, seed) with r
+    in the estimate's domain."""
+    def sweep(corpus: CorpusSpec, n: int):
+        grid = make_grid(n, corpus.box)
+        for r in filter(in_domain, corpus.r_values):
+            for seed in corpus.seeds:
+                tag = f"n={n},r={r:g},seed={seed}"
+                for suffix, lhs, rhs in kernel(_fields(grid, r, seed, corpus.amplitude), r):
+                    yield _ratio_sample(tag + suffix, lhs, rhs, r, n)
+    return sweep
+
+
 def _lemma2_1_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
     # the q-independent norms are cached on f and v, so each is paid once
     v, f = fl["v"], fl["f"]
@@ -263,81 +289,45 @@ def _eq4_18_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
     return [(f",pair={k}", *pressure_bilinear_sample(a, b, r - 1.0)) for k, (a, b) in enumerate(pairs)]
 
 
-# static estimate -> kernel(fields, r) -> [(descriptor suffix, lhs, rhs)]
-_STATIC_KERNELS = {
-    "lemma2.1": _lemma2_1_samples,
-    "lemma2.2.1": lambda fl, r: [("", *embedding_linf_sample(fl["f"], r))],
-    "lemma2.2.3": lambda fl, r: [("", *embedding_b1_sample(fl["f"], r))],
-    "lemma2.3": lambda fl, r: [("", *product_sample(fl["f"], fl["g"], r))],
-    "lemma2.4": lambda fl, r: [("", *advection_product_sample(fl["v"], fl["f"], r))],
-    "lemma2.5": lambda fl, r: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))],
-    "eq4.18": _eq4_18_samples,
-}
-
-# the static estimates, then the ones measured along transport and coupled runs
-ESTIMATE_NAMES = (*_STATIC_KERNELS, "lemma3.1", "eq3.3", "eq3.4")
-
-
-# ---------------------------------------------------------------------------
-# corpus sweeps
-
-
-_RUN_CACHE: dict = {}
-
-
-def _fields(grid, r, seed, amplitude):
-    key = ("fields", grid, r, seed, amplitude)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = {
-            "f": synthesize_holder_field(grid, r, amplitude, seed),
-            "g": synthesize_holder_field(grid, r, amplitude, seed + 10_000),
-            "v": synthesize_divfree_velocity(grid, r, amplitude, seed + 20_000),
-            "w": synthesize_divfree_velocity(grid, r, amplitude, seed + 30_000),
-        }
-    return _RUN_CACHE[key]
-
-
-def _static_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateSample]:
-    kernel = _STATIC_KERNELS[name]
-    samples = []
-    for n in resolutions:
-        grid = make_grid(n, corpus.box)
-        for r in corpus.r_values:
-            if name == "eq4.18" and not (1.0 < r < 2.0):
-                continue
-            for seed in corpus.seeds:
-                fl = _fields(grid, r, seed, corpus.amplitude)
-                tag = f"n={n},r={r:g},seed={seed}"
-                for suffix, lhs, rhs in kernel(fl, r):
-                    samples.append(_ratio_sample(tag + suffix, lhs, rhs, r, n))
-    return samples
+# the exponents of the transport and coupled runs; the corpus r_values do not apply
+DYNAMIC_R_VALUES = (1.5, 2.5)
 
 
 def _transport_runs(corpus: CorpusSpec, n: int):
-    key = ("transport", corpus, n)
-    if key not in _RUN_CACHE:
+    """Frozen-velocity transport runs whose norms feed lemma3.1."""
+    def build():
         grid = make_grid(n, corpus.box)
         runs = []
-        r_values = (1.5, 2.5)
-        seeds = corpus.seeds[:3] if n <= 64 else corpus.seeds[:2]
-        for r in r_values:
-            for seed in seeds:
+        for r in DYNAMIC_R_VALUES:
+            for seed in corpus.seeds[:3] if n <= 64 else corpus.seeds[:2]:
                 v = synthesize_divfree_velocity(grid, r, corpus.amplitude, seed + 40_000)
                 f0 = synthesize_holder_field(grid, r, corpus.amplitude, seed + 50_000)
                 traj = solve(TransportProblem(f0, v, None, T=0.4, dt=2e-3), observers=20)
                 runs.append((r, seed, v, f0, traj))
-        _RUN_CACHE[key] = runs
-    return _RUN_CACHE[key]
+        return runs
+    return _cached(("transport", corpus, n), build)
+
+
+def _transport_growth(corpus: CorpusSpec, n: int):
+    for r, seed, v, _, traj in _transport_runs(corpus, n):
+        gradv = grad_linf_norm(v)
+        times = np.array(traj.times)
+        norms = np.array([holder_norm(f, r).value for f in traj.fields])
+        norm0 = norms[0]  # traj.fields[0] is the initial field
+        for i in range(1, len(times)):
+            weighted = float(np.trapezoid(gradv * norms[: i + 1], times[: i + 1]))
+            ratio = transport_growth_ratio(norms[i], norm0, weighted)
+            tag = f"n={n},r={r:g},seed={seed},t={times[i]:.3f}"
+            yield EstimateSample(tag, norms[i] - norm0, weighted, ratio, r, n)
 
 
 def _coupled_runs(corpus: CorpusSpec, n: int):
-    """Short coupled runs whose monitors feed the dynamic estimates."""
-    key = ("coupled", corpus, n)
-    if key not in _RUN_CACHE:
+    """Short coupled runs whose monitors feed eq3.3 and eq3.4."""
+    def build():
         grid = make_grid(n, corpus.box)
         runs = []
-        r_values = (1.5, 2.5)
-        for r in r_values:
+        T = 0.5 if n <= 64 else 0.3
+        for r in DYNAMIC_R_VALUES:
             configs = [
                 ("tg-strong", taylor_green_data(grid, 1.0, 0.05)),
                 ("tg-mixed", taylor_green_data(grid, 0.7, 0.1)),
@@ -347,68 +337,63 @@ def _coupled_runs(corpus: CorpusSpec, n: int):
                 u0 = synthesize_divfree_velocity(grid, r, 0.5, 62_000)
                 configs.append(("random", BoussinesqState(theta0, u0, 0.0)))
             for label, state0 in configs:
-                T = 0.5 if n <= 64 else 0.3
-                _, record = run_direct(state0, T, 2e-3, r)
-                runs.append((r, label, record))
-        _RUN_CACHE[key] = runs
-    return _RUN_CACHE[key]
+                runs.append((r, label, run_direct(state0, T, 2e-3, r)[1]))
+        return runs
+    return _cached(("coupled", corpus, n), build)
 
 
-def _dynamic_sweep(name: str, corpus: CorpusSpec, resolutions) -> list[EstimateSample]:
-    samples = []
-    for n in resolutions:
-        if name == "lemma3.1":
-            for r, seed, v, _, traj in _transport_runs(corpus, n):
-                gradv = grad_linf_norm(v)
-                times = np.array(traj.times)
-                norms = np.array([holder_norm(f, r).value for f in traj.fields])
-                norm0 = norms[0]  # traj.fields[0] is the initial field
-                for i in range(1, len(times)):
-                    weighted = float(np.trapezoid(gradv * norms[: i + 1], times[: i + 1]))
-                    ratio = transport_growth_ratio(norms[i], norm0, weighted)
-                    tag = f"n={n},r={r:g},seed={seed},t={times[i]:.3f}"
-                    samples.append(EstimateSample(tag, norms[i] - norm0, weighted, ratio, r, n))
-        else:  # eq3.3, eq3.4
-            for r, label, record in _coupled_runs(corpus, n):
-                t = record.times()
-                theta_r = record.series("theta_r")
-                u_r = record.series("u_r")
-                grad_u = record.series("grad_u_inf")
-                bkm = record.series("bkm_integral")
-                stride = max(1, (len(t) - 1) // 12)
-                for i in range(stride, len(t), stride):
-                    tag = f"n={n},r={r:g},{label},t={t[i]:.3f}"
-                    if name == "eq3.3":
-                        ratio = theta_growth_ratio(theta_r[i], theta_r[0], bkm[i])
-                        if ratio is not None:
-                            samples.append(
-                                EstimateSample(tag, theta_r[i], theta_r[0] * bkm[i], ratio, r, n)
-                            )
-                    else:
-                        weighted = float(np.trapezoid(u_r[: i + 1] * grad_u[: i + 1], t[: i + 1]))
-                        theta_int = float(np.trapezoid(theta_r[: i + 1], t[: i + 1]))
-                        ratio = velocity_growth_ratio(u_r[i], u_r[0], theta_int, weighted, r)
-                        if ratio is not None:
-                            samples.append(
-                                EstimateSample(tag, u_r[i], 2.0 * weighted, ratio, r, n)
-                            )
-    return samples
+def _coupled(slot):
+    """Sweep of a coupled-run estimate: ``slot(t, m, i, r)`` gives
+    (lhs, rhs, ratio) at step i of the monitor series m, read at every
+    twelfth of each run; a None ratio gives no sample."""
+    def sweep(corpus: CorpusSpec, n: int):
+        for r, label, record in _coupled_runs(corpus, n):
+            t = record.times()
+            m = {key: record.series(key) for key in ("theta_r", "u_r", "grad_u_inf", "bkm_integral")}
+            stride = max(1, (len(t) - 1) // 12)
+            for i in range(stride, len(t), stride):
+                lhs, rhs, ratio = slot(t, m, i, r)
+                if ratio is not None:
+                    yield EstimateSample(f"n={n},r={r:g},{label},t={t[i]:.3f}", lhs, rhs, ratio, r, n)
+    return sweep
 
 
-def verify(
-    name: str,
-    corpus: CorpusSpec | None = None,
-    resolutions: tuple | None = None,
-) -> EstimateReport:
+def _theta_growth_slot(t, m, i, r):
+    theta, bkm = m["theta_r"], m["bkm_integral"]
+    return theta[i], theta[0] * bkm[i], theta_growth_ratio(theta[i], theta[0], bkm[i])
+
+
+def _velocity_growth_slot(t, m, i, r):
+    u = m["u_r"]
+    weighted = float(np.trapezoid(u[: i + 1] * m["grad_u_inf"][: i + 1], t[: i + 1]))
+    theta_int = float(np.trapezoid(m["theta_r"][: i + 1], t[: i + 1]))
+    return u[i], 2.0 * weighted, velocity_growth_ratio(u[i], u[0], theta_int, weighted, r)
+
+
+# estimate name -> sweep(corpus, n) yielding its samples at resolution n
+_SWEEPS = {
+    "lemma2.1": _static(_lemma2_1_samples),
+    "lemma2.2.1": _static(lambda fl, r: [("", *embedding_linf_sample(fl["f"], r))]),
+    "lemma2.2.3": _static(lambda fl, r: [("", *embedding_b1_sample(fl["f"], r))]),
+    "lemma2.3": _static(lambda fl, r: [("", *product_sample(fl["f"], fl["g"], r))]),
+    "lemma2.4": _static(lambda fl, r: [("", *advection_product_sample(fl["v"], fl["f"], r))]),
+    "lemma2.5": _static(lambda fl, r: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))]),
+    "eq4.18": _static(_eq4_18_samples, lambda r: 1.0 < r < 2.0),  # rho = r - 1 in (0, 1)
+    "lemma3.1": _transport_growth,
+    "eq3.3": _coupled(_theta_growth_slot),
+    "eq3.4": _coupled(_velocity_growth_slot),
+}
+
+ESTIMATE_NAMES = tuple(_SWEEPS)
+
+
+def verify(name: str, corpus: CorpusSpec | None = None, resolutions: tuple | None = None) -> EstimateReport:
     """Measure one registered estimate over the corpus."""
-    if name not in ESTIMATE_NAMES:
+    if name not in _SWEEPS:
         raise ValueError(f"unknown estimate {name!r}; registered: {ESTIMATE_NAMES}")
     corpus = corpus or CorpusSpec()
     resolutions = tuple(resolutions or corpus.resolutions)
-    if name in _STATIC_KERNELS:
-        samples = _static_sweep(name, corpus, resolutions)
-    else:
-        samples = _dynamic_sweep(name, corpus, resolutions)
+    samples = [sample for n in resolutions for sample in _SWEEPS[name](corpus, n)]
     return _finish(name, samples, resolutions)
 
 

@@ -480,6 +480,10 @@ class TestUniquenessProbe:
         with pytest.raises(ValueError, match=message):
             bq.uniqueness_probe(bad, [1e-4], 0.01, 2e-3, 1.5)
 
+    def test_accepts_large_mean_zero_state(self, grid64):
+        # the mean-zero check is relative to the field's largest coefficient
+        bq.validate_state(bq.taylor_green_data(grid64, 1e200, 1e200))
+
     @pytest.mark.parametrize(
         "T,times", [(0.07, [0.0, 0.02, 0.04, 0.06, 0.07]), (0.05, [0.0, 0.02, 0.04, 0.05])]
     )

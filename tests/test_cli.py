@@ -223,6 +223,15 @@ def test_flag_of_another_command_exits(tmp_path, command, flag):
         cli.parse_config(_base_argv(command, tmp_path) + [flag] + _ALL_FLAGS[flag])
 
 
+@pytest.mark.parametrize("argv", [["solve", "--s", "3"], ["thresholds", "--theta", "0.5"]])
+def test_abbreviated_flag_exits_2(tmp_path, capsys, argv):
+    # --s would abbreviate --seed, --theta --theta-amplitude
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
@@ -326,6 +335,25 @@ class TestRun:
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(("config error: ", "formula domain error: T1_1: constant C"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--preset", "taylor-green", "--n", "64", "--T", "0.001", "--theta-amplitude", "1e6"],
+            ["solve", "--preset", "taylor-green", "--n", "32", "--T", "0.001", "--amplitude", "1e8"],
+        ],
+    )
+    def test_large_data_reaches_the_solver_guards(self, tmp_path, capsys, argv):
+        # valid mean-zero data, only large: no mean-zero ValueError
+        code = cli.main(argv + ["--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("numerical abort: "))
+
+    @pytest.mark.parametrize("s", ["400", "-400"])
+    def test_norm_overflow_is_a_numerical_abort(self, tmp_path, capsys, s):
+        assert cli.main(["lp-analyze", "--r", "0.5", "--s", s, "--out-dir", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical abort: ")
 
     def test_thresholds_success(self, tmp_path, capsys):
         config = cli.parse_config(
