@@ -31,7 +31,6 @@ from .littlewood_paley import (
     besov_norm,
     bony_decompose,
     commutator,
-    bernstein_report,
     compute_a0,
 )
 from .transport import TransportProblem, CFLViolation, solve

@@ -10,9 +10,9 @@ All outputs land under --out-dir; reruns with identical config and seed are
 byte-stable (headers carry no timestamps).
 
 Exit codes: 0 success, 1 numerical abort (CFL violation, non-finite
-values or a float overflow), 2 configuration error (including a value of
-the wrong type in a config file, a malformed --input snapshot or an
-abbreviated flag) or formula-domain error.
+values or a float overflow), 2 configuration error (among them a config
+value of the wrong type, a malformed --input snapshot, an abbreviated
+flag and an exponent outside the estimate's domain) or formula-domain error.
 """
 
 from __future__ import annotations
@@ -417,6 +417,9 @@ def run(config: RunConfig) -> int:
         return 1
     except harness.ThresholdDomainError as exc:
         print(f"formula domain error: {exc}", file=sys.stderr)
+        return 2
+    except harness.EstimateDomainError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except fileio.SnapshotError as exc:
         print(f"input error: {exc}", file=sys.stderr)

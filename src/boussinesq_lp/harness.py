@@ -11,9 +11,9 @@ synthesized once and kept in ``_RUN_CACHE`` next to the solved runs, so
 every static estimate measured in one process reads the same fields;
 clearing ``_RUN_CACHE`` drops them.
 
-Each estimate is one ``_SWEEPS`` entry name -> sweep(corpus, n) yielding its
-samples at resolution n (``_static(kernel)`` for a ratio kernel on the corpus
-fields, ``_coupled(slot)`` for a slot of the coupled runs); registered are:
+Each estimate is one ``_SWEEPS`` entry name -> (sweep, domain): a ratio
+kernel on the corpus fields (``_static``) or a slot of the coupled runs
+(``_coupled``); registered are:
 
     lemma2.1   commutator bound  2^{qr} ||[v.grad, D_q]f|| <= C ||f||_r ||grad v||
     lemma2.2.1 sup-norm embedding  ||f||_inf <= C ||f||_r
@@ -30,7 +30,7 @@ fields, ``_coupled(slot)`` for a slot of the coupled runs); registered are:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "EstimateReport",
     "ThresholdReport",
     "ThresholdDomainError",
+    "EstimateDomainError",
     "ContractionSummary",
     "ESTIMATE_NAMES",
     "verify",
@@ -261,18 +262,17 @@ def _fields(grid, r, seed, amplitude):
     })
 
 
-def _static(kernel, in_domain=lambda r: True):
-    """Sweep of a static estimate: ``kernel(fields, r)`` yields
-    (descriptor suffix, lhs, rhs) on the field set of each (r, seed) with r
-    in the estimate's domain."""
+def _static(kernel, domain: tuple[float, float] | None = None):
+    """Sweep of a static estimate, with its domain: ``kernel(fields, r)``
+    yields (descriptor suffix, lhs, rhs) on the field set of each (r, seed)."""
     def sweep(corpus: CorpusSpec, n: int):
         grid = make_grid(n, corpus.box)
-        for r in filter(in_domain, corpus.r_values):
+        for r in corpus.r_values:
             for seed in corpus.seeds:
                 tag = f"n={n},r={r:g},seed={seed}"
                 for suffix, lhs, rhs in kernel(_fields(grid, r, seed, corpus.amplitude), r):
                     yield _ratio_sample(tag + suffix, lhs, rhs, r, n)
-    return sweep
+    return sweep, domain
 
 
 def _lemma2_1_samples(fl: dict, r: float) -> list[tuple[str, float, float]]:
@@ -302,7 +302,7 @@ def _transport_runs(corpus: CorpusSpec, n: int):
             for seed in corpus.seeds[:3] if n <= 64 else corpus.seeds[:2]:
                 v = synthesize_divfree_velocity(grid, r, corpus.amplitude, seed + 40_000)
                 f0 = synthesize_holder_field(grid, r, corpus.amplitude, seed + 50_000)
-                traj = solve(TransportProblem(f0, v, None, T=0.4, dt=2e-3), observers=20)
+                traj = solve(TransportProblem(f0, v, T=0.4, dt=2e-3), observers=20)
                 runs.append((r, seed, v, f0, traj))
         return runs
     return _cached(("transport", corpus, n), build)
@@ -355,7 +355,7 @@ def _coupled(slot):
                 lhs, rhs, ratio = slot(t, m, i, r)
                 if ratio is not None:
                     yield EstimateSample(f"n={n},r={r:g},{label},t={t[i]:.3f}", lhs, rhs, ratio, r, n)
-    return sweep
+    return sweep, None
 
 
 def _theta_growth_slot(t, m, i, r):
@@ -370,16 +370,21 @@ def _velocity_growth_slot(t, m, i, r):
     return u[i], 2.0 * weighted, velocity_growth_ratio(u[i], u[0], theta_int, weighted, r)
 
 
-# estimate name -> sweep(corpus, n) yielding its samples at resolution n
+class EstimateDomainError(ValueError):
+    """No exponent of the corpus is in the domain of the estimate."""
+
+
+# estimate name -> (sweep(corpus, n) yielding its samples at resolution n,
+# the domain lo < r < hi of a static estimate as (lo, hi), or None)
 _SWEEPS = {
     "lemma2.1": _static(_lemma2_1_samples),
     "lemma2.2.1": _static(lambda fl, r: [("", *embedding_linf_sample(fl["f"], r))]),
-    "lemma2.2.3": _static(lambda fl, r: [("", *embedding_b1_sample(fl["f"], r))]),
+    "lemma2.2.3": _static(lambda fl, r: [("", *embedding_b1_sample(fl["f"], r))], (1.0, math.inf)),
     "lemma2.3": _static(lambda fl, r: [("", *product_sample(fl["f"], fl["g"], r))]),
     "lemma2.4": _static(lambda fl, r: [("", *advection_product_sample(fl["v"], fl["f"], r))]),
     "lemma2.5": _static(lambda fl, r: [("", *riesz_sample(VectorField(fl["f"], fl["g"]), r))]),
-    "eq4.18": _static(_eq4_18_samples, lambda r: 1.0 < r < 2.0),  # rho = r - 1 in (0, 1)
-    "lemma3.1": _transport_growth,
+    "eq4.18": _static(_eq4_18_samples, (1.0, 2.0)),  # rho = r - 1 in (0, 1)
+    "lemma3.1": (_transport_growth, None),
     "eq3.3": _coupled(_theta_growth_slot),
     "eq3.4": _coupled(_velocity_growth_slot),
 }
@@ -388,12 +393,21 @@ ESTIMATE_NAMES = tuple(_SWEEPS)
 
 
 def verify(name: str, corpus: CorpusSpec | None = None, resolutions: tuple | None = None) -> EstimateReport:
-    """Measure one registered estimate over the corpus."""
+    """Measure one registered estimate over the corpus exponents in its domain."""
     if name not in _SWEEPS:
         raise ValueError(f"unknown estimate {name!r}; registered: {ESTIMATE_NAMES}")
     corpus = corpus or CorpusSpec()
     resolutions = tuple(resolutions or corpus.resolutions)
-    samples = [sample for n in resolutions for sample in _SWEEPS[name](corpus, n)]
+    run, domain = _SWEEPS[name]
+    if domain is not None:
+        lo, hi = domain
+        kept = tuple(r for r in corpus.r_values if lo < r < hi)
+        if not kept:
+            needs = f"r > {lo:g}" if hi == math.inf else f"{lo:g} < r < {hi:g}"
+            have = ", ".join(f"{r:g}" for r in corpus.r_values)
+            raise EstimateDomainError(f"estimate {name} needs {needs}; the corpus has r = {have}")
+        corpus = replace(corpus, r_values=kept)
+    samples = [sample for n in resolutions for sample in run(corpus, n)]
     return _finish(name, samples, resolutions)
 
 
@@ -486,7 +500,7 @@ def compute_thresholds(
             raise ValueError("need estimate reports or an explicit constant C")
         C = frozen_constant(reports["lemma2.1"], r)
     if a0 is None:
-        a0 = compute_a0().a0
+        a0 = compute_a0()
     if S is None:
         S = 10.0 * max(tn, un, 1e-12)
     if un <= 0.0:

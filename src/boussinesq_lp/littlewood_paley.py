@@ -24,10 +24,9 @@ Hoelder norm C^r is the inhomogeneous B^r_{inf,inf} norm and needs none
 of them, so a :class:`BesovReport` builds its negative blocks only on the
 first read of ``homogeneous_blocks`` or ``homogeneous_value``.
 
-Every operator here (blocks, low-pass, norms, paraproducts, commutator,
-Bernstein ratios) uses the partition of its field's own grid,
-``build_partition(f.grid)``; a grid has exactly one partition, so none of
-them takes one as an argument.
+Every operator here (blocks, low-pass, norms, paraproducts, commutator)
+uses the partition of its field's own grid, ``build_partition(f.grid)``;
+a grid has exactly one partition, so none of them takes one as an argument.
 
 The sup-norm block profile [(q, ||D_q f||_inf)], q = -1..q_max, does not
 depend on the smoothness index.  It is computed once per field and cached
@@ -53,7 +52,6 @@ from .spectral import (
     VectorField,
     advect,
     dealias,
-    derivative,
     is_divergence_free,
     lp_norm,
     make_grid,
@@ -62,8 +60,6 @@ from .spectral import (
 __all__ = [
     "DyadicPartition",
     "BesovReport",
-    "BernsteinRecord",
-    "A0Constant",
     "build_partition",
     "block",
     "low_pass",
@@ -73,7 +69,6 @@ __all__ = [
     "holder_norm_vector",
     "bony_decompose",
     "commutator",
-    "bernstein_report",
     "compute_a0",
 ]
 
@@ -239,12 +234,18 @@ class BesovReport:
 
 
 def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> float:
-    if not entries:
-        return 0.0
+    """The l^q_index norm of the 2^{qs} v over the (q, v) entries; a term
+    that overflows a float raises an ``OverflowError`` naming s and q."""
+    terms = []
+    for q, v in entries:
+        try:
+            term = 2.0 ** (q * s) * v
+            terms.append(term if np.isinf(q_index) else term**q_index)
+        except OverflowError:
+            raise OverflowError(f"the weighted norm of block q={q} overflows a float at s={s:g}") from None
     if np.isinf(q_index):
-        return max(2.0 ** (q * s) * v for q, v in entries)
-    total = sum((2.0 ** (q * s) * v) ** q_index for q, v in entries)
-    return float(total ** (1.0 / q_index))
+        return max(terms, default=0.0)
+    return float(sum(terms) ** (1.0 / q_index))
 
 
 def _block_norms(f: SpectralField, p: float) -> list[tuple[int, float]]:
@@ -332,79 +333,17 @@ def commutator(v: VectorField, q: int, f: SpectralField) -> SpectralField:
     return advect(v, block(q, f)) - block(q, advect(v, f))
 
 
-@dataclass
-class BernsteinRecord:
-    """Measured norm ratios for one spectrally localized field."""
-
-    q: int
-    k: int
-    a: float
-    b: float
-    lam: float
-    ratio_upper: float  # sup_{|alpha|=k} ||d^alpha f||_b / (lam^{k+2(1/a-1/b)} ||f||_a)
-    ratio_lower: float  # sup_{|alpha|=k} ||d^alpha f||_a / (lam^k ||f||_a)
-    degenerate: bool = False
-
-
-def bernstein_report(
-    f: SpectralField,
-    q: int,
-    k: int,
-    a: float,
-    b: float,
-) -> BernsteinRecord:
-    """Measure derivative-vs-scale norm ratios on the block-q part of f."""
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    g = block(q, f)
-    lam = 2.0**q
-
-    base = lp_norm(g, a)
-    if base < 1e-300:
-        return BernsteinRecord(q, k, a, b, lam, 0.0, 0.0, degenerate=True)
-
-    sup_b = 0.0
-    sup_a = 0.0
-    for a1 in range(k + 1):
-        a2 = k - a1
-        d = g
-        for _ in range(a1):
-            d = derivative(d, 1)
-        for _ in range(a2):
-            d = derivative(d, 2)
-        sup_b = max(sup_b, lp_norm(d, b))
-        sup_a = max(sup_a, lp_norm(d, a))
-
-    inv_a = 0.0 if np.isinf(a) else 1.0 / a
-    inv_b = 0.0 if np.isinf(b) else 1.0 / b
-    scale_upper = lam ** (k + 2.0 * (inv_a - inv_b))
-    return BernsteinRecord(
-        q, k, a, b, lam,
-        ratio_upper=sup_b / (scale_upper * base),
-        ratio_lower=sup_a / (lam**k * base),
-    )
-
-
-@dataclass(frozen=True)
-class A0Constant:
-    """L^1 mass of the kernel generating the cumulative low-pass operators."""
-
-    a0: float
-    resolution: int
-    box: float
+_A0_RESOLUTION, _A0_BOX = 2048, 64.0 * np.pi  # the quadrature grid of compute_a0
 
 
 @lru_cache(maxsize=None)
-def compute_a0(resolution: int = 2048, box: float = 64.0 * np.pi) -> A0Constant:
-    """Quadrature of |F^{-1} chi| over a large fine periodic box.
+def compute_a0() -> float:
+    """L^1 mass a0 of the low-pass kernel F^{-1} chi, by quadrature on a fine box.
 
-    The kernel decays super-algebraically, so a box of ~100 length units
+    The kernel decays super-algebraically, so a box of ~200 length units
     captures the L^1 mass far beyond the 1e-6 level needed downstream.
     chi(0) = 1 forces the integral of the kernel to 1, hence a0 >= 1.
     """
-    grid = make_grid(resolution, box)
-    coeffs = chi_profile(grid.abs_k).astype(complex) / box**2
-    kernel = SpectralField(grid, coeffs)
-    return A0Constant(lp_norm(kernel, 1), resolution, box)
+    grid = make_grid(_A0_RESOLUTION, _A0_BOX)
+    coeffs = chi_profile(grid.abs_k).astype(complex) / _A0_BOX**2
+    return lp_norm(SpectralField(grid, coeffs), 1)

@@ -1,11 +1,11 @@
-"""Linear transport on the torus: d/dt f + v . grad f = g.
+"""Linear transport on the torus: d/dt f + v . grad f = 0.
 
 Pseudo-spectral advection with classical RK4 in time.  The velocity v
-and the optional forcing g are fields frozen in time; v is checked for
-divergence once per run.  The CFL bound dt <= CFL_NUMBER * (L/n) / max|v|,
-with CFL_NUMBER = 0.5, is checked on every step and a violation raises
-instead of silently clamping.  ``rk4`` is the one RK4 step of the
-package: the coupled solver and its linearised iterates use it too.
+is frozen in time and checked for divergence once per run.  The CFL bound
+dt <= CFL_NUMBER * (L/n) / max|v|, with CFL_NUMBER = 0.5, is checked on
+every step and a violation raises instead of silently clamping.  ``rk4``
+is the one RK4 step of the package: the coupled solver and its
+linearised iterates use it too.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def rk4(y: tuple, rhs: Callable[[float, tuple], tuple], t: float, h: float) -> t
 class TransportProblem:
     f0: SpectralField
     velocity: VectorField
-    forcing: SpectralField | None = None
     T: float = 1.0
     dt: float = 1e-3
 
@@ -114,7 +113,7 @@ class TransportTrajectory:
 
 
 def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
-    """March f from f0 to T with the velocity and forcing held fixed.
+    """March f from f0 to T with the velocity held fixed.
 
     Steps follow ``_step_lattice``: steps of dt ending at i*dt, then a
     remainder step ending at T; a bad (T, dt) raises its ``ValueError``
@@ -122,7 +121,7 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     every ``observers``-th step, and at T.  The velocity is checked for
     divergence once, before the first step.
     """
-    v, g = problem.velocity, problem.forcing
+    v = problem.velocity
     T = float(problem.T)
     lattice = _step_lattice(T, float(problem.dt))
     if observers < 1:
@@ -130,11 +129,7 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 
-    if g is None:
-        rhs = lambda _t, y: (-advect(v, y[0]),)
-    else:
-        rhs = lambda _t, y: (-advect(v, y[0]) + g,)
-
+    rhs = lambda _t, y: (-advect(v, y[0]),)
     f = problem.f0
     t = 0.0
     times = [0.0]

@@ -132,7 +132,7 @@ def test_06_transport_oracle():
         grid, np.full((128, 128), c[0]), np.full((128, 128), c[1])
     )
 
-    traj = solve(TransportProblem(f0, v, None, T=1.0, dt=1e-3), observers=10**6)
+    traj = solve(TransportProblem(f0, v, T=1.0, dt=1e-3), observers=10**6)
     exact = profile(grid.x1 - c[0], grid.x2 - c[1])
     err_main = float(np.max(np.abs(traj.final().values() - exact)))
 
@@ -141,7 +141,7 @@ def test_06_transport_oracle():
         if dt == 1e-3:
             errors.append(err_main)
             continue
-        tr = solve(TransportProblem(f0, v, None, T=1.0, dt=dt), observers=10**6)
+        tr = solve(TransportProblem(f0, v, T=1.0, dt=dt), observers=10**6)
         errors.append(float(np.max(np.abs(tr.final().values() - exact))))
     order_ok = errors[0] / errors[1] >= 8.0 and errors[1] / errors[2] >= 8.0
     runtime = time.perf_counter() - t0

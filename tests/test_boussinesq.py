@@ -298,7 +298,7 @@ INTEGRATORS = {
     "uniqueness_probe": lambda s, T, dt: bq.uniqueness_probe(s, [1e-4], T, dt, 1.5),
     "iterate_scheme": lambda s, T, dt: bq.iterate_scheme(s.theta, s.u, 1.5, 3, T, dt, 1e-13),
     "transport.solve": lambda s, T, dt: transport.solve(
-        transport.TransportProblem(s.theta, s.u, None, T, dt)
+        transport.TransportProblem(s.theta, s.u, T, dt)
     ),
 }
 

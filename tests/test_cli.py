@@ -353,7 +353,17 @@ class TestRun:
     def test_norm_overflow_is_a_numerical_abort(self, tmp_path, capsys, s):
         assert cli.main(["lp-analyze", "--r", "0.5", "--s", s, "--out-dir", str(tmp_path)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("numerical abort: ")
+        assert line.startswith("numerical abort: ") and f"s={s}" in line and "block q=" in line
+
+    @pytest.mark.parametrize(
+        "estimate, r, domain", [("eq4.18", "2.5", "1 < r < 2"), ("lemma2.2.3", "0.5", "r > 1")]
+    )
+    def test_quick_exponent_outside_the_domain_exits_2(self, tmp_path, capsys, estimate, r, domain):
+        argv = ["verify", "--estimate", estimate, "--quick", "--r", r, "--n", "32"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and domain in line
+        assert list(tmp_path.iterdir()) == []
 
     def test_thresholds_success(self, tmp_path, capsys):
         config = cli.parse_config(

@@ -17,6 +17,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             harness.verify("lemma9.9")
 
+    @pytest.mark.parametrize("name, r_values", [("eq4.18", (2.0, 2.5)), ("lemma2.2.3", (0.5, 1.0))])
+    def test_corpus_outside_the_domain_rejected_before_any_work(self, monkeypatch, name, r_values):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        corpus = harness.CorpusSpec(r_values=r_values, seeds=(0,), resolutions=(32,))
+        with pytest.raises(harness.EstimateDomainError, match=f"estimate {name} needs"):
+            harness.verify(name, corpus)
+        assert harness._RUN_CACHE == {}
+
     def test_constant_velocity_gives_zero_ratios(self, grid64):
         f = bq.synthesize_holder_field(grid64, 1.5, 1.0, 1)
         v = VectorField.from_values(

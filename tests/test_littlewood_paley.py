@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from boussinesq_lp import littlewood_paley as lp
 from boussinesq_lp.littlewood_paley import (
     DyadicPartition,
-    bernstein_report,
     besov_norm,
     block,
     bony_decompose,
@@ -371,48 +370,12 @@ class TestCommutator:
         assert all(abs(m - center) <= 0.25 * center for m in maxima), maxima
 
 
-class TestBernstein:
-    def test_zero_order_same_space(self, grid64):
-        f = random_dealiased_field(grid64, 40)
-        rec = bernstein_report(f, 2, 0, np.inf, np.inf)
-        assert np.isclose(rec.ratio_upper, 1.0, rtol=1e-12)
-        assert np.isclose(rec.ratio_lower, 1.0, rtol=1e-12)
-
-    def test_single_axis_mode_first_derivative(self, grid64):
-        q = 2
-        coeffs = SpectralField.zero(grid64).coeffs.copy()
-        coeffs[8, 0] = 0.5  # |k| = 2^{q+1}, aligned with axis 1
-        coeffs[-8, 0] = 0.5
-        f = SpectralField(grid64, coeffs)
-        rec = bernstein_report(f, q, 1, np.inf, np.inf)
-        assert np.isclose(rec.ratio_upper, 2.0, rtol=1e-10)
-
-    def test_ratios_uniform_over_blocks(self):
-        grid = make_grid(256, 2 * np.pi)
-        uppers = []
-        lowers = []
-        for q in range(2, 6):
-            for seed in range(3):
-                f = random_dealiased_field(grid, seed + q)
-                rec = bernstein_report(f, q, 1, np.inf, np.inf)
-                if not rec.degenerate:
-                    uppers.append(rec.ratio_upper)
-                    lowers.append(rec.ratio_lower)
-        assert max(uppers) <= 4.0 * min(uppers)
-        assert max(lowers) <= 4.0 * min(lowers)
-        assert min(lowers) > 0.1
-
-    def test_rejects_decreasing_integrability(self, grid64):
-        with pytest.raises(ValueError):
-            bernstein_report(SpectralField.zero(grid64), 1, 1, np.inf, 2.0)
-
-
 class TestKernelMass:
     def test_lower_bound(self):
-        assert compute_a0().a0 >= 1.0 - 1e-6
+        assert compute_a0() >= 1.0 - 1e-6
 
     def test_deterministic(self):
-        assert compute_a0().a0 == compute_a0().a0
+        assert compute_a0() == compute_a0()
 
     def test_vector_norm_is_component_max(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 50)

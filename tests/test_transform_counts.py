@@ -83,7 +83,7 @@ def _transport_problem(T):
     grid = _grid()
     f0 = bq.synthesize_holder_field(grid, 1.5, 1.0, 3)
     v = bq.synthesize_divfree_velocity(grid, 1.5, 1.0, 4)
-    return transport.TransportProblem(f0, v, None, T=T, dt=DT)
+    return transport.TransportProblem(f0, v, T=T, dt=DT)
 
 
 def test_constant_velocity_transport_step(count):
@@ -131,3 +131,18 @@ def test_static_verify_run(count, monkeypatch):
     # besov_norm and holder_norm share; the 4 negative homogeneous blocks
     per_r = 2 * holder + 2 * velocity + (q_max + 2) + 4
     assert count(harness.verify, "lemma2.2.3", corpus) == 5 * per_r == 325
+
+
+def test_commutator_verify_run(count, monkeypatch):
+    monkeypatch.setattr(harness, "_RUN_CACHE", {})
+    corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
+    q_max = _q_max()
+    # the four synthesized fields of each exponent, as in test_static_verify_run
+    holder = 2 * (q_max - 1) + (q_max + 2)
+    synthesis = 2 * holder + 2 * (holder + 2 * (q_max + 2))
+    # per exponent, once: the block profile of f, the divergence check of v
+    # (divergence_residual 1 + grad_linf_norm 4) and the values of v (2);
+    # per block: v.grad(D_q f) (3), v.grad f again (3) and the sup of the
+    # commutator (1)
+    per_r = synthesis + (q_max + 2) + 5 + 2 + 7 * (q_max + 2)
+    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r == 515

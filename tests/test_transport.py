@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from boussinesq_lp.boussinesq import synthesize_divfree_velocity
+from boussinesq_lp.boussinesq import synthesize_divfree_velocity, synthesize_holder_field
 from boussinesq_lp.harness import gronwall_constant
 from boussinesq_lp.littlewood_paley import holder_norm
 from boussinesq_lp import transport
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
-    advect,
+    derivative,
     grad_linf_norm,
     is_divergence_free,
     linf_norm,
@@ -34,7 +34,7 @@ def constant_velocity_problem(grid, c=(1.0, 0.0), T=1.0, dt=1e-3):
     v = VectorField.from_values(
         grid, np.full((grid.n, grid.n), c[0]), np.full((grid.n, grid.n), c[1])
     )
-    return TransportProblem(f0, v, None, T, dt), c
+    return TransportProblem(f0, v, T, dt), c
 
 
 def translated_profile(grid, c, T):
@@ -43,7 +43,7 @@ def translated_profile(grid, c, T):
 
 def one_step(f, v, dt):
     """One RK4 step of solve: T = dt."""
-    return solve(TransportProblem(f, v, None, T=dt, dt=dt)).final()
+    return solve(TransportProblem(f, v, T=dt, dt=dt)).final()
 
 
 class TestStep:
@@ -80,15 +80,15 @@ class TestSolve:
         assert err < 1e-8
 
     def test_manufactured_steady_state(self, grid64):
-        f0 = mean_zero_smooth_field(grid64, 5)
-        v = synthesize_divfree_velocity(grid64, 1.5, 0.8, 6)
-        g = advect(v, f0)
-        traj = solve(TransportProblem(f0, v, g, T=1.0, dt=2e-3), observers=100)
-        assert linf_norm(traj.final() - f0) < 1e-9
+        # v = c grad-perp psi runs along the level sets of psi, so v.grad psi = 0
+        psi = synthesize_holder_field(grid64, 2.5, 1.0, 6)
+        v = VectorField(-derivative(psi, 2), derivative(psi, 1)) * 0.8
+        traj = solve(TransportProblem(psi, v, T=1.0, dt=2e-3), observers=100)
+        assert linf_norm(traj.final() - psi) < 1e-9
 
     def test_zero_data_stays_zero(self, grid64):
         v = synthesize_divfree_velocity(grid64, 1.5, 1.0, 7)
-        traj = solve(TransportProblem(SpectralField.zero(grid64), v, None, 0.2, 2e-3))
+        traj = solve(TransportProblem(SpectralField.zero(grid64), v, 0.2, 2e-3))
         assert linf_norm(traj.final()) == 0.0
 
     def test_linearity(self, grid64):
@@ -97,9 +97,9 @@ class TestSolve:
         h0 = mean_zero_smooth_field(grid64, 10)
         a, b = 2.0, -0.7
         combo = SpectralField(grid64, a * f0.coeffs + b * h0.coeffs)
-        traj_combo = solve(TransportProblem(combo, v, None, 0.2, 2e-3), observers=100)
-        traj_f = solve(TransportProblem(f0, v, None, 0.2, 2e-3), observers=100)
-        traj_h = solve(TransportProblem(h0, v, None, 0.2, 2e-3), observers=100)
+        traj_combo = solve(TransportProblem(combo, v, 0.2, 2e-3), observers=100)
+        traj_f = solve(TransportProblem(f0, v, 0.2, 2e-3), observers=100)
+        traj_h = solve(TransportProblem(h0, v, 0.2, 2e-3), observers=100)
         recombined = a * traj_f.final() + b * traj_h.final()
         assert rel_linf(traj_combo.final(), recombined) < 1e-11
 
@@ -108,14 +108,14 @@ class TestSolve:
         f0 = mean_zero_smooth_field(grid64, 12) + SpectralField.from_values(
             grid64, np.full((64, 64), 0.5)
         )
-        traj = solve(TransportProblem(f0, v, None, 0.3, 2e-3), observers=50)
+        traj = solve(TransportProblem(f0, v, 0.3, 2e-3), observers=50)
         means = [f.mean() for f in traj.fields]
         assert max(abs(m - means[0]) for m in means) < 1e-11
 
     def test_sup_norm_control(self, grid64):
         v = synthesize_divfree_velocity(grid64, 1.5, 1.0, 13)
         f0 = mean_zero_smooth_field(grid64, 14)
-        traj = solve(TransportProblem(f0, v, None, 0.5, 2e-3), observers=25)
+        traj = solve(TransportProblem(f0, v, 0.5, 2e-3), observers=25)
         bound = linf_norm(f0) * (1.0 + 1e-6)
         assert all(linf_norm(f) <= bound for f in traj.fields)
 
@@ -134,7 +134,7 @@ class TestSolve:
         c_frozen = gronwall_constant(reports, r)
         v = synthesize_divfree_velocity(grid64, r, 1.0, 15)
         f0 = mean_zero_smooth_field(grid64, 16)
-        traj = solve(TransportProblem(f0, v, None, 0.5, 2e-3), observers=25)
+        traj = solve(TransportProblem(f0, v, 0.5, 2e-3), observers=25)
         gradv = grad_linf_norm(v)
         norm0 = holder_norm(f0, r).value
         for t, f in zip(traj.times, traj.fields):
