@@ -3,9 +3,10 @@
 Commands: lp-analyze, solve, iterate, verify, thresholds, probe.
 Each option is a RunConfig field, set by the flag ``--field-name``
 (``--no-buoyancy`` for ``buoyancy``), and each command is one ``_COMMANDS``
-entry.  Values are resolved in the order: built-in defaults < preset <
-config file (--config, JSON) < explicit command-line flags.  A config file
-may not set the command or the preset, and every number must be finite.
+entry; the fields it reads give its flags (besides --config and --out-dir)
+and its config-file keys.  Values resolve as defaults < preset < config
+file (--config, JSON) < explicit flags.  A config file may not set the
+command or the preset, and every number must be finite.
 All outputs land under --out-dir; reruns with identical config and seed are
 byte-stable (headers carry no timestamps).
 
@@ -31,7 +32,7 @@ from typing import NamedTuple
 from . import boussinesq as bq
 from . import fileio
 from . import harness
-from .littlewood_paley import besov_norm
+from .littlewood_paley import besov_norm, top_block
 from .spectral import make_grid
 from .transport import CFLViolation
 
@@ -119,23 +120,30 @@ class RunConfig:
         if problems:  # the value checks below assume finite values of the declared types
             return problems
         command = _COMMANDS[self.command]
+        bad_n = self.n < 16 or self.n & (self.n - 1)
+        q_max = math.nan if bad_n or self.L <= 0 else top_block(self.n, self.L)
         rules = [  # (broken, problem)
-            (self.n < 16 or self.n & (self.n - 1), "n must be a power of two >= 16"),
+            (bad_n, "n must be a power of two >= 16"),
             (self.L <= 0, "L must be positive"),
+            (q_max < 2, f"grid n={self.n}, L={self.L:g} is too coarse: "
+                        f"its top dyadic block is q_max={q_max:.0f}, and synthesized data needs q_max >= 2"),
             (self.r <= 0, "r must be positive"),
             (command.gaps and self.r <= 1, f"{self.command} requires r > 1"),
             (self.T < 0, "T must be finite and nonnegative"),
             (self.dt <= 0, "dt must be finite and positive"),
             (self.seed < 0, "seed must be nonnegative"),
-            # a field that only some commands read is checked for those
-            ("n_max" in command.fields and self.n_max < 2, "n_max must be >= 2"),
-            ("tol" in command.fields and self.tol <= 0, "tol must be positive"),
+            (self.n_max < 2, "n_max must be >= 2"),
+            (self.tol <= 0, "tol must be positive"),
             ("estimate" in command.fields and self.estimate is None, f"{self.command} needs --estimate"),
             (
-                "estimate" in command.fields and self.estimate not in (None, *harness.ESTIMATE_NAMES),
+                self.estimate not in (None, *harness.ESTIMATE_NAMES),
                 f"unknown estimate {self.estimate!r}; choose from {', '.join(harness.ESTIMATE_NAMES)}",
             ),
-            ("eps" in command.fields and any(e < 0 for e in self.eps), "eps values must be nonnegative"),
+            (any(e < 0 for e in self.eps), "eps values must be nonnegative"),
+            (
+                len({f"{e:g}" for e in self.eps}) < len(self.eps),
+                f"eps values {', '.join(map(repr, self.eps))} share a probe_eps<eps:g>.csv file name",
+            ),
             (self.data not in _DATA_KINDS, f"unknown data preset {self.data!r}"),
         ]
         problems = [problem for broken, problem in rules if broken]
@@ -202,14 +210,12 @@ def _finite(value) -> bool:
     return all(isinstance(x, int) or math.isfinite(x) for x in values)
 
 
-# the flags every command takes; each command adds its own in _COMMANDS
-_COMMON_FIELDS = ("preset", "out_dir", "n", "L", "r", "seed", "amplitude", "theta_amplitude", "data")
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per command and one flag per field it takes; every
-    flag defaults to None, so that only flags given override."""
+    """One subparser per command, with --config, --out-dir and one flag per
+    field it reads; every flag defaults to None, so that only flags given override."""
     parser = argparse.ArgumentParser(
         prog="boussinesq-lp",
         description="Pseudo-spectral toolkit for buoyancy-coupled inviscid flow",
@@ -220,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        for f in [fields[field_name] for field_name in _COMMON_FIELDS + command.fields]:
+        for f in [fields[field_name] for field_name in ("out_dir", *command.fields)]:
             flag, kind = "--" + f.name.replace("_", "-"), _kind(f)
             if f.name == "buoyancy":
                 p.add_argument("--no-buoyancy", dest="buoyancy", action="store_false", default=None)
@@ -238,7 +244,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional JSON file) into a validated RunConfig."""
     ns = vars(_build_parser().parse_args(argv))
     config_path = ns.pop("config")
-    merged: dict = {"command": ns.pop("command"), **PRESETS.get(ns["preset"], {})}
+    merged: dict = {"command": ns.pop("command"), **PRESETS.get(ns.get("preset"), {})}
     if config_path:
         try:
             file_cfg = json.loads(Path(config_path).read_text())
@@ -246,12 +252,12 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError([f"config file {config_path!r}: {exc}"])
         if not isinstance(file_cfg, dict):
             raise ConfigError([f"config file {config_path!r}: expected a JSON object"])
-        chosen = [k for k in ("command", "preset") if k in file_cfg]  # flags choose these
-        unknown = sorted(set(file_cfg) - {f.name for f in dc_fields(RunConfig)})
-        if chosen or unknown:
+        chosen = [k for k in ("command", "preset") if k in file_cfg and k in ("command", *ns)]  # flags choose these
+        unread = sorted(file_cfg.keys() - {"command", *ns})  # ns holds a key per flag of the command
+        if chosen or unread:
             raise ConfigError(
                 [f"{k} is chosen on the command line, not in a config file" for k in chosen]
-                + [f"unknown config field {k!r}" for k in unknown]
+                + [f"{merged['command']} reads no config field {k!r}" for k in unread]
             )
         merged.update(file_cfg)
     merged.update((key, value) for key, value in ns.items() if value is not None)
@@ -389,19 +395,21 @@ def _cmd_probe(config: RunConfig) -> str:
 class _Command(NamedTuple):
     handler: Callable[[RunConfig], str]  # returns the one-line summary
     help: str
-    fields: tuple[str, ...]  # the flags it takes beyond _COMMON_FIELDS
+    fields: tuple[str, ...]  # the fields it reads: its flags and config-file keys, with --out-dir
     gaps: bool = False  # measures gaps in C^{r-1}, so needs r > 1
 
 
+_STATE = ("preset", "n", "L", "r", "seed", "amplitude", "theta_amplitude", "data")  # preset + _initial_state's fields
 _COMMANDS = {
-    "lp-analyze": _Command(_cmd_lp_analyze, "dyadic-block analysis of one field", ("s", "p", "q", "input")),
-    "solve": _Command(_cmd_solve, "direct coupled run with monitor output", ("T", "dt", "buoyancy", "C")),
-    "iterate": _Command(
-        _cmd_iterate, "successive-approximation run", ("T", "dt", "n_max", "tol", "theta_lag"), gaps=True
-    ),
-    "verify": _Command(_cmd_verify, "measure one estimate over the corpus", ("estimate", "quick")),
-    "thresholds": _Command(_cmd_thresholds, "evaluate the existence-time formulas", ("P", "Q", "S", "C", "a0")),
-    "probe": _Command(_cmd_probe, "twin-run perturbation probe", ("T", "dt", "eps"), gaps=True),
+    "lp-analyze": _Command(_cmd_lp_analyze, "dyadic-block analysis of one field",
+                           ("n", "L", "r", "seed", "amplitude", "s", "p", "q", "input")),
+    "solve": _Command(_cmd_solve, "direct coupled run with monitor output", _STATE + ("T", "dt", "buoyancy", "C")),
+    "iterate": _Command(_cmd_iterate, "successive-approximation run",
+                        _STATE + ("T", "dt", "n_max", "tol", "theta_lag"), gaps=True),
+    "verify": _Command(_cmd_verify, "measure one estimate over the corpus", ("n", "r", "estimate", "quick")),
+    "thresholds": _Command(_cmd_thresholds, "evaluate the existence-time formulas",
+                           _STATE + ("P", "Q", "S", "C", "a0")),
+    "probe": _Command(_cmd_probe, "twin-run perturbation probe", _STATE + ("T", "dt", "eps"), gaps=True),
 }
 COMMANDS = tuple(_COMMANDS)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .boussinesq import IterationRecord, MonitorRecord, MonitorSample
+from .littlewood_paley import build_partition
 from .spectral import SpectralField, make_grid
 
 __all__ = [
@@ -60,6 +61,10 @@ def read_snapshot(path) -> tuple[SpectralField, dict]:
         grid = make_grid(n, length)
     except ValueError as exc:
         raise SnapshotError(f"snapshot {path}: malformed header: {exc}") from None
+    try:
+        build_partition(grid)  # every analysis of the field reads it
+    except (ValueError, OverflowError) as exc:
+        raise SnapshotError(f"snapshot {path}: {exc}") from None
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n)
     return SpectralField.from_values(grid, values), header
 

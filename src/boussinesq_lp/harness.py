@@ -89,8 +89,8 @@ class CorpusSpec:
     r_values: tuple = (1.1, 1.5, 2.0, 2.5, 3.0)
     seeds: tuple = tuple(range(10))
     resolutions: tuple = (64, 128)
-    box: float = 2.0 * np.pi
     amplitude: float = 1.0
+    box = 2.0 * np.pi  # the side of every corpus grid; unannotated, so a constant, not a field
 
 
 @dataclass

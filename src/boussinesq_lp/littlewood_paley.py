@@ -100,9 +100,9 @@ class DyadicPartition:
 
     Attributes:
         grid: the host grid.
-        q_max: largest dyadic block; chosen as the largest q with
-            2^q * 8/3 <= (2/3) * k_max so every full annulus sits inside
-            the dealiased band.
+        q_max: largest dyadic block, ``top_block(n, L)``: the largest q
+            with 2^q * 8/3 <= (2/3) * k_max so every full annulus sits
+            inside the dealiased band.
         chi_hat: samples of chi(xi)  (block q = -1).
         phi_hat: list of samples of phi(2^-q xi) for q = 0..q_max, the
             last entry being the high-frequency tail block.
@@ -111,8 +111,7 @@ class DyadicPartition:
     def __init__(self, grid: Grid):
         self.grid = grid
 
-        covered = (2.0 / 3.0) * grid.k_max
-        q_max = int(math.floor(math.log2(covered / OUTER_RADIUS)))
+        q_max = int(top_block(grid.n, grid.length))
         if q_max < 1:
             raise ValueError(
                 f"grid too coarse for a dyadic partition (needs blocks -1..1): {grid!r}"
@@ -168,6 +167,13 @@ class DyadicPartition:
         for p in self.phi_hat:
             out = out + p**2
         return out
+
+
+def top_block(n: int, length: float) -> float:
+    """The q_max of the partition of an n-point grid of side ``length``,
+    computed without building the grid; a float, inf when k_max overflows."""
+    k_max = (2.0 * np.pi / length) * (n / 2)  # Grid.k_max
+    return float(np.floor(math.log2((2.0 / 3.0) * k_max / OUTER_RADIUS)))
 
 
 @lru_cache(maxsize=None)

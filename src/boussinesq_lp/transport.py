@@ -138,10 +138,7 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
         _check_cfl(v, h, t)
         f = rk4((f,), rhs, t, h)[0][0]
         t = t_end
-        if i % observers == 0 and t < T - 1e-12:
-            times.append(t)
+        if i % observers == 0 or i == len(lattice):
+            times.append(T if i == len(lattice) else t)
             fields.append(f)
-    if times[-1] < T - 1e-12:
-        times.append(T)
-        fields.append(f)
     return TransportTrajectory(times, fields)

@@ -1,16 +1,18 @@
 """Configuration parsing, command dispatch, artifact outputs."""
 
+import argparse
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boussinesq_lp import cli, fileio
+from boussinesq_lp import cli, fileio, harness
 from boussinesq_lp.boussinesq import synthesize_holder_field
-from boussinesq_lp.spectral import linf_norm
+from boussinesq_lp.spectral import SpectralField, linf_norm, make_grid
 
 
 class TestParseConfig:
@@ -84,7 +86,7 @@ class TestParseConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({field: value}))
         with pytest.raises(cli.ConfigError) as err:
-            cli.parse_config(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)])
+            cli.parse_config(["lp-analyze", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert any(p.startswith(f"{field} ") for p in err.value.problems)
 
     @pytest.mark.parametrize("flag,value", [("--T", "nan"), ("--T", "inf"), ("--dt", "inf")])
@@ -119,7 +121,8 @@ class TestParseConfig:
         cfg = tmp_path / "run.json"
         given = (1e-3, value) if field == "eps" else value
         cfg.write_text(json.dumps({field: given}))
-        assert cli.main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        command = next(name for name, c in cli._COMMANDS.items() if field in c.fields)  # one that reads it
+        assert cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {field} must be finite, got {given!r}"]
 
     def test_parse_leaves_out_dir_to_run(self, tmp_path):
@@ -131,6 +134,30 @@ class TestParseConfig:
         assert cli.run(config) == 0
         assert (out_dir / "monitor.csv").is_file()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--preset", "taylor-green", "--L", "100"],
+            ["lp-analyze", "--n", "64", "--L", "30"],
+            ["lp-analyze", "--n", "64", "--L", "20"],
+            ["solve", "--n", "16", "--data", "random"],
+            ["probe", "--preset", "taylor-green", "--n", "16"],
+        ],
+    )
+    def test_grid_too_coarse_for_synthesized_data_exits_2(self, tmp_path, capsys, argv):
+        # q_max < 2: no dyadic partition at all, or one on which every synthesized field is zero
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: grid n=") and "too coarse" in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eps_values_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        argv = ["probe", "--preset", "taylor-green", "--n", "32", "--T", "0.004", "--eps", "1e-3", "1.0000001e-3"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: eps values 0.001, 0.0010000001 share a probe_eps<eps:g>.csv file name"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -138,48 +165,49 @@ class TestParseConfig:
         assert "config error: out_dir" in capsys.readouterr().err
 
 
-# Every flag of every command: (flag, its arguments, the field it sets, the
-# value expected there).  "{tmp}" stands for the test's tmp_path.
-_COMMON_FLAGS = [
-    ("--preset", ["hydrostatic"], "preset", "hydrostatic"),
-    ("--out-dir", ["{tmp}/other"], "out_dir", "{tmp}/other"),
-    ("--n", ["32"], "n", 32),
-    ("--L", ["3.5"], "L", 3.5),
-    ("--r", ["1.25"], "r", 1.25),
-    ("--seed", ["7"], "seed", 7),
-    ("--amplitude", ["0.5"], "amplitude", 0.5),
-    ("--theta-amplitude", ["0.25"], "theta_amplitude", 0.25),
-    ("--data", ["random"], "data", "random"),
-]
-_TIME_FLAGS = [("--T", ["0.5"], "T", 0.5), ("--dt", ["2e-3"], "dt", 2e-3)]
-_COMMAND_FLAGS = {
-    "lp-analyze": [
+# Every flag: (flag, its arguments, the field it sets, the value expected
+# there).  "{tmp}" stands for the test's tmp_path.
+_FLAGS = {
+    entry[0]: entry
+    for entry in [
+        ("--preset", ["hydrostatic"], "preset", "hydrostatic"),
+        ("--out-dir", ["{tmp}/other"], "out_dir", "{tmp}/other"),
+        ("--n", ["32"], "n", 32),
+        ("--L", ["3.5"], "L", 3.5),
+        ("--r", ["1.25"], "r", 1.25),
+        ("--seed", ["7"], "seed", 7),
+        ("--amplitude", ["0.5"], "amplitude", 0.5),
+        ("--theta-amplitude", ["0.25"], "theta_amplitude", 0.25),
+        ("--data", ["random"], "data", "random"),
+        ("--T", ["0.5"], "T", 0.5),
+        ("--dt", ["2e-3"], "dt", 2e-3),
         ("--s", ["0.5"], "s", 0.5),
         ("--p", ["2"], "p", "2"),
         ("--q", ["2"], "q", "2"),
         ("--input", ["{tmp}/in.snap"], "input", "{tmp}/in.snap"),
-    ],
-    "solve": _TIME_FLAGS + [
         ("--no-buoyancy", [], "buoyancy", False),
         ("--C", ["2.5"], "C", 2.5),
-    ],
-    "iterate": _TIME_FLAGS + [
         ("--n-max", ["5"], "n_max", 5),
         ("--tol", ["1e-8"], "tol", 1e-8),
         ("--theta-lag", [], "theta_lag", True),
-    ],
-    "verify": [
         ("--estimate", ["lemma2.1"], "estimate", "lemma2.1"),
         ("--quick", [], "quick", True),
-    ],
-    "thresholds": [
         ("--P", ["16"], "P", 16.0),
         ("--Q", ["8"], "Q", 8.0),
         ("--S", ["3.5"], "S", 3.5),
-        ("--C", ["2.7"], "C", 2.7),
         ("--a0", ["0.02"], "a0", 0.02),
-    ],
-    "probe": _TIME_FLAGS + [("--eps", ["1e-3", "1e-4"], "eps", (1e-3, 1e-4))],
+        ("--eps", ["1e-3", "1e-4"], "eps", (1e-3, 1e-4)),
+    ]
+}
+# the flags of each command besides --config and --out-dir, which all take
+_STATE_FLAGS = ["--preset", "--n", "--L", "--r", "--seed", "--amplitude", "--theta-amplitude", "--data"]
+_COMMAND_FLAGS = {
+    "lp-analyze": ["--n", "--L", "--r", "--seed", "--amplitude", "--s", "--p", "--q", "--input"],
+    "solve": _STATE_FLAGS + ["--T", "--dt", "--no-buoyancy", "--C"],
+    "iterate": _STATE_FLAGS + ["--T", "--dt", "--n-max", "--tol", "--theta-lag"],
+    "verify": ["--n", "--r", "--estimate", "--quick"],
+    "thresholds": _STATE_FLAGS + ["--P", "--Q", "--S", "--C", "--a0"],
+    "probe": _STATE_FLAGS + ["--T", "--dt", "--eps"],
 }
 _BASE_ARGS = {"verify": ["--estimate", "lemma2.5"]}
 
@@ -189,12 +217,21 @@ def _base_argv(command, tmp_path):
     return [command, "--out-dir", str(tmp_path)] + _BASE_ARGS.get(command, [])
 
 
+def test_parser_offers_the_listed_flags():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        command: set(parser._option_string_actions) - {"-h", "--help"} for command, parser in sub.choices.items()
+    }
+    assert offered == {command: {"--config", "--out-dir", *own} for command, own in _COMMAND_FLAGS.items()}
+    assert sum(map(len, offered.values())) == 74
+
+
 @pytest.mark.parametrize(
     "command,flag,args,field,expected",
     [
-        pytest.param(command, *entry, id=f"{command} {entry[0]}")
+        pytest.param(command, *_FLAGS[flag], id=f"{command} {flag}")
         for command, own in _COMMAND_FLAGS.items()
-        for entry in _COMMON_FLAGS + own
+        for flag in ["--out-dir"] + own
     ],
 )
 def test_every_flag_sets_its_field(tmp_path, command, flag, args, field, expected):
@@ -207,20 +244,111 @@ def test_every_flag_sets_its_field(tmp_path, command, flag, args, field, expecte
     assert getattr(cli.parse_config(argv), field) != fill(expected)
 
 
-_ALL_FLAGS = {flag: args for own in _COMMAND_FLAGS.values() for flag, args, _, _ in own}
-
-
 @pytest.mark.parametrize(
     "command,flag",
     [
         pytest.param(command, flag, id=f"{command} {flag}")
         for command, own in _COMMAND_FLAGS.items()
-        for flag in sorted(set(_ALL_FLAGS) - {f for f, *_ in own})
+        for flag in sorted({f for flags in _COMMAND_FLAGS.values() for f in flags} - set(own))
     ],
 )
-def test_flag_of_another_command_exits(tmp_path, command, flag):
-    with pytest.raises(SystemExit):
-        cli.parse_config(_base_argv(command, tmp_path) + [flag] + _ALL_FLAGS[flag])
+def test_flag_of_another_command_exits(tmp_path, capsys, command, flag):
+    # among them the state flags that verify and lp-analyze do not take
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(_base_argv(command, tmp_path) + [flag] + _FLAGS[flag][1])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_config_file_sets_only_the_fields_its_command_reads(tmp_path):
+    cfg = tmp_path / "run.json"
+    accepted = set()
+    for command in cli.COMMANDS:
+        for f in dataclasses.fields(cli.RunConfig):
+            if f.name in ("command", "preset"):
+                continue  # chosen on the command line
+            cfg.write_text(json.dumps({f.name: f.default}))
+            try:
+                cli.parse_config(_base_argv(command, tmp_path) + ["--config", str(cfg)])
+            except cli.ConfigError as err:
+                if f"{command} reads no config field {f.name!r}" in err.problems:
+                    continue
+            accepted.add((command, f.name))
+    assert accepted == {
+        (command, field)
+        for command, own in _COMMAND_FLAGS.items()
+        for field in {"out_dir"} | {_FLAGS[flag][2] for flag in own} - {"preset"}
+    }
+    assert len(accepted) == 64
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [("verify", "seed"), ("verify", "L"), ("verify", "preset"), ("solve", "n_max"), ("lp-analyze", "data")],
+)
+def test_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: cli.RunConfig.__dataclass_fields__[key].default}))
+    argv = _base_argv(command, tmp_path) + ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {command} reads no config field {key!r}"]
+
+
+# Base runs for the dead-flag test: n = 64 (at n = 32 the synthesized data
+# fill one block, whatever --r says) and short T, random data (so that --seed
+# matters), the quick corpus, and the README thresholds data (every formula
+# in its domain).  That data sets every field a preset sets, so the
+# thresholds --preset row starts from the defaults instead.
+_RUN_BASES = {
+    "lp-analyze": [],
+    "solve": ["--T", "0.004", "--data", "random"],
+    "iterate": ["--T", "0.004", "--data", "random", "--n-max", "3", "--tol", "1e-30"],
+    "verify": ["--estimate", "lemma2.5", "--quick"],
+    "thresholds": [
+        "--data", "random", "--amplitude", "0.002", "--theta-amplitude", "0.002", "--seed", "1", "--C", "2.7"
+    ],
+    "probe": ["--T", "0.004", "--data", "random", "--eps", "1e-3"],
+}
+_PRESET_BASES = {"thresholds": ["--C", "2.7"]}
+# a value no base run has (a flag given twice takes its last value); a switch
+# the base run gives is dropped instead
+_CHANGED = {flag: args for flag, args, _, _ in _FLAGS.values()} | {
+    "--config": ["{tmp}/run.json"],
+    "--out-dir": ["{run}/other"],
+    "--data": ["taylor-green"],
+    "--T": ["0.006"],
+    "--n-max": ["4"],
+    "--tol": ["0.1"],
+    "--estimate": ["lemma2.2.1"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_no_flag_is_dead(tmp_path, capsys, monkeypatch, command):
+    """Changing any flag a command takes changes its exit code, its stdout or
+    stderr, or a file it writes."""
+    # verify without --quick runs the default corpus; one seed at n = 64 keeps it short
+    monkeypatch.setattr(harness, "CorpusSpec", partial(harness.CorpusSpec, seeds=(0,), resolutions=(64,)))
+    fileio.write_snapshot(tmp_path / "in.snap", synthesize_holder_field(make_grid(32), 1.5, 1.0, 3), "theta", 0.0)
+    (tmp_path / "run.json").write_text(json.dumps({"r": 1.25}))
+    outcomes = {}
+
+    def outcome(argv):
+        if tuple(argv) not in outcomes:
+            run = tmp_path / f"run{len(outcomes)}"
+            given = [a.replace("{tmp}", str(tmp_path)).replace("{run}", str(run)) for a in argv]
+            code = cli.main([command, "--out-dir", str(run / "out"), *given])
+            files = {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+            outcomes[tuple(argv)] = code, capsys.readouterr(), files
+        return outcomes[tuple(argv)]
+
+    for flag in ["--config", "--out-dir"] + _COMMAND_FLAGS[command]:
+        base = _PRESET_BASES.get(command, _RUN_BASES[command]) if flag == "--preset" else _RUN_BASES[command]
+        if flag in base and not _CHANGED[flag]:
+            changed = [a for a in base if a != flag]
+        else:
+            changed = base + [flag] + _CHANGED[flag]
+        assert outcome(base) != outcome(changed), flag
 
 
 @pytest.mark.parametrize("argv", [["solve", "--s", "3"], ["thresholds", "--theta", "0.5"]])
@@ -443,6 +571,15 @@ class TestSnapshotIO:
         path.write_bytes(path.read_bytes()[:-8])
         assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "expected 32768 bytes" in capsys.readouterr().err
+
+    def test_lp_analyze_on_a_grid_without_partition_exits_2(self, tmp_path, capsys):
+        grid = make_grid(64, 100.0)
+        path = tmp_path / "field.snap"
+        field = SpectralField.from_values(grid, np.sin(2 * np.pi * grid.x1 / 100.0))
+        fileio.write_snapshot(path, field, "theta", 0.0)
+        assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("input error: ") and "too coarse for a dyadic partition" in line
 
     def test_lp_analyze_on_missing_input_exits_2(self, tmp_path):
         missing = tmp_path / "absent.snap"
