@@ -33,7 +33,7 @@ from . import boussinesq as bq
 from . import fileio
 from . import harness
 from .littlewood_paley import besov_norm, top_block
-from .spectral import make_grid
+from .spectral import make_grid, max_ksq
 from .transport import CFLViolation
 
 __all__ = ["RunConfig", "PRESETS", "parse_config", "run", "main", "ConfigError"]
@@ -122,9 +122,11 @@ class RunConfig:
         command = _COMMANDS[self.command]
         bad_n = self.n < 16 or self.n & (self.n - 1)
         q_max = math.nan if bad_n or self.L <= 0 else top_block(self.n, self.L)
+        overflow = not (bad_n or self.L <= 0 or math.isfinite(max_ksq(self.n, self.L)))
         rules = [  # (broken, problem)
             (bad_n, "n must be a power of two >= 16"),
             (self.L <= 0, "L must be positive"),
+            (overflow, f"grid n={self.n}, L={self.L:g} is too small: its squared wavenumbers overflow a float"),
             (q_max < 2, f"grid n={self.n}, L={self.L:g} is too coarse: "
                         f"its top dyadic block is q_max={q_max:.0f}, and synthesized data needs q_max >= 2"),
             (self.r <= 0, "r must be positive"),

@@ -35,7 +35,9 @@ in ``spectral``; ``besov_norm`` reads it whenever p = inf, so every
 ``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and its
 B^1_{inf,1} norm cost one profile.  Finite p is computed afresh on every
 call.  Each :class:`BesovReport` gets its own ``block_norms`` list, so a
-caller that edits a report cannot reach the cache.
+caller that edits a report cannot reach the cache.  Likewise ``commutator``
+caches advect(v, f) on f for the last velocity v it saw (by identity), so
+the commutators of all blocks of one (v, f) pair advect f once.
 """
 
 from __future__ import annotations
@@ -336,7 +338,17 @@ def commutator(v: VectorField, q: int, f: SpectralField) -> SpectralField:
     """Commutator of advection with a dyadic block: v.grad(D_q f) - D_q(v.grad f)."""
     if not is_divergence_free(v):
         raise ValueError("commutator requires a divergence-free velocity field")
-    return advect(v, block(q, f)) - block(q, advect(v, f))
+    return advect(v, block(q, f)) - block(q, _advected(v, f))
+
+
+def _advected(v: VectorField, f: SpectralField) -> SpectralField:
+    """advect(v, f), cached on f for the last v (by identity), so the
+    commutators of every block of one (v, f) pair share it."""
+    cache = f.__dict__.get("_advected_cache")
+    if cache is None or cache[0] is not v:
+        cache = (v, advect(v, f))
+        object.__setattr__(f, "_advected_cache", cache)
+    return cache[1]
 
 
 _A0_RESOLUTION, _A0_BOX = 2048, 64.0 * np.pi  # the quadrature grid of compute_a0

@@ -30,6 +30,24 @@ is set to 0 (fields of interest are mean-zero).  Every multiplier is
 thereby Hermitian-preserving, so restricting it to the stored half loses
 nothing.
 
+Each ``Grid`` builds its complex multiplier tables once, on first use, and
+every field on the grid shares them, so they are read-only:
+
+* ``ik1``, ``ik2``: the derivative multipliers 1j*k1, 1j*k2;
+* ``dealias_multiplier``: the 2/3-rule ``dealias_mask`` as 1+0j / 0j;
+* ``leray_k1``, ``leray_k2``, ``leray_ksq``: k1, k2 and the safe |k|^2
+  denominator of ``grad_inv_laplacian_div`` as complex numbers.
+
+numpy casts a float or bool operand to complex before it multiplies or
+divides a complex array, so a table gives every coefficient bit for bit
+as the float or bool form would (signed zeros included), without the
+per-call allocation and cast.
+
+Every transform is a call of ``np.fft.rfft2`` or ``np.fft.irfft2``, looked
+up as an attribute of ``np.fft`` at call time (never bound to a local
+name, never a per-axis ``fft``/``rfft``): the transform counts of the
+tests wrap exactly those two attributes.
+
 Fields are immutable: a ``SpectralField`` never changes its coefficients
 after construction, and no code writes into ``coeffs`` in place.  Values
 derived from a field are therefore computed once and cached on the field
@@ -39,7 +57,8 @@ object on first use:
 * ``VectorField.max_speed()``: max |v| over the grid;
 * ``grad_linf_norm(w)`` and ``divergence_residual(w)``, cached on the
   ``VectorField`` (so ``is_divergence_free`` pays once per field);
-* the sup-norm block profile of ``littlewood_paley`` (see there).
+* the sup-norm block profile and the advection term of the commutator
+  in ``littlewood_paley`` (see there).
 
 Writing into ``f.coeffs`` after one of these was read leaves the cache
 stale; build a new field instead.
@@ -47,8 +66,9 @@ stale; build a new field instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,12 +93,26 @@ __all__ = [
 ]
 
 
+def max_ksq(n: int, length: float) -> float:
+    """The largest squared wavenumber |k|^2 = 2 k_max^2 of an n-point grid of
+    side ``length``, computed without building the grid; inf when it overflows."""
+    k_max = (2.0 * np.pi / length) * (n / 2)  # Grid.k_max
+    return 2.0 * k_max * k_max
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
 class Grid:
     """Uniform periodic grid: n points per dimension on [0, L)^2.
 
-    Precomputes mode indices, wavenumber meshes and the 2/3-rule dealias
-    mask, all in the (n, n//2 + 1) half-spectrum layout.  Grids compare
-    and hash by (n, L); use :func:`make_grid` to get a cached instance.
+    Precomputes mode indices, wavenumber meshes, the 2/3-rule dealias
+    mask and the complex multiplier tables of the module docstring, all in
+    the (n, n//2 + 1) half-spectrum layout.  A box so small that |k|^2
+    overflows a float is a ``ValueError``.  Grids compare and hash by
+    (n, L); use :func:`make_grid` to get a cached instance.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -90,6 +124,11 @@ class Grid:
         box_length = float(box_length)
         if not box_length > 0:
             raise ValueError(f"box_length must be positive, got {box_length}")
+
+        if not math.isfinite(max_ksq(n, box_length)):
+            raise ValueError(
+                f"grid n={n}, L={box_length:g}: its squared wavenumbers overflow a float"
+            )
 
         self.n = n
         self.length = box_length
@@ -106,20 +145,45 @@ class Grid:
         self.k1 = np.where(self.m1 == -nyq, 0.0, self.k1_full)
         self.k2 = np.where(self.m2 == -nyq, 0.0, self.k2_full)
 
-        self.ksq = self.k1_full**2 + self.k2_full**2
-        self.abs_k = np.sqrt(self.ksq)
-        # inverse-Laplacian denominators use the Nyquist-zeroed wavenumbers so
-        # the k (x) k / |k|^2 operators stay exact projections on every bin;
-        # bins where both odd wavenumbers vanish have a zero numerator, so
-        # dividing by 1 there maps them to 0
-        self.ksq_odd = self.k1**2 + self.k2**2
-        self.ksq_odd_safe = np.where(self.ksq_odd == 0.0, 1.0, self.ksq_odd)
+        self.abs_k = np.sqrt(self.k1_full**2 + self.k2_full**2)
 
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.m1) <= cutoff) & (np.abs(self.m2) <= cutoff)
 
         x = box_length * np.arange(n) / n
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
+
+    # The complex multiplier tables of the module docstring, each built on
+    # first use (a quadrature grid such as compute_a0's never reads them).
+
+    @cached_property
+    def ik1(self) -> np.ndarray:
+        return _frozen(1j * self.k1)
+
+    @cached_property
+    def ik2(self) -> np.ndarray:
+        return _frozen(1j * self.k2)
+
+    @cached_property
+    def dealias_multiplier(self) -> np.ndarray:
+        return _frozen(self.dealias_mask.astype(complex))
+
+    @cached_property
+    def leray_k1(self) -> np.ndarray:
+        return _frozen(self.k1.astype(complex))
+
+    @cached_property
+    def leray_k2(self) -> np.ndarray:
+        return _frozen(self.k2.astype(complex))
+
+    @cached_property
+    def leray_ksq(self) -> np.ndarray:
+        # inverse-Laplacian denominators use the Nyquist-zeroed wavenumbers so
+        # the k (x) k / |k|^2 operators stay exact projections on every bin;
+        # bins where both odd wavenumbers vanish have a zero numerator, so
+        # dividing by 1 there maps them to 0
+        ksq_odd = self.k1**2 + self.k2**2
+        return _frozen(np.where(ksq_odd == 0.0, 1.0, ksq_odd).astype(complex))
 
     @property
     def spectral_shape(self) -> tuple[int, int]:
@@ -279,12 +343,12 @@ class VectorField:
 def derivative(f: SpectralField, axis: int) -> SpectralField:
     """Spectral partial derivative along axis 1 or 2 (Nyquist zeroed)."""
     if axis == 1:
-        k = f.grid.k1
+        k = f.grid.ik1
     elif axis == 2:
-        k = f.grid.k2
+        k = f.grid.ik2
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return f.multiplied(1j * k)
+    return f.multiplied(k)
 
 
 def divergence(w: VectorField) -> SpectralField:
@@ -293,7 +357,7 @@ def divergence(w: VectorField) -> SpectralField:
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with max(|m1|, |m2|) > n/3 (2/3 rule)."""
-    return f.multiplied(f.grid.dealias_mask)
+    return f.multiplied(f.grid.dealias_multiplier)
 
 
 def dealias_vector(w: VectorField) -> VectorField:
@@ -307,8 +371,8 @@ def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     fields, and zeroes the mean mode.
     """
     g = w.grid
-    s = (g.k1 * w.u1.coeffs + g.k2 * w.u2.coeffs) / g.ksq_odd_safe
-    return VectorField(SpectralField(g, g.k1 * s), SpectralField(g, g.k2 * s))
+    s = (g.leray_k1 * w.u1.coeffs + g.leray_k2 * w.u2.coeffs) / g.leray_ksq
+    return VectorField(SpectralField(g, g.leray_k1 * s), SpectralField(g, g.leray_k2 * s))
 
 
 def leray_project(w: VectorField) -> VectorField:
@@ -317,11 +381,17 @@ def leray_project(w: VectorField) -> VectorField:
 
 
 def advect(v: VectorField, f: SpectralField) -> SpectralField:
-    """Dealiased advection term v . grad f (pointwise product on the grid)."""
+    """Dealiased advection term v . grad f (pointwise product on the grid).
+
+    The two derivatives are transformed straight from the multiplied
+    coefficients, with no intermediate field: one field per call.
+    """
+    g = f.grid
     v1, v2 = v.values()
-    fx = derivative(f, 1).values()
-    fy = derivative(f, 2).values()
-    return dealias(SpectralField.from_values(f.grid, v1 * fx + v2 * fy))
+    fx = np.fft.irfft2(f.coeffs * g.ik1, s=(g.n, g.n), norm="forward")
+    fy = np.fft.irfft2(f.coeffs * g.ik2, s=(g.n, g.n), norm="forward")
+    product = np.fft.rfft2(v1 * fx + v2 * fy, norm="forward")
+    return SpectralField(g, product * g.dealias_multiplier)
 
 
 def advect_vector(v: VectorField, w: VectorField) -> VectorField:

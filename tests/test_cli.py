@@ -151,6 +151,19 @@ class TestParseConfig:
         assert line.startswith("config error: grid n=") and "too coarse" in line
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--L", "1e-320", "--T", "0.001"],
+            ["lp-analyze", "--L", "1e-200"],
+        ],
+    )
+    def test_grid_with_overflowing_wavenumbers_exits_2(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: grid n=64, L=") and "squared wavenumbers overflow" in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_eps_values_sharing_a_file_name_exit_2(self, tmp_path, capsys):
         argv = ["probe", "--preset", "taylor-green", "--n", "32", "--T", "0.004", "--eps", "1e-3", "1.0000001e-3"]
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -580,6 +593,13 @@ class TestSnapshotIO:
         assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("input error: ") and "too coarse for a dyadic partition" in line
+
+    def test_lp_analyze_on_a_grid_with_overflowing_wavenumbers_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "field.snap"
+        path.write_bytes(json.dumps({"n": 16, "L": 1e-200}).encode() + b"\n" + bytes(8 * 16 * 16))
+        assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("input error: ") and "squared wavenumbers overflow" in line
 
     def test_lp_analyze_on_missing_input_exits_2(self, tmp_path):
         missing = tmp_path / "absent.snap"

@@ -50,6 +50,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(64, bad_length)
 
+    @pytest.mark.parametrize("tiny_length", [1e-200, 1e-320])
+    def test_rejects_overflowing_wavenumbers(self, tiny_length):
+        with pytest.raises(ValueError, match="squared wavenumbers overflow"):
+            make_grid(64, tiny_length)
+
 
 class TestTransform:
     def test_constant_field_single_mode(self, grid64):
@@ -125,6 +130,63 @@ class TestTransformScaling:
         for coeffs in (f.coeffs, c):
             values = SpectralField(grid, coeffs).values()
             assert np.array_equal(values, np.fft.irfft2(coeffs * n**2, s=(n, n)))
+
+
+def _signed_zero_coeffs(grid, seed):
+    """Random coefficients with about a third of the real and imaginary
+    parts set to +0.0 and a third to -0.0."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, *grid.spectral_shape))
+    pick = rng.integers(0, 3, size=parts.shape)
+    parts[pick == 1] = 0.0
+    parts[pick == 2] = -0.0
+    coeffs = np.empty(grid.spectral_shape, dtype=complex)
+    coeffs.real, coeffs.imag = parts
+    return coeffs
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMultiplierTables:
+    """The complex tables on ``Grid`` give every coefficient bit for bit as
+    the per-call multipliers did (numpy cast those to complex anyway),
+    signed zeros included."""
+
+    TABLES = ("ik1", "ik2", "dealias_multiplier", "leray_k1", "leray_k2", "leray_ksq")
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_operators_bit_identical_to_per_call_multipliers(self, n):
+        g = make_grid(n)
+        a, b, c = (_signed_zero_coeffs(g, 10 * n + i) for i in range(3))
+        zeros = np.concatenate([a.real[a.real == 0.0], a.imag[a.imag == 0.0]])
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        f = SpectralField(g, a)
+        for axis, k in ((1, g.k1), (2, g.k2)):
+            assert np.array_equal(_bits(derivative(f, axis).coeffs), _bits(a * (1j * k)))
+        assert np.array_equal(_bits(dealias(f).coeffs), _bits(a * g.dealias_mask))
+
+        ksq_odd = g.k1**2 + g.k2**2
+        s = (g.k1 * b + g.k2 * c) / np.where(ksq_odd == 0.0, 1.0, ksq_odd)
+        grad = grad_inv_laplacian_div(VectorField(SpectralField(g, b), SpectralField(g, c)))
+        assert np.array_equal(_bits(grad.u1.coeffs), _bits(g.k1 * s))
+        assert np.array_equal(_bits(grad.u2.coeffs), _bits(g.k2 * s))
+
+        v = VectorField(SpectralField(g, b), SpectralField(g, c))
+        v1, v2 = v.values()
+        fx, fy = derivative(f, 1).values(), derivative(f, 2).values()
+        expected = dealias(SpectralField.from_values(g, v1 * fx + v2 * fy))
+        assert np.array_equal(_bits(advect(v, SpectralField(g, a)).coeffs), _bits(expected.coeffs))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_tables_are_read_only_and_shared(self, name):
+        g = make_grid(32)
+        table = getattr(g, name)
+        assert table.dtype == complex and table.shape == g.spectral_shape
+        assert getattr(make_grid(32), name) is table  # one table for every field on the grid
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 class TestHalfSpectrumLayout:

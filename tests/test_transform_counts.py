@@ -1,10 +1,14 @@
 """Transform counts of the solver paths, pinned exactly.
 
 Every transform in the program is a ``np.fft.rfft2`` or ``np.fft.irfft2``
-issued by ``SpectralField``, so counting those two calls counts all the
-work that dominates a step.  The counts do not depend on the machine, so
-they gate a refactor where wall times on a shared host cannot.  The
-numbers were recorded before the steppers were merged into one RK4.
+issued by ``spectral``, so counting those two calls counts all the work
+that dominates a step.  The counts do not depend on the machine, so they
+gate a refactor where wall times on a shared host cannot.  The numbers
+were recorded before the steppers were merged into one RK4.
+
+Next to them, the number of ``SpectralField`` objects a path builds
+counts its full-array field results (each is one coefficient array), the
+elementwise work between the transforms.  Those pins must not rise.
 
 Inputs are built fresh for every count: ``SpectralField.values()``, the
 sup-norm block profile and the velocity norms are cached per field, so a
@@ -17,15 +21,15 @@ import pytest
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness, transport
 from boussinesq_lp.littlewood_paley import build_partition, holder_norm
-from boussinesq_lp.spectral import is_divergence_free, make_grid
+from boussinesq_lp.spectral import SpectralField, is_divergence_free, make_grid
 
 N = 64
 DT = 1e-3
 
 
-@pytest.fixture
-def count(monkeypatch):
-    """count(fn, *args) -> number of rfft2/irfft2 calls made by fn(*args)."""
+def _counter(monkeypatch, owner, names):
+    """run(fn, *args) -> number of calls fn(*args) makes to the named
+    attributes of ``owner``, wrapped for the rest of the test."""
     calls = [0]
 
     def counted(fn):
@@ -35,8 +39,8 @@ def count(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.fft, "rfft2", counted(np.fft.rfft2))
-    monkeypatch.setattr(np.fft, "irfft2", counted(np.fft.irfft2))
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
 
     def run(fn, *args, **kwargs):
         before = calls[0]
@@ -44,6 +48,19 @@ def count(monkeypatch):
         return calls[0] - before
 
     return run
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """count(fn, *args) -> number of rfft2/irfft2 calls made by fn(*args)."""
+    return _counter(monkeypatch, np.fft, ("rfft2", "irfft2"))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """built(fn, *args) -> number of SpectralField objects fn(*args) builds,
+    each one a full-array field result."""
+    return _counter(monkeypatch, SpectralField, ("__post_init__",))
 
 
 def _grid():
@@ -77,6 +94,27 @@ def test_run_direct_monitor_sample(count):
     # T = 0: validation (divergence-free check) plus the initial sample,
     # which reads the two velocity norms the check cached on u0
     assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3 * (_q_max() + 2)
+
+
+def test_field_results_per_step_and_sample(built):
+    # each of the 4 stages: -advect(u, theta) (2); the flux tensor (3), its
+    # four derivatives (4), two sums (2) and two dealiased components (2);
+    # the buoyant force (2) and its projection (4).  Per field of (theta,
+    # u1, u2): three shifted stage inputs (2 each) and the combination (7).
+    # Then the final projection (4): 4 * 19 + 3 * (6 + 7) + 4
+    assert built(bq.direct_step, _tg(), DT) == 119
+    one = built(bq.run_direct, _tg(), DT, DT, 1.5)
+    two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
+    sample = two - one - built(bq.direct_step, _tg(), DT)
+    # grad_linf_norm (4), divergence (3), one field per block of the three
+    # Hoelder profiles
+    assert sample == 4 + 3 + 3 * (_q_max() + 2) == 22
+    # each of the 4 stages: -advect(v, f) (2); three shifted stage inputs
+    # (2 each) and the combination (7)
+    step = built(transport.solve, _transport_problem(2 * DT)) - built(
+        transport.solve, _transport_problem(DT)
+    )
+    assert step == 4 * 2 + 6 + 7 == 21
 
 
 def _transport_problem(T):
@@ -141,8 +179,8 @@ def test_commutator_verify_run(count, monkeypatch):
     holder = 2 * (q_max - 1) + (q_max + 2)
     synthesis = 2 * holder + 2 * (holder + 2 * (q_max + 2))
     # per exponent, once: the block profile of f, the divergence check of v
-    # (divergence_residual 1 + grad_linf_norm 4) and the values of v (2);
-    # per block: v.grad(D_q f) (3), v.grad f again (3) and the sup of the
-    # commutator (1)
-    per_r = synthesis + (q_max + 2) + 5 + 2 + 7 * (q_max + 2)
-    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r == 515
+    # (divergence_residual 1 + grad_linf_norm 4), the values of v (2) and
+    # v.grad f (3), which the commutators of all blocks share; per block:
+    # v.grad(D_q f) (3) and the sup of the commutator (1)
+    per_r = synthesis + (q_max + 2) + 5 + 2 + 3 + 4 * (q_max + 2)
+    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r == 455
