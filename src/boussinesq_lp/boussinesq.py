@@ -18,23 +18,37 @@ saves no transform, so it keeps the advective form v . grad u.
 The successive-approximation scheme solves the linearized
 problems (iterate n+1 advected by iterate n) with frequency-truncated
 initial data, recording Cauchy gaps in the C^{r-1} norm.  Both use one
-coupled right-hand side and one step tail: the linearized step is the
-direct step with the advecting velocity and the buoyancy source frozen
-to the previous iterate.  A monitor
+RK4 and one step tail: the linearized step is the direct step with the
+advecting velocity and the buoyancy source frozen to the previous
+iterate.  A monitor
 tracks sup|grad u|, its running time integral, Hoelder norms and the
 divergence residual for blow-up diagnostics.
+
+The linearized iterate holds each state as one (3, n, n//2 + 1) stack of
+(theta, u1, u2) coefficients (``_Stack``): its nodes, stage slopes and
+Hermite reads.  All three rows are advected by one velocity, so one
+stacked advection (3 transform calls over 9 fields) replaces three
+(9 calls), and a Cauchy gap takes one inverse transform per block over
+the three rows of a difference.  At n = 64, the grid of the iterate
+preset, per-call overhead dominates and the stack is faster; at n = 128
+the larger stack arrays cost more in allocation than the calls they
+save.  So the direct step, the monitor and the probe's runs keep their
+per-field code: the direct step advects u by itself in flux form, so its
+three fields share no one advection, and a stacked direct step measured
+slower at n = 128.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .littlewood_paley import (
+    _holder_rows,
     build_partition,
     holder_norm,
     holder_norm_vector,
@@ -45,8 +59,9 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
+    _advect_rows,
+    _gradient_part,
     advect,
-    advect_vector,
     dealias,
     dealias_vector,
     derivative,
@@ -170,38 +185,104 @@ def _self_advection(u: VectorField) -> VectorField:
 
 
 def _rhs(
-    theta: SpectralField, u: VectorField, v: VectorField, source: SpectralField | None
+    theta: SpectralField, u: VectorField, buoyancy: bool
 ) -> tuple[SpectralField, VectorField]:
-    """Slopes of (theta, u) advected by v and forced by the buoyancy of
-    ``source`` (None: no buoyancy), with the velocity slope projected.
+    """Slopes of (theta, u) with u advecting both, forced by the buoyancy
+    of theta (unless ``buoyancy`` is off), with the velocity slope projected.
 
-    When u advects itself (``v is u``, every direct step) the momentum
-    term is the flux form ``_self_advection(u)``: 3 transforms in place of
-    6.  The linearized iterate (v is the previous iterate) keeps the
-    advective form ``advect_vector(v, u)``: there the flux form also costs
-    6 transforms, and it would cache the values of u on every stored node.
+    The momentum term is the flux form ``_self_advection(u)``: 3
+    transforms in place of the 6 of the advective form.
     """
-    dtheta = -advect(v, theta)
-    m = _self_advection(u) if v is u else advect_vector(v, u)
-    force = -m if source is None else VectorField(-m.u1, source - m.u2)
+    dtheta = -advect(u, theta)
+    m = _self_advection(u)
+    force = VectorField(-m.u1, theta - m.u2) if buoyancy else -m
     return dtheta, leray_project(force)
 
 
-def _check_finite(theta: SpectralField, u: VectorField, t: float) -> None:
-    for c in (theta.coeffs, u.u1.coeffs, u.u2.coeffs):
+class _Stack:
+    """One state (or slope) of a linearized iterate: the (theta, u1, u2)
+    coefficients on ``grid`` as one (3, n, n//2 + 1) array.
+
+    Sums, differences and scalar multiples act on the whole stack, so
+    ``rk4`` and the Hermite reads combine stacks as they combine fields,
+    with the same operations on every coefficient.  ``theta`` and
+    ``velocity`` are fields over the rows, built on first read; so the
+    values of a stored node's velocity, cached on its ``VectorField``, are
+    transformed once, whichever read returns the node.
+    """
+
+    def __init__(self, grid: Grid, coeffs: np.ndarray):
+        self.grid = grid
+        self.coeffs = coeffs
+
+    @classmethod
+    def of(cls, theta: SpectralField, u: VectorField) -> "_Stack":
+        return cls(theta.grid, np.stack((theta.coeffs, u.u1.coeffs, u.u2.coeffs)))
+
+    @cached_property
+    def theta(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[0])
+
+    @cached_property
+    def velocity(self) -> VectorField:
+        g, c = self.grid, self.coeffs
+        return VectorField(SpectralField(g, c[1]), SpectralField(g, c[2]))
+
+    def __add__(self, other: "_Stack") -> "_Stack":
+        return _Stack(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "_Stack") -> "_Stack":
+        return _Stack(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float) -> "_Stack":
+        return _Stack(self.grid, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+
+def _project_rows(y: _Stack) -> _Stack:
+    """``leray_project`` of the velocity rows of a stack, in place: only
+    for a stack its caller has just built and nothing has read."""
+    g1, g2 = _gradient_part(y.grid, y.coeffs[1], y.coeffs[2])
+    y.coeffs[1] -= g1
+    y.coeffs[2] -= g2
+    return y
+
+
+def _linear_rhs(y: _Stack, v: VectorField, source: np.ndarray) -> _Stack:
+    """Slope of the stack y advected by v and forced by the buoyancy of the
+    temperature coefficients ``source``, with the velocity rows projected:
+    the arithmetic of the per-field right-hand side on every coefficient,
+    with the three rows advected by one ``_advect_rows``."""
+    advected = _advect_rows(y.grid, v, y.coeffs)
+    slope = -advected
+    np.subtract(source, advected[2], out=slope[2])
+    return _project_rows(_Stack(y.grid, slope))
+
+
+def _check_finite(coeffs: tuple, t: float) -> None:
+    for c in coeffs:
         if not np.all(np.isfinite(c)):
             raise NumericsError(f"non-finite field values at t={t:.6g}")
 
 
 def _coupled_step(y: tuple, rhs, t: float, h: float) -> tuple[tuple, tuple]:
-    """One ``rk4`` step of (theta, u) with the final velocity projected and
-    checked finite; returns the new pair and the stage-one slope.  The
-    stage slopes are already divergence-free, so the projection only
-    clears the roundoff of the combination."""
-    (theta, u), k1 = rk4(y, rhs, t, h)
-    u = leray_project(u)
-    _check_finite(theta, u, t + h)
-    return (theta, u), k1
+    """One ``rk4`` step of the coupled state with the final velocity
+    projected and checked finite; returns the new state and the stage-one
+    slope.  The state is the field pair (theta, u) of the direct step or
+    the 1-tuple holding the ``_Stack`` of a linearized iterate.  The stage
+    slopes are already divergence-free, so the projection only clears the
+    roundoff of the combination."""
+    y, k1 = rk4(y, rhs, t, h)
+    if isinstance(y[0], _Stack):
+        y = (_project_rows(y[0]),)
+        coeffs = (y[0].coeffs,)
+    else:
+        theta, u = y[0], leray_project(y[1])
+        y = (theta, u)
+        coeffs = (theta.coeffs, u.u1.coeffs, u.u2.coeffs)
+    _check_finite(coeffs, t + h)
+    return y, k1
 
 
 def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
@@ -209,8 +290,7 @@ def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> Bou
     _check_cfl(state.u, dt, state.t)
 
     def rhs(_t: float, y: tuple) -> tuple[SpectralField, VectorField]:
-        theta, u = y
-        return _rhs(theta, u, u, theta if buoyancy else None)
+        return _rhs(*y, buoyancy)
 
     (theta, u), _ = _coupled_step((state.theta, state.u), rhs, state.t, dt)
     return BoussinesqState(theta, u, state.t + dt)
@@ -474,51 +554,44 @@ def taylor_green_data(
 
 class _HermiteTrajectory:
     """Iterate stored at the node times of its step lattice (node 0 at
-    t = 0, node i at the end of step i) with its time derivatives.
+    t = 0, node i at the end of step i) with its time derivatives, one
+    ``_Stack`` each.
 
-    A read at t finds the step that holds t among the node times and
+    A read ``at(t)`` finds the step that holds t among the node times and
     interpolates by cubic Hermite over that step's own width, so a
     remainder step is read on its own width.  A read within 1e-12 of a
     step's ends (in units of its width) returns the stored node object
-    itself, and a one-node trajectory is constant in time.  theta and u
-    share the one read path ``_read``.
+    itself, and a one-node trajectory is constant in time.
     """
 
     def __init__(self, lattice: list[tuple[float, float]], nodes: list, slopes: list):
         self.times = [0.0] + [t for _, t in lattice]
         self._widths = [h for h, _ in lattice]
-        self._nodes = nodes  # (theta, u) per node
-        self._slopes = slopes  # (dtheta/dt, du/dt) per node
+        self._nodes = nodes
+        self._slopes = slopes
 
-    def _read(self, t: float, c: int):
+    def at(self, t: float):
         if not self._widths:
-            return self._nodes[0][c]
+            return self._nodes[0]
         j = min(max(bisect.bisect_right(self.times, t) - 1, 0), len(self._widths) - 1)
         h = self._widths[j]
         s = (t - self.times[j]) / h
         if s < 1e-12:
-            return self._nodes[j][c]
+            return self._nodes[j]
         if s > 1.0 - 1e-12:
-            return self._nodes[j + 1][c]
+            return self._nodes[j + 1]
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
         h01 = -2 * s**3 + 3 * s**2
         h11 = s**3 - s**2
-        y0, y1 = self._nodes[j][c], self._nodes[j + 1][c]
-        d0, d1 = self._slopes[j][c], self._slopes[j + 1][c]
+        y0, y1 = self._nodes[j], self._nodes[j + 1]
+        d0, d1 = self._slopes[j], self._slopes[j + 1]
         return h00 * y0 + (h10 * h) * d0 + h01 * y1 + (h11 * h) * d1
-
-    def theta(self, t: float) -> SpectralField:
-        return self._read(t, 0)
-
-    def velocity(self, t: float) -> VectorField:
-        return self._read(t, 1)
 
 
 def _solve_linear_iterate(
     prev: _HermiteTrajectory,
-    theta_init: SpectralField,
-    u_init: VectorField,
+    init: _Stack,
     lattice: list[tuple[float, float]],
     theta_lag: bool,
 ) -> _HermiteTrajectory:
@@ -528,31 +601,43 @@ def _solve_linear_iterate(
     velocity frozen to the previous iterate and the buoyancy source set
     to the current (or, with ``theta_lag``, the previous) temperature;
     the pressure gradient is refreshed at every substage through the
-    projection.  It steps on ``lattice`` (from ``transport._step_lattice``)
-    and checks each step against the CFL bound of the advecting velocity
-    at its start, as ``direct_step`` does.  The stage-one slope of each
-    step is kept as the Hermite derivative at its node.  The frozen fields
-    are built once per distinct substage time (rk4 stages 2 and 3 share
-    t + h/2), so their values are transformed once.
+    projection.  The state is one ``_Stack`` from ``init`` on, and each
+    stage advects its three rows at once (``_linear_rhs``).  It steps on
+    ``lattice`` (from ``transport._step_lattice``) and checks each step
+    against the CFL bound of the advecting velocity at its start, as
+    ``direct_step`` does.  The stage-one slope of each step is kept as the
+    Hermite derivative at its node.  The previous iterate is read once
+    per distinct substage time (rk4 stages 2 and 3 share t + h/2), so the
+    values of its velocity are transformed once.
     """
-    velocity = lru_cache(maxsize=1)(prev.velocity)
-    frozen_theta = lru_cache(maxsize=1)(prev.theta)
+    frozen = lru_cache(maxsize=1)(prev.at)
 
-    def rhs(t: float, y: tuple) -> tuple[SpectralField, VectorField]:
-        theta, u = y
-        return _rhs(theta, u, velocity(t), frozen_theta(t) if theta_lag else theta)
+    def rhs(t: float, y: tuple) -> tuple[_Stack]:
+        (state,) = y
+        driver = frozen(t)
+        return (_linear_rhs(state, driver.velocity, (driver if theta_lag else state).coeffs[0]),)
 
-    nodes = [(theta_init, u_init)]
+    nodes = [init]
     slopes = []
     t = 0.0
     for h, t_end in lattice:
-        _check_cfl(velocity(t), h, t)
-        y, k1 = _coupled_step(nodes[-1], rhs, t, h)
+        _check_cfl(frozen(t).velocity, h, t)
+        (y,), (k1,) = _coupled_step((nodes[-1],), rhs, t, h)
         nodes.append(y)
         slopes.append(k1)
         t = t_end
-    slopes.append(rhs(t, nodes[-1]))
+    slopes.append(rhs(t, (nodes[-1],))[0])
     return _HermiteTrajectory(lattice, nodes, slopes)
+
+
+def _gap_norms(diff: _Stack, s: float) -> tuple[float, float]:
+    """C^s norms of the temperature and of the velocity of a (theta, u1, u2)
+    difference: ``holder_norm`` of its theta row and ``holder_norm_vector``
+    of its velocity rows, from one inverse transform per block over all
+    three rows.  The Cauchy gaps of the iterate and the twin-run gaps of
+    the probe both read it."""
+    theta, u1, u2 = _holder_rows(diff.grid, diff.coeffs, s)
+    return theta, max(u1, u2)
 
 
 def iterate_scheme(
@@ -590,40 +675,31 @@ def iterate_scheme(
         raise ValueError("initial data must be dealiased")
     q_max = build_partition(theta0.grid).q_max
 
-    # iterate 1 is constant in time: one node with zero slopes
-    grid = theta0.grid
-    current = _HermiteTrajectory(
-        [],
-        [(low_pass(2, theta0), low_pass_vector(2, u0))],
-        [(SpectralField.zero(grid), VectorField.zero(grid))],
-    )
+    # iterate 1 is constant in time: one node with a zero slope
+    start = _Stack.of(low_pass(2, theta0), low_pass_vector(2, u0))
+    current = _HermiteTrajectory([], [start], [_Stack(start.grid, np.zeros_like(start.coeffs))])
     records: list[IterationRecord] = []
     prev_gap: float | None = None
     rising = 0
 
     for m in range(2, n_max + 1):
         level = min(m + 1, q_max + 1)
-        new = _solve_linear_iterate(
-            current,
-            low_pass(level, theta0),
-            low_pass_vector(level, u0),
-            lattice,
-            theta_lag,
-        )
+        init = _Stack.of(low_pass(level, theta0), low_pass_vector(level, u0))
+        new = _solve_linear_iterate(current, init, lattice, theta_lag)
         gap_theta = 0.0
         gap_u = 0.0
         for t in new.times:
-            dth = new.theta(t) - current.theta(t)
-            duv = new.velocity(t) - current.velocity(t)
-            gap_theta = max(gap_theta, holder_norm(dth, r - 1).value)
-            gap_u = max(gap_u, holder_norm_vector(duv, r - 1))
+            node_theta, node_u = _gap_norms(new.at(t) - current.at(t), r - 1)
+            gap_theta = max(gap_theta, node_theta)
+            gap_u = max(gap_u, node_u)
         gap = max(gap_theta, gap_u)
         ratio = (gap / prev_gap) if (prev_gap is not None and prev_gap > 1e-14) else None
+        final = new.at(new.times[-1])
         records.append(
             IterationRecord(
                 n=m,
-                theta_n=new.theta(new.times[-1]),
-                u_n=new.velocity(new.times[-1]),
+                theta_n=final.theta,
+                u_n=final.velocity,
                 cauchy_gap_theta=gap_theta,
                 cauchy_gap_u=gap_u,
                 ratio=ratio,
@@ -688,10 +764,7 @@ def uniqueness_probe(
     runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
 
     def gaps(b: BoussinesqState) -> tuple[float, float]:
-        return (
-            holder_norm(ref.theta - b.theta, r - 1.0).value,
-            holder_norm_vector(ref.u - b.u, r - 1.0),
-        )
+        return _gap_norms(_Stack.of(ref.theta, ref.u) - _Stack.of(b.theta, b.u), r - 1.0)
 
     times = [0.0]
     sampled = [[gaps(b)] for b in runs]

@@ -33,9 +33,13 @@ depend on the smoothness index.  It is computed once per field and cached
 on the (immutable) ``SpectralField``, next to the values cache described
 in ``spectral``; ``besov_norm`` reads it whenever p = inf, so every
 ``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and its
-B^1_{inf,1} norm cost one profile.  Finite p is computed afresh on every
-call.  Each :class:`BesovReport` gets its own ``block_norms`` list, so a
-caller that edits a report cannot reach the cache.  Likewise ``commutator``
+B^1_{inf,1} norm cost one profile.  The private kernel ``_block_sups``
+computes it, one inverse transform per block and no field built, for one
+field or for a stack of fields at once (the Cauchy and twin-run gaps of
+``boussinesq`` take the profiles of a (theta, u1, u2) difference that
+way).  Finite p is computed afresh on every call.  Each
+:class:`BesovReport` gets its own ``block_norms`` list, so a caller that
+edits a report cannot reach the cache.  Likewise ``commutator``
 caches advect(v, f) on f for the last velocity v it saw (by identity), so
 the commutators of all blocks of one (v, f) pair advect f once.
 """
@@ -56,7 +60,6 @@ from .spectral import (
     dealias,
     is_divergence_free,
     lp_norm,
-    make_grid,
 )
 
 __all__ = [
@@ -262,13 +265,34 @@ def _block_norms(f: SpectralField, p: float) -> list[tuple[int, float]]:
     return [(q, lp_norm(block(q, f), p)) for q in range(-1, q_max + 1)]
 
 
+def _block_sups(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """||D_q f||_inf for q = -1..q_max (axis 0) and every field f of a
+    coefficient stack (..., n, n//2 + 1) on grid (the other axes): one
+    inverse transform per block over every row, and no field built."""
+    part = build_partition(grid)
+    n = grid.n
+    blocks = (
+        np.fft.irfft2(coeffs * part.multiplier(q), s=(n, n), norm="forward")
+        for q in range(-1, part.q_max + 1)
+    )
+    return np.array([np.max(np.abs(values), axis=(-2, -1)) for values in blocks])
+
+
 def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
-    """[(q, ||D_q f||_inf)] for q = -1..q_max, cached on f on first call."""
+    """[(q, ||D_q f||_inf)] for q = -1..q_max, cached on f on first call:
+    ``_block_sups`` of the one field f."""
     cache = f.__dict__.get("_sup_profile_cache")
     if cache is None:
-        cache = tuple(_block_norms(f, np.inf))
+        cache = tuple(enumerate(map(float, _block_sups(f.grid, f.coeffs)), -1))
         object.__setattr__(f, "_sup_profile_cache", cache)
     return cache
+
+
+def _holder_rows(grid: Grid, coeffs: np.ndarray, r: float) -> list[float]:
+    """``holder_norm(f, r).value`` of every field f of a (k, n, n//2 + 1)
+    coefficient stack: its ``_block_sups`` column assembled by ``_assemble``."""
+    sups = _block_sups(grid, coeffs)
+    return [_assemble(list(enumerate(map(float, column), -1)), r, np.inf) for column in sups.T]
 
 
 def besov_norm(
@@ -361,7 +385,14 @@ def compute_a0() -> float:
     The kernel decays super-algebraically, so a box of ~200 length units
     captures the L^1 mass far beyond the 1e-6 level needed downstream.
     chi(0) = 1 forces the integral of the kernel to 1, hence a0 >= 1.
+
+    |k| and the quadrature are those of a ``Grid`` and of ``lp_norm(f, 1)``
+    on it, operation for operation, but no ``Grid`` is built: the cache of
+    ``make_grid`` would keep its meshes for the life of the process.
     """
-    grid = make_grid(_A0_RESOLUTION, _A0_BOX)
-    coeffs = chi_profile(grid.abs_k).astype(complex) / _A0_BOX**2
-    return lp_norm(SpectralField(grid, coeffs), 1)
+    n, box = _A0_RESOLUTION, _A0_BOX
+    k = (2.0 * np.pi / box) * np.rint(np.fft.fftfreq(n, d=1.0 / n))  # Grid.k1_full's column
+    abs_k = np.sqrt(k[:, None] ** 2 + k[: n // 2 + 1] ** 2)
+    coeffs = chi_profile(abs_k).astype(complex) / box**2
+    values = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+    return float(np.sum(np.abs(values)) * (box / n) ** 2)

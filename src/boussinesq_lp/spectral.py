@@ -46,7 +46,13 @@ per-call allocation and cast.
 Every transform is a call of ``np.fft.rfft2`` or ``np.fft.irfft2``, looked
 up as an attribute of ``np.fft`` at call time (never bound to a local
 name, never a per-axis ``fft``/``rfft``): the transform counts of the
-tests wrap exactly those two attributes.
+tests wrap exactly those two attributes.  One call may cover a stack of
+fields along leading axes, (k, n, n//2 + 1) coefficients or (k, n, n)
+values; numpy transforms each row exactly as a call of its own would, bit
+for bit.  So the Tier-1 counters count both calls and fields (the product
+of the leading axes of each input).  The linearized iterate of
+``boussinesq`` advects its (theta, u1, u2) stack with the private kernel
+``_advect_rows``, of which ``advect`` is the one-field case.
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
 after construction, and no code writes into ``coeffs`` in place.  Values
@@ -154,7 +160,7 @@ class Grid:
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
 
     # The complex multiplier tables of the module docstring, each built on
-    # first use (a quadrature grid such as compute_a0's never reads them).
+    # first use (a grid whose fields only take norms never reads them).
 
     @cached_property
     def ik1(self) -> np.ndarray:
@@ -364,6 +370,14 @@ def dealias_vector(w: VectorField) -> VectorField:
     return VectorField(dealias(w.u1), dealias(w.u2))
 
 
+def _gradient_part(g: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k (x) k / |k|^2 multiplier on the coefficient arrays (c1, c2) of
+    grid g: the arithmetic of ``grad_inv_laplacian_div``, which
+    ``leray_project`` and the stacked iterate of ``boussinesq`` share."""
+    s = (g.leray_k1 * c1 + g.leray_k2 * c2) / g.leray_ksq
+    return g.leray_k1 * s, g.leray_k2 * s
+
+
 def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     """Gradient-part extractor: the k (x) k / |k|^2 multiplier.
 
@@ -371,8 +385,8 @@ def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     fields, and zeroes the mean mode.
     """
     g = w.grid
-    s = (g.leray_k1 * w.u1.coeffs + g.leray_k2 * w.u2.coeffs) / g.leray_ksq
-    return VectorField(SpectralField(g, g.leray_k1 * s), SpectralField(g, g.leray_k2 * s))
+    g1, g2 = _gradient_part(g, w.u1.coeffs, w.u2.coeffs)
+    return VectorField(SpectralField(g, g1), SpectralField(g, g2))
 
 
 def leray_project(w: VectorField) -> VectorField:
@@ -380,18 +394,24 @@ def leray_project(w: VectorField) -> VectorField:
     return w - grad_inv_laplacian_div(w)
 
 
-def advect(v: VectorField, f: SpectralField) -> SpectralField:
-    """Dealiased advection term v . grad f (pointwise product on the grid).
-
-    The two derivatives are transformed straight from the multiplied
-    coefficients, with no intermediate field: one field per call.
+def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
+    """Dealiased v . grad f for every field f of a coefficient stack
+    (..., n, n//2 + 1) on grid g: one inverse transform per derivative
+    direction and one forward transform of the products, each over every
+    row.  The two derivatives are transformed straight from the multiplied
+    coefficients, with no intermediate field.
     """
-    g = f.grid
     v1, v2 = v.values()
-    fx = np.fft.irfft2(f.coeffs * g.ik1, s=(g.n, g.n), norm="forward")
-    fy = np.fft.irfft2(f.coeffs * g.ik2, s=(g.n, g.n), norm="forward")
+    fx = np.fft.irfft2(coeffs * g.ik1, s=(g.n, g.n), norm="forward")
+    fy = np.fft.irfft2(coeffs * g.ik2, s=(g.n, g.n), norm="forward")
     product = np.fft.rfft2(v1 * fx + v2 * fy, norm="forward")
-    return SpectralField(g, product * g.dealias_multiplier)
+    return product * g.dealias_multiplier
+
+
+def advect(v: VectorField, f: SpectralField) -> SpectralField:
+    """Dealiased advection term v . grad f (pointwise product on the grid):
+    ``_advect_rows`` of the one field f, three single-field transforms."""
+    return SpectralField(f.grid, _advect_rows(f.grid, v, f.coeffs))
 
 
 def advect_vector(v: VectorField, w: VectorField) -> VectorField:

@@ -13,9 +13,11 @@ from boussinesq_lp.littlewood_paley import (
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
+    advect,
     advect_vector,
     dealias,
     divergence,
+    leray_project,
     linf_norm,
     make_grid,
 )
@@ -236,6 +238,27 @@ class TestIterationScheme:
         assert steps == 2 * lattice
 
 
+class TestStack:
+    """The linearized iterate's stacked arithmetic gives every coefficient
+    bit for bit as the per-field operations it replaced."""
+
+    def test_linear_rhs_matches_per_field_arithmetic(self, grid64):
+        theta = bq.synthesize_holder_field(grid64, 1.5, 0.5, 71)
+        u = bq.synthesize_divfree_velocity(grid64, 1.5, 0.5, 72)
+        v = bq.synthesize_divfree_velocity(grid64, 1.5, 1.0, 73)
+        source = bq.synthesize_holder_field(grid64, 1.5, 0.5, 74)
+        slope = bq._linear_rhs(bq._Stack.of(theta, u), v, source.coeffs)
+        m = advect_vector(v, u)
+        expected = bq._Stack.of(-advect(v, theta), leray_project(VectorField(-m.u1, source - m.u2)))
+        assert np.array_equal(slope.coeffs.view(np.uint64), expected.coeffs.view(np.uint64))
+
+    def test_gap_norms_are_the_holder_norms_of_the_difference(self, grid64):
+        a = bq.taylor_green_data(grid64, 1.0, 0.05)
+        b = bq.taylor_green_data(grid64, 0.9, 0.04)
+        gaps = bq._gap_norms(bq._Stack.of(a.theta, a.u) - bq._Stack.of(b.theta, b.u), 0.5)
+        assert gaps == (holder_norm(a.theta - b.theta, 0.5).value, holder_norm_vector(a.u - b.u, 0.5))
+
+
 class TestHermiteTrajectory:
     """Reads of a stored iterate: a cubic in time with exact slopes is
     reproduced on every step, the remainder step on its own width."""
@@ -251,35 +274,36 @@ class TestHermiteTrajectory:
     def trajectory(self, grid):
         f = SpectralField.from_values(grid, np.sin(grid.x1))
         w = VectorField(f, -f)
+        state = bq._Stack.of(f, w)
         lattice = transport._step_lattice(0.0073, 2e-3)
         times = [0.0] + [t for _, t in lattice]
-        nodes = [(self.cubic(t) * f, self.cubic(t) * w) for t in times]
-        slopes = [(self.slope(t) * f, self.slope(t) * w) for t in times]
+        nodes = [self.cubic(t) * state for t in times]
+        slopes = [self.slope(t) * state for t in times]
         return f, w, bq._HermiteTrajectory(lattice, nodes, slopes), nodes
 
     def test_node_times_return_the_stored_nodes(self):
         _, _, traj, nodes = self.trajectory(make_grid(16))
         assert traj.times == [0.0, 2e-3, 4e-3, 6e-3, 0.0073]
-        for t, (theta, u) in zip(traj.times, nodes):
-            assert traj.theta(t) is theta
-            assert traj.velocity(t) is u
+        for t, node in zip(traj.times, nodes):
+            assert traj.at(t) is node
+            assert traj.at(t).velocity is node.velocity
         # an rk4 stage time t + h can round to either side of the next node
         for t in (4e-3 * (1.0 - 1e-15), 4e-3 * (1.0 + 1e-15)):
-            assert t != 4e-3 and traj.theta(t) is nodes[2][0]
+            assert t != 4e-3 and traj.at(t) is nodes[2]
 
     @pytest.mark.parametrize("t", [1e-3, 3.3e-3, 5.5e-3, 6.65e-3, 7.2e-3])
     def test_reads_reproduce_a_cubic(self, t):
         f, w, traj, _ = self.trajectory(make_grid(16))
         scale = self.cubic(t)
-        assert rel_linf(traj.theta(t), scale * f) < 1e-13
-        assert rel_linf(traj.velocity(t).u2, scale * w.u2) < 1e-13
+        assert rel_linf(traj.at(t).theta, scale * f) < 1e-13
+        assert rel_linf(traj.at(t).velocity.u2, scale * w.u2) < 1e-13
 
     def test_one_node_is_constant(self, grid64):
         f = SpectralField.from_values(grid64, np.sin(grid64.x1))
-        zero = SpectralField.zero(grid64)
-        traj = bq._HermiteTrajectory([], [(f, None)], [(zero, None)])
+        node = bq._Stack.of(f, VectorField(f, f))
+        traj = bq._HermiteTrajectory([], [node], [0.0 * node])
         assert traj.times == [0.0]
-        assert traj.theta(0.0) is f and traj.theta(0.5) is f
+        assert traj.at(0.0) is node and traj.at(0.5) is node
 
 
 BAD_T_DT = [

@@ -276,6 +276,26 @@ class TestBlockProfileCache:
         monkeypatch.setattr(lp, "_sup_profile", forbidden)
         assert json.dumps(besov_norm(f, 1.5, 2.0).to_dict()) == expected
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_stacked_block_sups_bit_identical_to_per_block_norms(self, n):
+        # one irfft2 per block over a (3, n, m) stack gives every row's block
+        # sup norms bit for bit as lp_norm(block(q, f), inf), signed zeros included
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        parts = rng.standard_normal((2, 3, *grid.spectral_shape))
+        pick = rng.integers(0, 3, size=parts.shape)
+        parts[pick == 1], parts[pick == 2] = 0.0, -0.0
+        rows = parts[0] + 1j * parts[1]
+        assert np.signbit(rows.real[rows.real == 0.0]).any()
+        sups = lp._block_sups(grid, rows)
+        q_max = build_partition(grid).q_max
+        assert sups.shape == (q_max + 2, 3)
+        for column, coeffs in zip(sups.T, rows):
+            f = SpectralField(grid, coeffs)
+            expected = np.array([lp_norm(block(q, f), np.inf) for q in range(-1, q_max + 1)])
+            assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+            assert lp._holder_rows(grid, coeffs[None], 1.5) == [holder_norm(f, 1.5).value]
+
     def test_reports_own_their_block_lists(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 64)
         first = holder_norm(f, 1.5)
@@ -376,6 +396,13 @@ class TestKernelMass:
 
     def test_deterministic(self):
         assert compute_a0() == compute_a0()
+
+    def test_builds_no_cached_grid(self):
+        # the value of the quadrature on a cached make_grid(2048, 64 pi), bit
+        # for bit; that grid's meshes are no longer kept for the process
+        before = make_grid.cache_info().currsize
+        assert compute_a0.__wrapped__() == 4.392412711163112
+        assert make_grid.cache_info().currsize == before
 
     def test_vector_norm_is_component_max(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 50)

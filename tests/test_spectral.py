@@ -6,6 +6,7 @@ import pytest
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
+    _advect_rows,
     advect,
     dealias,
     derivative,
@@ -178,6 +179,18 @@ class TestMultiplierTables:
         fx, fy = derivative(f, 1).values(), derivative(f, 2).values()
         expected = dealias(SpectralField.from_values(g, v1 * fx + v2 * fy))
         assert np.array_equal(_bits(advect(v, SpectralField(g, a)).coeffs), _bits(expected.coeffs))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_stacked_advection_bit_identical_to_per_field_advect(self, n):
+        # one _advect_rows call over a (3, n, m) stack gives every row bit
+        # for bit as advect of that row alone, signed zeros included
+        g = make_grid(n)
+        rows = np.stack([_signed_zero_coeffs(g, 20 * n + i) for i in range(3)])
+        v = VectorField(*(SpectralField(g, _signed_zero_coeffs(g, 30 * n + i)) for i in range(2)))
+        stacked = _advect_rows(g, v, rows)
+        assert stacked.shape == rows.shape
+        for row, coeffs in zip(stacked, rows):
+            assert np.array_equal(_bits(row), _bits(advect(v, SpectralField(g, coeffs)).coeffs))
 
     @pytest.mark.parametrize("name", TABLES)
     def test_tables_are_read_only_and_shared(self, name):

@@ -1,10 +1,13 @@
 """Transform counts of the solver paths, pinned exactly.
 
-Every transform in the program is a ``np.fft.rfft2`` or ``np.fft.irfft2``
-issued by ``spectral``, so counting those two calls counts all the work
-that dominates a step.  The counts do not depend on the machine, so they
-gate a refactor where wall times on a shared host cannot.  The numbers
-were recorded before the steppers were merged into one RK4.
+Every transform in the program is a ``np.fft.rfft2`` or ``np.fft.irfft2``,
+so counting those two calls counts all the work that dominates a step.
+One call may transform a stack of fields along its leading axes, so the
+pins count fields (the product of the leading axes of each input, 1 for a
+single field) and, where a path stacks its fields, calls as well.  The
+counts do not depend on the machine, so they gate a refactor where wall
+times on a shared host cannot.  The field counts were recorded before
+the steppers were merged into one RK4.
 
 Next to them, the number of ``SpectralField`` objects a path builds
 counts its full-array field results (each is one coefficient array), the
@@ -14,6 +17,8 @@ Inputs are built fresh for every count: ``SpectralField.values()``, the
 sup-norm block profile and the velocity norms are cached per field, so a
 field whose values or norms were already read would give a smaller count.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,14 +32,15 @@ N = 64
 DT = 1e-3
 
 
-def _counter(monkeypatch, owner, names):
-    """run(fn, *args) -> number of calls fn(*args) makes to the named
-    attributes of ``owner``, wrapped for the rest of the test."""
+def _counter(monkeypatch, owner, names, weight=lambda *args: 1):
+    """run(fn, *args) -> the summed ``weight(*call_args)`` of the calls
+    fn(*args) makes to the named attributes of ``owner`` (by default their
+    number), wrapped for the rest of the test."""
     calls = [0]
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[0] += 1
+            calls[0] += weight(*args)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -50,10 +56,26 @@ def _counter(monkeypatch, owner, names):
     return run
 
 
+TRANSFORMS = ("rfft2", "irfft2")
+
+
+def _fields(a, *args) -> int:
+    """The fields one transform call covers: the product of the leading
+    axes of its input, 1 for a single (n, n) or (n, n//2 + 1) field."""
+    return math.prod(np.shape(a)[:-2])
+
+
 @pytest.fixture
 def count(monkeypatch):
-    """count(fn, *args) -> number of rfft2/irfft2 calls made by fn(*args)."""
-    return _counter(monkeypatch, np.fft, ("rfft2", "irfft2"))
+    """count(fn, *args) -> number of fields the rfft2/irfft2 calls of
+    fn(*args) transform."""
+    return _counter(monkeypatch, np.fft, TRANSFORMS, _fields)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """calls(fn, *args) -> number of rfft2/irfft2 calls made by fn(*args)."""
+    return _counter(monkeypatch, np.fft, TRANSFORMS)
 
 
 @pytest.fixture
@@ -106,9 +128,9 @@ def test_field_results_per_step_and_sample(built):
     one = built(bq.run_direct, _tg(), DT, DT, 1.5)
     two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
     sample = two - one - built(bq.direct_step, _tg(), DT)
-    # grad_linf_norm (4), divergence (3), one field per block of the three
-    # Hoelder profiles
-    assert sample == 4 + 3 + 3 * (_q_max() + 2) == 22
+    # grad_linf_norm (4) and divergence (3); the three Hoelder profiles
+    # transform their blocks without building a field
+    assert sample == 4 + 3 == 7
     # each of the 4 stages: -advect(v, f) (2); three shifted stage inputs
     # (2 each) and the combination (7)
     step = built(transport.solve, _transport_problem(2 * DT)) - built(
@@ -133,12 +155,27 @@ def test_constant_velocity_transport_step(count):
     assert one == 12 + 5 + 2
 
 
-def test_iterate_scheme_run(count):
+def _iterate_data():
     grid = _grid()
     theta0 = bq.synthesize_holder_field(grid, 1.5, 0.05, 1)
     u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
+    return theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30
+
+
+def test_iterate_scheme_run(count, calls):
     # two linearised iterates over 3 steps, plus the Cauchy gap norms
-    assert count(bq.iterate_scheme, theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30) == 376
+    assert count(bq.iterate_scheme, *_iterate_data()) == 376
+    # the same fields in fewer calls: validation, divergence check (5) and
+    # dealias check (1); each of the 4 stages of the 3 steps of both
+    # iterates, and the slope at each final node, advects the (theta, u1,
+    # u2) stack in 3 calls; the advecting velocity's values (2 calls) are
+    # read at the one node of iterate 1, and at the first node, the 3
+    # midpoints and the 3 later nodes of iterate 2; the Cauchy gap at each
+    # of the 4 nodes of both iterates takes one call per block
+    stages = 2 * (4 * 3 + 1) * 3
+    velocity = 2 + 2 * (1 + 3 + 3)
+    gaps = 2 * 4 * (_q_max() + 2)
+    assert calls(bq.iterate_scheme, *_iterate_data()) == 6 + stages + velocity + gaps == 140
 
 
 def test_holder_norms_share_one_block_profile(count):
