@@ -24,18 +24,25 @@ iterate.  A monitor
 tracks sup|grad u|, its running time integral, Hoelder norms and the
 divergence residual for blow-up diagnostics.
 
-The linearized iterate holds each state as one (3, n, n//2 + 1) stack of
-(theta, u1, u2) coefficients (``_Stack``): its nodes, stage slopes and
-Hermite reads.  All three rows are advected by one velocity, so one
-stacked advection (3 transform calls over 9 fields) replaces three
-(9 calls), and a Cauchy gap takes one inverse transform per block over
-the three rows of a difference.  At n = 64, the grid of the iterate
-preset, per-call overhead dominates and the stack is faster; at n = 128
-the larger stack arrays cost more in allocation than the calls they
-save.  So the direct step, the monitor and the probe's runs keep their
-per-field code: the direct step advects u by itself in flux form, so its
-three fields share no one advection, and a stacked direct step measured
-slower at n = 128.
+Every coupled run holds its state as one (3, n, n//2 + 1) stack of
+(theta, u1, u2) coefficients (``_Stack``), and ``rk4`` and
+``_coupled_step`` see no other state: the direct run and the probe's twin
+runs hold their stacks across steps, and the linearized iterate keeps its
+nodes, stage slopes and Hermite reads as stacks.  A ``BoussinesqState``
+handed out by a run has fields that are views over the rows of the stack
+that produced it.  Each step does the per-field arithmetic of the
+right-hand side on the rows, then one RK4 combination, one projection
+and one finite check over the whole stack.  In the iterate all three rows
+are advected by one velocity, so one stacked advection (3 transform calls
+over 9 fields) replaces three (9 calls), and a Cauchy gap or a probe gap
+takes one inverse transform per block over the three rows of a
+difference.  The direct step advects u by itself in flux form, so its
+rows share no one advection and its stack saves no transform; it pays
+one copy per stage to stack its slope.  At n = 128 a step plus its
+monitor sample takes 5.3 to 5.9 ms against 5.6 ms for the per-field
+step it replaced (Taylor-Green data, one thread of a 2-vCPU Xeon VM).
+Where in that range it falls depends on how glibc's heap is laid out,
+which shifts with unrelated code.
 """
 
 from __future__ import annotations
@@ -95,8 +102,9 @@ __all__ = [
 ]
 
 # direct_step is public but not listed: the per-function tracer in perfbench/
-# wraps every name listed here, and run_direct calls direct_step per step,
-# whose CFL and projection work the tracer attributes to run_direct.
+# wraps every name listed here.  run_direct and uniqueness_probe step their
+# stacks through the private _direct_step, whose CFL and projection work the
+# tracer attributes to them.
 
 
 class NumericsError(RuntimeError):
@@ -105,9 +113,15 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoussinesqState:
+    """The temperature and velocity at time t, on one grid."""
+
     theta: SpectralField
     u: VectorField
     t: float = 0.0
+
+    def __post_init__(self):
+        if self.theta.grid != self.u.grid:
+            raise ValueError("fields live on different grids")
 
     @property
     def grid(self) -> Grid:
@@ -170,45 +184,18 @@ class IterationRecord:
     ratio: float | None
 
 
-def _self_advection(u: VectorField) -> VectorField:
-    """Dealiased u . grad u in flux form, div(u (x) u), for divergence-free u.
-
-    Reads the (cached) values of u and transforms the three products of
-    the symmetric tensor once each.
-    """
-    u1, u2 = u.values()
-    f11, f12, f22 = (SpectralField.from_values(u.grid, p) for p in (u1 * u1, u1 * u2, u2 * u2))
-    return VectorField(
-        dealias(derivative(f11, 1) + derivative(f12, 2)),
-        dealias(derivative(f12, 1) + derivative(f22, 2)),
-    )
-
-
-def _rhs(
-    theta: SpectralField, u: VectorField, buoyancy: bool
-) -> tuple[SpectralField, VectorField]:
-    """Slopes of (theta, u) with u advecting both, forced by the buoyancy
-    of theta (unless ``buoyancy`` is off), with the velocity slope projected.
-
-    The momentum term is the flux form ``_self_advection(u)``: 3
-    transforms in place of the 6 of the advective form.
-    """
-    dtheta = -advect(u, theta)
-    m = _self_advection(u)
-    force = VectorField(-m.u1, theta - m.u2) if buoyancy else -m
-    return dtheta, leray_project(force)
-
-
 class _Stack:
-    """One state (or slope) of a linearized iterate: the (theta, u1, u2)
-    coefficients on ``grid`` as one (3, n, n//2 + 1) array.
+    """One state (or slope) of a coupled run: the (theta, u1, u2)
+    coefficients on ``grid`` as one (3, n, n//2 + 1) array.  The direct
+    run, the probe's twin runs and the linearized iterates all step it.
 
     Sums, differences and scalar multiples act on the whole stack, so
     ``rk4`` and the Hermite reads combine stacks as they combine fields,
     with the same operations on every coefficient.  ``theta`` and
     ``velocity`` are fields over the rows, built on first read; so the
-    values of a stored node's velocity, cached on its ``VectorField``, are
-    transformed once, whichever read returns the node.
+    values of a stepped state's velocity, cached on its ``VectorField``,
+    are transformed once, whichever reader (the CFL check, the first
+    stage of the next step, a Hermite read of a stored node) comes first.
     """
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
@@ -240,6 +227,28 @@ class _Stack:
     __rmul__ = __mul__
 
 
+def _rhs(y: _Stack, buoyancy: bool) -> _Stack:
+    """Slope of the stack y with its velocity u advecting every row, forced
+    by the buoyancy of theta (unless ``buoyancy`` is off), with the
+    velocity rows projected.
+
+    The momentum term is taken in flux form, u . grad u = div(u (x) u),
+    from the values of ``y.velocity``: each product u1 u1, u1 u2, u2 u2 is
+    transformed once, 3 transforms in place of the 6 of the advective form.
+    """
+    g = y.grid
+    u = y.velocity
+    dtheta = -advect(u, y.theta).coeffs
+    u1, u2 = u.values()
+    f11, f12, f22 = (np.fft.rfft2(p, norm="forward") for p in (u1 * u1, u1 * u2, u2 * u2))
+    m1 = (f11 * g.ik1 + f12 * g.ik2) * g.dealias_multiplier
+    m2 = (f12 * g.ik1 + f22 * g.ik2) * g.dealias_multiplier
+    force = leray_project(
+        VectorField(SpectralField(g, -m1), SpectralField(g, y.coeffs[0] - m2 if buoyancy else -m2))
+    )
+    return _Stack(g, np.stack((dtheta, force.u1.coeffs, force.u2.coeffs)))
+
+
 def _project_rows(y: _Stack) -> _Stack:
     """``leray_project`` of the velocity rows of a stack, in place: only
     for a stack its caller has just built and nothing has read."""
@@ -252,48 +261,40 @@ def _project_rows(y: _Stack) -> _Stack:
 def _linear_rhs(y: _Stack, v: VectorField, source: np.ndarray) -> _Stack:
     """Slope of the stack y advected by v and forced by the buoyancy of the
     temperature coefficients ``source``, with the velocity rows projected:
-    the arithmetic of the per-field right-hand side on every coefficient,
-    with the three rows advected by one ``_advect_rows``."""
+    the arithmetic of ``-advect``, ``advect_vector`` and ``leray_project``
+    on every coefficient, with the three rows advected by one
+    ``_advect_rows``."""
     advected = _advect_rows(y.grid, v, y.coeffs)
     slope = -advected
     np.subtract(source, advected[2], out=slope[2])
     return _project_rows(_Stack(y.grid, slope))
 
 
-def _check_finite(coeffs: tuple, t: float) -> None:
-    for c in coeffs:
-        if not np.all(np.isfinite(c)):
-            raise NumericsError(f"non-finite field values at t={t:.6g}")
-
-
-def _coupled_step(y: tuple, rhs, t: float, h: float) -> tuple[tuple, tuple]:
-    """One ``rk4`` step of the coupled state with the final velocity
-    projected and checked finite; returns the new state and the stage-one
-    slope.  The state is the field pair (theta, u) of the direct step or
-    the 1-tuple holding the ``_Stack`` of a linearized iterate.  The stage
-    slopes are already divergence-free, so the projection only clears the
-    roundoff of the combination."""
+def _coupled_step(y: _Stack, rhs, t: float, h: float) -> tuple[_Stack, _Stack]:
+    """One ``rk4`` step of a coupled stack with the final velocity rows
+    projected and the whole stack checked finite; returns the new stack
+    and the stage-one slope.  The stage slopes are already
+    divergence-free, so the projection only clears the roundoff of the
+    combination."""
     y, k1 = rk4(y, rhs, t, h)
-    if isinstance(y[0], _Stack):
-        y = (_project_rows(y[0]),)
-        coeffs = (y[0].coeffs,)
-    else:
-        theta, u = y[0], leray_project(y[1])
-        y = (theta, u)
-        coeffs = (theta.coeffs, u.u1.coeffs, u.u2.coeffs)
-    _check_finite(coeffs, t + h)
+    _project_rows(y)
+    if not np.all(np.isfinite(y.coeffs)):
+        raise NumericsError(f"non-finite field values at t={t + h:.6g}")
     return y, k1
 
 
+def _direct_step(y: _Stack, t: float, h: float, buoyancy: bool) -> _Stack:
+    """One step of the full system from the stack y at time t, checked
+    against the CFL bound of its velocity."""
+    _check_cfl(y.velocity, h, t)
+    return _coupled_step(y, lambda _t, s: _rhs(s, buoyancy), t, h)[0]
+
+
 def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
-    """One RK4 step; raises on CFL violation or non-finite output."""
-    _check_cfl(state.u, dt, state.t)
-
-    def rhs(_t: float, y: tuple) -> tuple[SpectralField, VectorField]:
-        return _rhs(*y, buoyancy)
-
-    (theta, u), _ = _coupled_step((state.theta, state.u), rhs, state.t, dt)
-    return BoussinesqState(theta, u, state.t + dt)
+    """One RK4 step; raises on CFL violation or non-finite output.  The
+    returned fields are views over the rows of the new stack."""
+    y = _direct_step(_Stack.of(state.theta, state.u), state.t, dt, buoyancy)
+    return BoussinesqState(y.theta, y.velocity, state.t + dt)
 
 
 def _monitor_sample(
@@ -338,9 +339,10 @@ def run_direct(
     state = state0
     if on_step is not None:
         on_step(state)
+    y = _Stack.of(state0.theta, state0.u)
     for h, t in lattice:
-        stepped = direct_step(state, h, buoyancy)
-        state = BoussinesqState(stepped.theta, stepped.u, t)
+        y = _direct_step(y, state.t, h, buoyancy)
+        state = BoussinesqState(y.theta, y.velocity, t)
         record.append(_monitor_sample(state, r, record.final(), h))
         if on_step is not None:
             on_step(state)
@@ -612,21 +614,20 @@ def _solve_linear_iterate(
     """
     frozen = lru_cache(maxsize=1)(prev.at)
 
-    def rhs(t: float, y: tuple) -> tuple[_Stack]:
-        (state,) = y
+    def rhs(t: float, y: _Stack) -> _Stack:
         driver = frozen(t)
-        return (_linear_rhs(state, driver.velocity, (driver if theta_lag else state).coeffs[0]),)
+        return _linear_rhs(y, driver.velocity, (driver if theta_lag else y).coeffs[0])
 
     nodes = [init]
     slopes = []
     t = 0.0
     for h, t_end in lattice:
         _check_cfl(frozen(t).velocity, h, t)
-        (y,), (k1,) = _coupled_step((nodes[-1],), rhs, t, h)
+        y, k1 = _coupled_step(nodes[-1], rhs, t, h)
         nodes.append(y)
         slopes.append(k1)
         t = t_end
-    slopes.append(rhs(t, (nodes[-1],))[0])
+    slopes.append(rhs(t, nodes[-1]))
     return _HermiteTrajectory(lattice, nodes, slopes)
 
 
@@ -760,17 +761,17 @@ def uniqueness_probe(
     lattice = _step_lattice(T, dt)
     validate_state(state0)
     direction = synthesize_holder_field(state0.grid, r - 1.0, 1.0, seed=7)
-    ref = BoussinesqState(state0.theta, state0.u, 0.0)
-    runs = [BoussinesqState(state0.theta + eps * direction, state0.u, 0.0) for eps in eps_values]
+    ref = _Stack.of(state0.theta, state0.u)
+    runs = [_Stack.of(state0.theta + eps * direction, state0.u) for eps in eps_values]
 
-    def gaps(b: BoussinesqState) -> tuple[float, float]:
-        return _gap_norms(_Stack.of(ref.theta, ref.u) - _Stack.of(b.theta, b.u), r - 1.0)
+    def gaps(b: _Stack) -> tuple[float, float]:
+        return _gap_norms(ref - b, r - 1.0)
 
     times = [0.0]
     sampled = [[gaps(b)] for b in runs]
     for i, (h, t) in enumerate(lattice, 1):
-        ref = direct_step(ref, h)
-        runs = [direct_step(b, h) for b in runs]
+        ref = _direct_step(ref, t - h, h, True)
+        runs = [_direct_step(b, t - h, h, True) for b in runs]
         if i % sample_every == 0 or i == len(lattice):
             times.append(t)
             for curve, b in zip(sampled, runs):

@@ -11,7 +11,7 @@ linearised iterates use it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 CFL_NUMBER = 0.5
+_State = TypeVar("_State")
 
 
 class CFLViolation(RuntimeError):
@@ -74,23 +75,19 @@ def _step_lattice(T: float, dt: float, t0: float = 0.0) -> list[tuple[float, flo
     return lattice
 
 
-def rk4(y: tuple, rhs: Callable[[float, tuple], tuple], t: float, h: float) -> tuple[tuple, tuple]:
-    """One classical RK4 step of dy/dt = rhs(t, y) for a tuple of fields.
+def rk4(
+    y: _State, rhs: Callable[[float, _State], _State], t: float, h: float
+) -> tuple[_State, _State]:
+    """One classical RK4 step of dy/dt = rhs(t, y) for one state y: a
+    ``SpectralField``, or the (theta, u1, u2) stack of a coupled run.
 
     Returns the new state and the first stage slope k1 = rhs(t, y).
     """
-
-    def shifted(k: tuple, c: float) -> tuple:
-        return tuple(yi + c * ki for yi, ki in zip(y, k))
-
     k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, shifted(k1, h / 2))
-    k3 = rhs(t + h / 2, shifted(k2, h / 2))
-    k4 = rhs(t + h, shifted(k3, h))
-    y_new = tuple(
-        yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-    return y_new, k1
+    k2 = rhs(t + h / 2, y + (h / 2) * k1)
+    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
 @dataclass
@@ -129,14 +126,14 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 
-    rhs = lambda _t, y: (-advect(v, y[0]),)
+    rhs = lambda _t, f: -advect(v, f)
     f = problem.f0
     t = 0.0
     times = [0.0]
     fields = [f]
     for i, (h, t_end) in enumerate(lattice, 1):
         _check_cfl(v, h, t)
-        f = rk4((f,), rhs, t, h)[0][0]
+        f = rk4(f, rhs, t, h)[0]
         t = t_end
         if i % observers == 0 or i == len(lattice):
             times.append(T if i == len(lattice) else t)

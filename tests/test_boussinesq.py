@@ -16,6 +16,7 @@ from boussinesq_lp.spectral import (
     advect,
     advect_vector,
     dealias,
+    derivative,
     divergence,
     leray_project,
     linf_norm,
@@ -27,7 +28,8 @@ from helpers import rel_linf, vec_linf
 
 
 class TestSelfAdvection:
-    """The flux form of the direct step against the advective form."""
+    """The flux form of the direct step's right-hand side against the
+    projected advective form."""
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("data", ["taylor-green", "divfree"])
@@ -37,10 +39,10 @@ class TestSelfAdvection:
             u = bq.taylor_green_data(grid, 1.0, 0.0).u
         else:
             u = bq.synthesize_divfree_velocity(grid, 1.5, 1.0, 5)
-        flux = bq._self_advection(u)
+        slope = bq._rhs(bq._Stack.of(SpectralField.zero(grid), u), buoyancy=False).velocity
         advective = advect_vector(u, u)
-        assert vec_linf(flux - advective) / vec_linf(advective) < 1e-12
-        for c in (flux.u1, flux.u2):
+        assert vec_linf(slope + leray_project(advective)) / vec_linf(advective) < 1e-12
+        for c in (slope.u1, slope.u2):
             assert np.all(c.coeffs[~grid.dealias_mask] == 0.0)
 
 
@@ -145,6 +147,15 @@ class TestDirectRun:
         with pytest.raises(ValueError):
             bq.run_direct(state, 0.1, 1e-3, 1.5)
 
+    def test_rejects_fields_on_different_grids(self, grid64):
+        # the same n and q_max, boxes 2 pi and 1.9 pi: no other check fires
+        theta0 = bq.synthesize_holder_field(grid64, 1.5, 0.05, 1)
+        u0 = bq.synthesize_divfree_velocity(make_grid(64, 1.9 * np.pi), 1.5, 0.05, 2)
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            bq.BoussinesqState(theta0, u0)
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            bq.iterate_scheme(theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30)
+
 
 class TestIterationScheme:
     def test_low_block_data_not_truncated(self, grid64):
@@ -238,8 +249,35 @@ class TestIterationScheme:
         assert steps == 2 * lattice
 
 
+def _per_field_rhs(theta, u, buoyancy):
+    """The direct step's right-hand side field by field: -u . grad theta,
+    and the projected force with u . grad u in flux form, one field per
+    product and per derivative."""
+    u1, u2 = u.values()
+    f11, f12, f22 = (SpectralField.from_values(u.grid, p) for p in (u1 * u1, u1 * u2, u2 * u2))
+    m = VectorField(
+        dealias(derivative(f11, 1) + derivative(f12, 2)),
+        dealias(derivative(f12, 1) + derivative(f22, 2)),
+    )
+    force = VectorField(-m.u1, theta - m.u2) if buoyancy else -m
+    return -advect(u, theta), leray_project(force)
+
+
+def _per_field_step(theta, u, h, buoyancy):
+    """One RK4 step on the (theta, u) field pair, the velocity projected at the end."""
+    k1 = _per_field_rhs(theta, u, buoyancy)
+    k2 = _per_field_rhs(theta + (h / 2) * k1[0], u + (h / 2) * k1[1], buoyancy)
+    k3 = _per_field_rhs(theta + (h / 2) * k2[0], u + (h / 2) * k2[1], buoyancy)
+    k4 = _per_field_rhs(theta + h * k3[0], u + h * k3[1], buoyancy)
+    combined = [
+        y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip((theta, u), k1, k2, k3, k4)
+    ]
+    return combined[0], leray_project(combined[1])
+
+
 class TestStack:
-    """The linearized iterate's stacked arithmetic gives every coefficient
+    """The stacked arithmetic of the coupled runs gives every coefficient
     bit for bit as the per-field operations it replaced."""
 
     def test_linear_rhs_matches_per_field_arithmetic(self, grid64):
@@ -251,6 +289,20 @@ class TestStack:
         m = advect_vector(v, u)
         expected = bq._Stack.of(-advect(v, theta), leray_project(VectorField(-m.u1, source - m.u2)))
         assert np.array_equal(slope.coeffs.view(np.uint64), expected.coeffs.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("buoyancy", [True, False])
+    def test_direct_step_matches_per_field_rk4(self, n, buoyancy):
+        grid = make_grid(n)
+        tg = bq.taylor_green_data(grid, 1.0, 0.5)
+        state = bq.BoussinesqState(
+            tg.theta + bq.synthesize_holder_field(grid, 1.5, 0.1, 75),
+            tg.u + bq.synthesize_divfree_velocity(grid, 1.5, 0.1, 76),
+        )
+        stepped = bq.direct_step(state, 2e-3, buoyancy)
+        theta, u = _per_field_step(state.theta, state.u, 2e-3, buoyancy)
+        for got, want in zip((stepped.theta, stepped.u.u1, stepped.u.u2), (theta, u.u1, u.u2)):
+            assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
 
     def test_gap_norms_are_the_holder_norms_of_the_difference(self, grid64):
         a = bq.taylor_green_data(grid64, 1.0, 0.05)
@@ -522,13 +574,13 @@ class TestUniquenessProbe:
         state0 = bq.taylor_green_data(make_grid(32, 2.0 * np.pi), 1.0, 0.05)
         eps_values = [1e-3, 1e-4, 1e-5]
         calls = []
-        step = bq.direct_step
+        step = bq._direct_step
 
         def counted(*args):
             calls.append(args)
             return step(*args)
 
-        monkeypatch.setattr(bq, "direct_step", counted)
+        monkeypatch.setattr(bq, "_direct_step", counted)
         curves = bq.uniqueness_probe(state0, eps_values, 0.02, 2e-3, 1.5, sample_every=3)
         assert len(calls) == (len(eps_values) + 1) * 10
         monkeypatch.undo()
