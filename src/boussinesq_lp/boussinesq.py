@@ -37,12 +37,12 @@ are advected by one velocity, so one stacked advection (3 transform calls
 over 9 fields) replaces three (9 calls), and a Cauchy gap or a probe gap
 takes one inverse transform per block over the three rows of a
 difference.  The direct step advects u by itself in flux form, so its
-rows share no one advection and its stack saves no transform; it pays
-one copy per stage to stack its slope.  At n = 128 a step plus its
-monitor sample takes 5.3 to 5.9 ms against 5.6 ms for the per-field
-step it replaced (Taylor-Green data, one thread of a 2-vCPU Xeon VM).
-Where in that range it falls depends on how glibc's heap is laid out,
-which shifts with unrelated code.
+rows share no one advection and its stack saves no transform; it writes
+the rows of each slope into one new array, with its products and their
+transforms in the work arrays of the grid (see ``spectral``).  Measured
+step times are kept with the benchmark records (``BENCH_*.json`` at the
+repository root and their entries in ``CHANGES.md``), not here, where
+they would go stale.
 """
 
 from __future__ import annotations
@@ -189,9 +189,10 @@ class _Stack:
     coefficients on ``grid`` as one (3, n, n//2 + 1) array.  The direct
     run, the probe's twin runs and the linearized iterates all step it.
 
-    Sums, differences and scalar multiples act on the whole stack, so
-    ``rk4`` and the Hermite reads combine stacks as they combine fields,
-    with the same operations on every coefficient.  ``theta`` and
+    ``rk4`` combines the coefficients of stacks as it combines those of
+    fields, and sums, differences and scalar multiples act on the whole
+    stack, so the Hermite reads and the gaps do too, with the same
+    operations on every coefficient.  ``theta`` and
     ``velocity`` are fields over the rows, built on first read; so the
     values of a stepped state's velocity, cached on its ``VectorField``,
     are transformed once, whichever reader (the CFL check, the first
@@ -235,26 +236,39 @@ def _rhs(y: _Stack, buoyancy: bool) -> _Stack:
     The momentum term is taken in flux form, u . grad u = div(u (x) u),
     from the values of ``y.velocity``: each product u1 u1, u1 u2, u2 u2 is
     transformed once, 3 transforms in place of the 6 of the advective form.
+    The products and their transforms go through work arrays of the grid,
+    and the three rows of the slope are written into one new array.
     """
     g = y.grid
     u = y.velocity
-    dtheta = -advect(u, y.theta).coeffs
+    slope = np.empty_like(y.coeffs)
+    np.negative(advect(u, y.theta).coeffs, out=slope[0])
     u1, u2 = u.values()
-    f11, f12, f22 = (np.fft.rfft2(p, norm="forward") for p in (u1 * u1, u1 * u2, u2 * u2))
-    m1 = (f11 * g.ik1 + f12 * g.ik2) * g.dealias_multiplier
-    m2 = (f12 * g.ik1 + f22 * g.ik2) * g.dealias_multiplier
-    force = leray_project(
-        VectorField(SpectralField(g, -m1), SpectralField(g, y.coeffs[0] - m2 if buoyancy else -m2))
-    )
-    return _Stack(g, np.stack((dtheta, force.u1.coeffs, force.u2.coeffs)))
+    product = g.work("rhs.product", (g.n, g.n), float)
+    f11, f12, f22 = fluxes = g.work("rhs.fluxes", y.coeffs.shape)
+    for a, b, out in zip((u1, u1, u2), (u1, u2, u2), fluxes):
+        np.fft.rfft2(np.multiply(a, b, out=product), norm="forward", out=out)
+    m1 = f11 * g.ik1
+    m1 += np.multiply(f12, g.ik2, out=f11)
+    m1 *= g.dealias_multiplier
+    m2 = np.multiply(f12, g.ik1, out=f12)
+    m2 += np.multiply(f22, g.ik2, out=f22)
+    m2 *= g.dealias_multiplier
+    force1 = np.negative(m1, out=m1)
+    force2 = y.coeffs[0] - m2 if buoyancy else -m2
+    force = leray_project(VectorField(SpectralField(g, force1), SpectralField(g, force2)))
+    slope[1] = force.u1.coeffs
+    slope[2] = force.u2.coeffs
+    return _Stack(g, slope)
 
 
 def _project_rows(y: _Stack) -> _Stack:
     """``leray_project`` of the velocity rows of a stack, in place: only
     for a stack its caller has just built and nothing has read."""
-    g1, g2 = _gradient_part(y.grid, y.coeffs[1], y.coeffs[2])
-    y.coeffs[1] -= g1
-    y.coeffs[2] -= g2
+    g = y.grid
+    grad = g.work("project_rows", (2, *g.spectral_shape))
+    _gradient_part(g, y.coeffs[1], y.coeffs[2], grad[0], grad[1])
+    y.coeffs[1:] -= grad
     return y
 
 
@@ -264,9 +278,9 @@ def _linear_rhs(y: _Stack, v: VectorField, source: np.ndarray) -> _Stack:
     the arithmetic of ``-advect``, ``advect_vector`` and ``leray_project``
     on every coefficient, with the three rows advected by one
     ``_advect_rows``."""
-    advected = _advect_rows(y.grid, v, y.coeffs)
-    slope = -advected
-    np.subtract(source, advected[2], out=slope[2])
+    slope = _advect_rows(y.grid, v, y.coeffs)
+    np.subtract(source, slope[2], out=slope[2])
+    np.negative(slope[:2], out=slope[:2])
     return _project_rows(_Stack(y.grid, slope))
 
 

@@ -271,11 +271,14 @@ def _block_sups(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     inverse transform per block over every row, and no field built."""
     part = build_partition(grid)
     n = grid.n
-    blocks = (
-        np.fft.irfft2(coeffs * part.multiplier(q), s=(n, n), norm="forward")
-        for q in range(-1, part.q_max + 1)
-    )
-    return np.array([np.max(np.abs(values), axis=(-2, -1)) for values in blocks])
+    multiplied = grid.work("block_sups", coeffs.shape)
+    sups = np.empty((part.q_max + 2, *coeffs.shape[:-2]))
+    for i, q in enumerate(range(-1, part.q_max + 1)):
+        values = np.fft.irfft2(
+            np.multiply(coeffs, part.multiplier(q), out=multiplied), s=(n, n), norm="forward"
+        )
+        sups[i] = np.max(np.abs(values, out=values), axis=(-2, -1))
+    return sups
 
 
 def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:

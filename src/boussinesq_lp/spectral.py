@@ -68,6 +68,30 @@ object on first use:
 
 Writing into ``f.coeffs`` after one of these was read leaves the cache
 stale; build a new field instead.
+
+Each ``Grid`` also holds a small workspace: reusable work arrays, keyed
+by (slot, shape, dtype) and built on first use (``Grid.work``).  The step
+and norm kernels (``_advect_rows``, ``leray_project``, ``divergence``,
+``grad_linf_norm``, ``littlewood_paley._block_sups``, ``transport.rk4``
+and the right-hand sides of ``boussinesq``) put the temporaries that no
+field keeps there: multiplied coefficients before an inverse transform,
+pointwise products, and forward transforms through
+``np.fft.rfft2(..., out=)``.  Everything else they write with ``out=`` or
+in place on an array they have just allocated.  The rules:
+
+* each slot belongs to one kernel, which is done with its work arrays
+  before it returns (it may pass them to a helper it calls, never back
+  to its caller);
+* no field's ``coeffs`` or cached value aliases a work array: what a
+  field keeps is always a fresh array;
+* every operation, its operands and their order are those of the plain
+  expression, so every result is the same bit for bit (the operands of
+  an addition or of a real multiplication may swap: both are
+  commutative in IEEE arithmetic).
+
+``np.fft.irfft2`` takes an ``out=`` argument and ignores it (numpy 2.4
+calls ``irfftn`` with ``out=None``), so no code passes one; the kernels
+use the array it returns.
 """
 
 from __future__ import annotations
@@ -158,6 +182,17 @@ class Grid:
 
         x = box_length * np.arange(n) / n
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
+        self._work: dict[tuple, np.ndarray] = {}
+
+    def work(self, slot: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """The reusable work array of ``slot`` with this shape and dtype,
+        built (uninitialised) on first use; see the workspace rules of the
+        module docstring."""
+        key = (slot, shape, np.dtype(dtype))
+        buf = self._work.get(key)
+        if buf is None:
+            buf = self._work[key] = np.empty(shape, dtype)
+        return buf
 
     # The complex multiplier tables of the module docstring, each built on
     # first use (a grid whose fields only take norms never reads them).
@@ -358,7 +393,10 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
 
 
 def divergence(w: VectorField) -> SpectralField:
-    return derivative(w.u1, 1) + derivative(w.u2, 2)
+    g = w.grid
+    div = w.u1.coeffs * g.ik1
+    div += np.multiply(w.u2.coeffs, g.ik2, out=g.work("divergence", g.spectral_shape))
+    return SpectralField(g, div)
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -370,12 +408,18 @@ def dealias_vector(w: VectorField) -> VectorField:
     return VectorField(dealias(w.u1), dealias(w.u2))
 
 
-def _gradient_part(g: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_part(
+    g: Grid, c1: np.ndarray, c2: np.ndarray, out1: np.ndarray, out2: np.ndarray
+) -> None:
     """The k (x) k / |k|^2 multiplier on the coefficient arrays (c1, c2) of
-    grid g: the arithmetic of ``grad_inv_laplacian_div``, which
-    ``leray_project`` and the stacked iterate of ``boussinesq`` share."""
-    s = (g.leray_k1 * c1 + g.leray_k2 * c2) / g.leray_ksq
-    return g.leray_k1 * s, g.leray_k2 * s
+    grid g, written into (out1, out2), which must not be c1 or c2: the
+    arithmetic of ``grad_inv_laplacian_div``, which ``leray_project`` and
+    the stacks of ``boussinesq`` share."""
+    s = np.multiply(g.leray_k1, c1, out=g.work("gradient_part", g.spectral_shape))
+    s += np.multiply(g.leray_k2, c2, out=out1)
+    s /= g.leray_ksq
+    np.multiply(g.leray_k1, s, out=out1)
+    np.multiply(g.leray_k2, s, out=out2)
 
 
 def grad_inv_laplacian_div(w: VectorField) -> VectorField:
@@ -385,13 +429,17 @@ def grad_inv_laplacian_div(w: VectorField) -> VectorField:
     fields, and zeroes the mean mode.
     """
     g = w.grid
-    g1, g2 = _gradient_part(g, w.u1.coeffs, w.u2.coeffs)
+    g1, g2 = np.empty((2, *g.spectral_shape), dtype=complex)
+    _gradient_part(g, w.u1.coeffs, w.u2.coeffs, g1, g2)
     return VectorField(SpectralField(g, g1), SpectralField(g, g2))
 
 
 def leray_project(w: VectorField) -> VectorField:
     """Remove the gradient part; the result is divergence-free."""
-    return w - grad_inv_laplacian_div(w)
+    g = w.grid
+    g1, g2 = g.work("leray_project", (2, *g.spectral_shape))
+    _gradient_part(g, w.u1.coeffs, w.u2.coeffs, g1, g2)
+    return VectorField(SpectralField(g, w.u1.coeffs - g1), SpectralField(g, w.u2.coeffs - g2))
 
 
 def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
@@ -399,12 +447,16 @@ def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
     (..., n, n//2 + 1) on grid g: one inverse transform per derivative
     direction and one forward transform of the products, each over every
     row.  The two derivatives are transformed straight from the multiplied
-    coefficients, with no intermediate field.
+    coefficients, with no intermediate field; only the dealiased result is
+    a fresh array.
     """
     v1, v2 = v.values()
-    fx = np.fft.irfft2(coeffs * g.ik1, s=(g.n, g.n), norm="forward")
-    fy = np.fft.irfft2(coeffs * g.ik2, s=(g.n, g.n), norm="forward")
-    product = np.fft.rfft2(v1 * fx + v2 * fy, norm="forward")
+    d1, d2 = g.work("advect_rows.derivatives", (2, *coeffs.shape))
+    fx = np.fft.irfft2(np.multiply(coeffs, g.ik1, out=d1), s=(g.n, g.n), norm="forward")
+    fy = np.fft.irfft2(np.multiply(coeffs, g.ik2, out=d2), s=(g.n, g.n), norm="forward")
+    fx *= v1
+    fx += np.multiply(fy, v2, out=fy)
+    product = np.fft.rfft2(fx, norm="forward", out=g.work("advect_rows.product", coeffs.shape))
     return product * g.dealias_multiplier
 
 
@@ -442,11 +494,19 @@ def grad_linf_norm(w: VectorField) -> float:
     """
     cache = w.__dict__.get("_grad_linf_cache")
     if cache is None:
-        d11 = np.abs(derivative(w.u1, 1).values())
-        d12 = np.abs(derivative(w.u1, 2).values())
-        d21 = np.abs(derivative(w.u2, 1).values())
-        d22 = np.abs(derivative(w.u2, 2).values())
-        cache = float(max(np.max(d11 + d12), np.max(d21 + d22)))
+        g = w.grid
+        d = g.work("grad_linf_norm", g.spectral_shape)
+
+        def abs_derivative(c: np.ndarray, ik: np.ndarray) -> np.ndarray:
+            values = np.fft.irfft2(np.multiply(c, ik, out=d), s=(g.n, g.n), norm="forward")
+            return np.abs(values, out=values)
+
+        def row_sup(c: np.ndarray) -> float:
+            row = abs_derivative(c, g.ik1)
+            row += abs_derivative(c, g.ik2)
+            return np.max(row)
+
+        cache = float(max(row_sup(w.u1.coeffs), row_sup(w.u2.coeffs)))
         object.__setattr__(w, "_grad_linf_cache", cache)
     return cache
 

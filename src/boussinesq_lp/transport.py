@@ -80,14 +80,33 @@ def rk4(
 ) -> tuple[_State, _State]:
     """One classical RK4 step of dy/dt = rhs(t, y) for one state y: a
     ``SpectralField``, or the (theta, u1, u2) stack of a coupled run.
+    Both are built as ``type(y)(grid, coeffs)``.
+
+    The stage inputs y + c*k and the combination
+    y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4) are formed on the coefficients,
+    each in one new array with the same operations in the same order (an
+    addition's operands may swap: IEEE addition is commutative).  The
+    2*k3 product of the combination goes through a work array of the grid.
 
     Returns the new state and the first stage slope k1 = rhs(t, y).
     """
+
+    def shifted(c: float, k: _State) -> _State:
+        s = k.coeffs * c
+        s += y.coeffs
+        return type(y)(y.grid, s)
+
     k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + (h / 2) * k1)
-    k3 = rhs(t + h / 2, y + (h / 2) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+    k2 = rhs(t + h / 2, shifted(h / 2, k1))
+    k3 = rhs(t + h / 2, shifted(h / 2, k2))
+    k4 = rhs(t + h, shifted(h, k3))
+    combined = k2.coeffs * 2.0
+    combined += k1.coeffs
+    combined += np.multiply(k3.coeffs, 2.0, out=y.grid.work("rk4", k3.coeffs.shape))
+    combined += k4.coeffs
+    combined *= h / 6.0
+    combined += y.coeffs
+    return type(y)(y.grid, combined), k1
 
 
 @dataclass

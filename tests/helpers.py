@@ -35,3 +35,22 @@ def mean_zero_smooth_field(grid, seed: int, decay: float = 2.0) -> SpectralField
     coeffs = f.coeffs * weight * grid.dealias_mask
     coeffs[0, 0] = 0.0
     return SpectralField(grid, coeffs)
+
+
+def signed_zero_coeffs(grid, seed: int) -> np.ndarray:
+    """Random coefficients with about a third of the real and imaginary
+    parts set to +0.0 and a third to -0.0."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, *grid.spectral_shape))
+    pick = rng.integers(0, 3, size=parts.shape)
+    parts[pick == 1] = 0.0
+    parts[pick == 2] = -0.0
+    coeffs = np.empty(grid.spectral_shape, dtype=complex)
+    coeffs.real, coeffs.imag = parts
+    return coeffs
+
+
+def bits(a) -> np.ndarray:
+    """The bit patterns of a float or complex array (or number), for
+    comparisons that tell -0.0 from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)

@@ -22,10 +22,12 @@ from boussinesq_lp.spectral import (
 )
 
 from helpers import (
+    bits,
     mean_zero_smooth_field,
     rel_linf,
     rel_linf_values,
     random_dealiased_field,
+    signed_zero_coeffs,
     vec_linf,
 )
 
@@ -133,23 +135,6 @@ class TestTransformScaling:
             assert np.array_equal(values, np.fft.irfft2(coeffs * n**2, s=(n, n)))
 
 
-def _signed_zero_coeffs(grid, seed):
-    """Random coefficients with about a third of the real and imaginary
-    parts set to +0.0 and a third to -0.0."""
-    rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((2, *grid.spectral_shape))
-    pick = rng.integers(0, 3, size=parts.shape)
-    parts[pick == 1] = 0.0
-    parts[pick == 2] = -0.0
-    coeffs = np.empty(grid.spectral_shape, dtype=complex)
-    coeffs.real, coeffs.imag = parts
-    return coeffs
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 class TestMultiplierTables:
     """The complex tables on ``Grid`` give every coefficient bit for bit as
     the per-call multipliers did (numpy cast those to complex anyway),
@@ -160,37 +145,37 @@ class TestMultiplierTables:
     @pytest.mark.parametrize("n", [16, 64])
     def test_operators_bit_identical_to_per_call_multipliers(self, n):
         g = make_grid(n)
-        a, b, c = (_signed_zero_coeffs(g, 10 * n + i) for i in range(3))
+        a, b, c = (signed_zero_coeffs(g, 10 * n + i) for i in range(3))
         zeros = np.concatenate([a.real[a.real == 0.0], a.imag[a.imag == 0.0]])
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         f = SpectralField(g, a)
         for axis, k in ((1, g.k1), (2, g.k2)):
-            assert np.array_equal(_bits(derivative(f, axis).coeffs), _bits(a * (1j * k)))
-        assert np.array_equal(_bits(dealias(f).coeffs), _bits(a * g.dealias_mask))
+            assert np.array_equal(bits(derivative(f, axis).coeffs), bits(a * (1j * k)))
+        assert np.array_equal(bits(dealias(f).coeffs), bits(a * g.dealias_mask))
 
         ksq_odd = g.k1**2 + g.k2**2
         s = (g.k1 * b + g.k2 * c) / np.where(ksq_odd == 0.0, 1.0, ksq_odd)
         grad = grad_inv_laplacian_div(VectorField(SpectralField(g, b), SpectralField(g, c)))
-        assert np.array_equal(_bits(grad.u1.coeffs), _bits(g.k1 * s))
-        assert np.array_equal(_bits(grad.u2.coeffs), _bits(g.k2 * s))
+        assert np.array_equal(bits(grad.u1.coeffs), bits(g.k1 * s))
+        assert np.array_equal(bits(grad.u2.coeffs), bits(g.k2 * s))
 
         v = VectorField(SpectralField(g, b), SpectralField(g, c))
         v1, v2 = v.values()
         fx, fy = derivative(f, 1).values(), derivative(f, 2).values()
         expected = dealias(SpectralField.from_values(g, v1 * fx + v2 * fy))
-        assert np.array_equal(_bits(advect(v, SpectralField(g, a)).coeffs), _bits(expected.coeffs))
+        assert np.array_equal(bits(advect(v, SpectralField(g, a)).coeffs), bits(expected.coeffs))
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_stacked_advection_bit_identical_to_per_field_advect(self, n):
         # one _advect_rows call over a (3, n, m) stack gives every row bit
         # for bit as advect of that row alone, signed zeros included
         g = make_grid(n)
-        rows = np.stack([_signed_zero_coeffs(g, 20 * n + i) for i in range(3)])
-        v = VectorField(*(SpectralField(g, _signed_zero_coeffs(g, 30 * n + i)) for i in range(2)))
+        rows = np.stack([signed_zero_coeffs(g, 20 * n + i) for i in range(3)])
+        v = VectorField(*(SpectralField(g, signed_zero_coeffs(g, 30 * n + i)) for i in range(2)))
         stacked = _advect_rows(g, v, rows)
         assert stacked.shape == rows.shape
         for row, coeffs in zip(stacked, rows):
-            assert np.array_equal(_bits(row), _bits(advect(v, SpectralField(g, coeffs)).coeffs))
+            assert np.array_equal(bits(row), bits(advect(v, SpectralField(g, coeffs)).coeffs))
 
     @pytest.mark.parametrize("name", TABLES)
     def test_tables_are_read_only_and_shared(self, name):

@@ -121,24 +121,26 @@ def test_run_direct_monitor_sample(count):
 def test_field_results_per_step_and_sample(built):
     # each of the 4 stages: the theta and velocity fields over its input
     # stack (3, the first stage's shared with the CFL check), advect(u,
-    # theta) (1), the force (2) and its projection (4).  The stage sums and
-    # the final projection act on the stack and build none.  Then the
-    # returned state's fields over the new stack (3): 4 * 10 + 3
-    assert built(bq.direct_step, _tg(), DT) == 43
+    # theta) (1), the force (2) and its projection (2; the gradient part
+    # goes through work arrays of the grid).  The stage sums and the final
+    # projection act on the stack and build none.  Then the returned
+    # state's fields over the new stack (3): 4 * 8 + 3
+    assert built(bq.direct_step, _tg(), DT) == 35
     one = built(bq.run_direct, _tg(), DT, DT, 1.5)
     two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
     # run_direct holds its stack, so a later step reads the fields of the
     # state it returned last: a direct_step less the 3 fields of its input
     sample = two - one - (built(bq.direct_step, _tg(), DT) - 3)
-    # grad_linf_norm (4) and divergence (3); the three Hoelder profiles
-    # transform their blocks without building a field
-    assert sample == 4 + 3 == 7
+    # divergence (1); grad_linf_norm transforms its derivatives from a work
+    # array and the three Hoelder profiles their blocks, without building
+    # a field
+    assert sample == 1
     # each of the 4 stages: -advect(v, f) (2); three shifted stage inputs
-    # (2 each) and the combination (7)
+    # and the combination (1 each)
     step = built(transport.solve, _transport_problem(2 * DT)) - built(
         transport.solve, _transport_problem(DT)
     )
-    assert step == 4 * 2 + 6 + 7 == 21
+    assert step == 4 * 2 + 3 + 1 == 12
 
 
 def _transport_problem(T):
