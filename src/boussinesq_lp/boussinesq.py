@@ -759,8 +759,6 @@ def uniqueness_probe(
     T: float,
     dt: float,
     r: float,
-    *,
-    sample_every: int = 1,
 ) -> list[ProbeCurve]:
     """Twin-run divergence curves for theta-only perturbations, one per eps.
 
@@ -768,9 +766,9 @@ def uniqueness_probe(
     with unit C^{r-1} norm.  One unperturbed reference run advances in
     lockstep with every perturbed run on ``transport._step_lattice``, the
     lattice of ``run_direct``, so each curve ends at T.  The gaps to the
-    reference are measured in C^{r-1} every ``sample_every`` steps and
-    after the last step.  A bad (T, dt) raises ``ValueError`` and a bad
-    initial state the ``ValueError`` of ``run_direct``, before any step.
+    reference are measured in C^{r-1} at t = 0 and after every step.  A
+    bad (T, dt) raises ``ValueError`` and a bad initial state the
+    ``ValueError`` of ``run_direct``, before any step.
     """
     lattice = _step_lattice(T, dt)
     validate_state(state0)
@@ -783,13 +781,12 @@ def uniqueness_probe(
 
     times = [0.0]
     sampled = [[gaps(b)] for b in runs]
-    for i, (h, t) in enumerate(lattice, 1):
+    for h, t in lattice:
         ref = _direct_step(ref, t - h, h, True)
         runs = [_direct_step(b, t - h, h, True) for b in runs]
-        if i % sample_every == 0 or i == len(lattice):
-            times.append(t)
-            for curve, b in zip(sampled, runs):
-                curve.append(gaps(b))
+        times.append(t)
+        for curve, b in zip(sampled, runs):
+            curve.append(gaps(b))
     return [
         ProbeCurve(eps, list(times), *(list(g) for g in zip(*curve)))
         for eps, curve in zip(eps_values, sampled)

@@ -9,7 +9,8 @@ existence-time formulas with the frozen constants substituted.
 The corpus fields depend only on (grid, r, seed, amplitude).  They are
 synthesized once and kept in ``_RUN_CACHE`` next to the solved runs, so
 every static estimate measured in one process reads the same fields;
-clearing ``_RUN_CACHE`` drops them.
+clearing ``_RUN_CACHE`` drops them.  The coupled runs are cached there
+too, and a Taylor-Green run is integrated once per n for both exponents.
 
 Each estimate is one ``_SWEEPS`` entry name -> (sweep, domain): a ratio
 kernel on the corpus fields (``_static``) or a slot of the coupled runs
@@ -37,6 +38,7 @@ import numpy as np
 from .boussinesq import (
     BoussinesqState,
     IterationRecord,
+    MonitorRecord,
     run_direct,
     synthesize_divfree_velocity,
     synthesize_holder_field,
@@ -322,23 +324,29 @@ def _transport_growth(corpus: CorpusSpec, n: int):
 
 
 def _coupled_runs(corpus: CorpusSpec, n: int):
-    """Short coupled runs whose monitors feed eq3.3 and eq3.4."""
+    """Short coupled runs whose monitors feed eq3.3 and eq3.4, as (r, label,
+    record), r outermost.  A Taylor-Green run is integrated once per n: its
+    record at the second exponent re-reads the norms cached on its states."""
     def build():
         grid = make_grid(n, corpus.box)
         runs = []
         T = 0.5 if n <= 64 else 0.3
-        for r in DYNAMIC_R_VALUES:
-            configs = [
-                ("tg-strong", taylor_green_data(grid, 1.0, 0.05)),
-                ("tg-mixed", taylor_green_data(grid, 0.7, 0.1)),
-            ]
-            if n <= 64:
+        r1, r2 = DYNAMIC_R_VALUES
+        for label, state0 in (
+            ("tg-strong", taylor_green_data(grid, 1.0, 0.05)),
+            ("tg-mixed", taylor_green_data(grid, 0.7, 0.1)),
+        ):
+            at_r2 = []
+            record = run_direct(state0, T, 2e-3, r1, on_step=lambda s: at_r2.append(
+                (holder_norm(s.theta, r2).value, holder_norm_vector(s.u, r2))))[1]
+            samples = [replace(m, theta_r=a, u_r=b) for m, (a, b) in zip(record.samples, at_r2)]
+            runs += [(r1, label, record), (r2, label, MonitorRecord(r2, samples))]
+        if n <= 64:
+            for r in DYNAMIC_R_VALUES:  # the random data are drawn at r
                 theta0 = synthesize_holder_field(grid, r, 0.3, 61_000)
                 u0 = synthesize_divfree_velocity(grid, r, 0.5, 62_000)
-                configs.append(("random", BoussinesqState(theta0, u0, 0.0)))
-            for label, state0 in configs:
-                runs.append((r, label, run_direct(state0, T, 2e-3, r)[1]))
-        return runs
+                runs.append((r, "random", run_direct(BoussinesqState(theta0, u0, 0.0), T, 2e-3, r)[1]))
+        return sorted(runs, key=lambda run: run[0])  # stable: labels keep their order
     return _cached(("coupled", corpus, n), build)
 
 

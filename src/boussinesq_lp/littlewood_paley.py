@@ -177,7 +177,7 @@ class DyadicPartition:
 def top_block(n: int, length: float) -> float:
     """The q_max of the partition of an n-point grid of side ``length``,
     computed without building the grid; a float, inf when k_max overflows."""
-    k_max = (2.0 * np.pi / length) * (n / 2)  # Grid.k_max
+    k_max = (2.0 * np.pi / length) * (n / 2)  # the largest axis wavenumber
     return float(np.floor(math.log2((2.0 / 3.0) * k_max / OUTER_RADIUS)))
 
 

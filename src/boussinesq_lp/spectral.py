@@ -126,7 +126,7 @@ __all__ = [
 def max_ksq(n: int, length: float) -> float:
     """The largest squared wavenumber |k|^2 = 2 k_max^2 of an n-point grid of
     side ``length``, computed without building the grid; inf when it overflows."""
-    k_max = (2.0 * np.pi / length) * (n / 2)  # Grid.k_max
+    k_max = (2.0 * np.pi / length) * (n / 2)  # the largest axis wavenumber
     return 2.0 * k_max * k_max
 
 
@@ -140,8 +140,8 @@ class Grid:
 
     Precomputes mode indices, wavenumber meshes, the 2/3-rule dealias
     mask and the complex multiplier tables of the module docstring, all in
-    the (n, n//2 + 1) half-spectrum layout.  A box so small that |k|^2
-    overflows a float is a ``ValueError``.  Grids compare and hash by
+    the (n, n//2 + 1) half-spectrum layout.  An infinite box, or one whose
+    |k|^2 overflows a float, is a ``ValueError``.  Grids compare and hash by
     (n, L); use :func:`make_grid` to get a cached instance.
     """
 
@@ -152,8 +152,8 @@ class Grid:
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {n}")
         box_length = float(box_length)
-        if not box_length > 0:
-            raise ValueError(f"box_length must be positive, got {box_length}")
+        if not 0 < box_length < math.inf:
+            raise ValueError(f"box_length must be positive and finite, got {box_length}")
 
         if not math.isfinite(max_ksq(n, box_length)):
             raise ValueError(
@@ -234,11 +234,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.length / self.n
-
-    @property
-    def k_max(self) -> float:
-        """Largest axis wavenumber, 2*pi/L * n/2."""
-        return (2.0 * np.pi / self.length) * (self.n / 2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and self.n == other.n and self.length == other.length

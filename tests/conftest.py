@@ -1,8 +1,8 @@
 """Session fixtures: grids, corpus-wide estimate reports, shared runs.
 
-The estimate reports are expensive (all ten take about 17 s on a 2-vCPU
-VM, 12.6 s of it ``eq3.3``, whose coupled runs ``eq3.4`` reuses, and
-2.5 s ``lemma3.1``), so everything that needs frozen constants shares
+The estimate reports are expensive (all ten take about 5.8 s on a 2-vCPU
+VM, 3.4 s of it ``eq3.3``, whose coupled runs ``eq3.4`` reuses, and
+1.3 s ``lemma3.1``), so everything that needs frozen constants shares
 these session-scoped fixtures.
 """
 

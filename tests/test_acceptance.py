@@ -279,7 +279,7 @@ def test_12_uniqueness_probe():
     t0 = time.perf_counter()
     grid = make_grid(64, 2 * np.pi)
     state0 = bq.taylor_green_data(grid, 1.0, 0.05)
-    c4, c5 = bq.uniqueness_probe(state0, [1e-4, 1e-5], 0.5, 2e-3, 1.5, sample_every=50)
+    c4, c5 = bq.uniqueness_probe(state0, [1e-4, 1e-5], 0.5, 2e-3, 1.5)
     ratio_theta = c4.terminal_theta_gap / c5.terminal_theta_gap
     ratio_u = c4.terminal_u_gap / c5.terminal_u_gap
     runtime = time.perf_counter() - t0

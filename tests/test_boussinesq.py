@@ -514,13 +514,13 @@ class TestBlowupMonitor:
 class TestUniquenessProbe:
     def test_zero_perturbation_zero_gap(self, grid64):
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
-        (curve,) = bq.uniqueness_probe(state0, [0.0], 0.05, 2e-3, 1.5, sample_every=10)
+        (curve,) = bq.uniqueness_probe(state0, [0.0], 0.05, 2e-3, 1.5)
         assert max(curve.theta_gaps) == 0.0
         assert max(curve.u_gaps) == 0.0
 
     def test_linear_response_ratio(self, grid64):
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
-        c4, c5 = bq.uniqueness_probe(state0, [1e-4, 1e-5], 0.1, 2e-3, 1.5, sample_every=25)
+        c4, c5 = bq.uniqueness_probe(state0, [1e-4, 1e-5], 0.1, 2e-3, 1.5)
         ratio = c4.terminal_theta_gap / c5.terminal_theta_gap
         assert 7.0 <= ratio <= 13.0
 
@@ -528,7 +528,7 @@ class TestUniquenessProbe:
         # terminal-over-initial gap growth stays under exp(c * int ||u1||_r)
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
         _, record = bq.run_direct(state0, 0.2, 2e-3, 1.5)
-        (curve,) = bq.uniqueness_probe(state0, [1e-4], 0.2, 2e-3, 1.5, sample_every=10)
+        (curve,) = bq.uniqueness_probe(state0, [1e-4], 0.2, 2e-3, 1.5)
         u_r_integral = np.trapezoid(record.series("u_r"), record.times())
         growth = max(curve.theta_gaps) / curve.theta_gaps[0]
         assert growth <= np.exp(10.0 * u_r_integral)
@@ -581,9 +581,9 @@ class TestUniquenessProbe:
             return step(*args)
 
         monkeypatch.setattr(bq, "_direct_step", counted)
-        curves = bq.uniqueness_probe(state0, eps_values, 0.02, 2e-3, 1.5, sample_every=3)
+        curves = bq.uniqueness_probe(state0, eps_values, 0.02, 2e-3, 1.5)
         assert len(calls) == (len(eps_values) + 1) * 10
         monkeypatch.undo()
         for eps, curve in zip(eps_values, curves):
-            (single,) = bq.uniqueness_probe(state0, [eps], 0.02, 2e-3, 1.5, sample_every=3)
+            (single,) = bq.uniqueness_probe(state0, [eps], 0.02, 2e-3, 1.5)
             assert curve == single

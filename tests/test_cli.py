@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 from functools import partial
 
 import numpy as np
@@ -600,6 +601,14 @@ class TestSnapshotIO:
         assert cli.main(["lp-analyze", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("input error: ") and "squared wavenumbers overflow" in line
+
+    def test_infinite_box_length_is_a_malformed_header(self, tmp_path):
+        path = tmp_path / "field.snap"
+        path.write_bytes(b'{"n": 16, "L": Infinity}\n' + bytes(8 * 16 * 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fileio.SnapshotError, match="malformed header"):
+                fileio.read_snapshot(path)
 
     def test_lp_analyze_on_missing_input_exits_2(self, tmp_path):
         missing = tmp_path / "absent.snap"

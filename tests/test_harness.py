@@ -1,5 +1,7 @@
 """Estimate reports, threshold formulas, contraction fits, envelopes."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -65,6 +67,28 @@ class TestVerify:
             layout = (len(rep.samples), {s.r for s in rep.samples},
                       rep.samples[0].descriptor, rep.samples[-1].descriptor)
             assert layout == expected[name], name
+
+    # SHA-256 of json.dumps(report.to_dict(), sort_keys=True) for every
+    # default-corpus report; recorded with numpy 2.4.6 on x86-64
+    REPORT_DIGESTS = {
+        "lemma2.1": "4b060265b269d7b849e23945f8194e5ac48a2c4f70878078862bcc2371f61a0c",
+        "lemma2.2.1": "c9d82661139250c2250418374a6958859ccc6f75cadebeeedf943ad48de50242",
+        "lemma2.2.3": "77ee269ff35df4328d92a2d939d362f670da6f5a71e144a5bf4c0f704a65efc8",
+        "lemma2.3": "16bc6beb7db08a53bfe5718644abbd2f56d256302611835919c9c47e28329f3d",
+        "lemma2.4": "5357e3a99fdc5b70a60cad0e450847b82fb88a7cd4e4d17e60569ffcaf60a96c",
+        "lemma2.5": "4704a1fa0501820452451949a64b6b3c2bbe2e3d94169a5de5fd68aa5c1a6af2",
+        "eq4.18": "eaf38c0f0626d8b546a75160ea0b8a3385b76af271b3bba05431d4953e318a60",
+        "lemma3.1": "59d3b167822d100190da312eacb9e956de2d5addb63fe604ceebfdd2b3c7d4dc",
+        "eq3.3": "bcf13c90c9a14f9debc727dc547070f45c904e4c0dd4406d3ae1f592989c6e83",
+        "eq3.4": "0386bc3620d0af6fe6b0db172546282484ba4f932c78acecd510caa344c22fff",
+    }
+
+    def test_report_digests_on_default_corpus(self, reports):
+        digests = {
+            name: hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+            for name, rep in reports.items()
+        }
+        assert digests == self.REPORT_DIGESTS
 
     def test_stable_is_a_json_bool_over_two_resolutions(self, tmp_path):
         # the per-resolution comparison runs on numpy floats
@@ -148,6 +172,29 @@ class TestSharedCorpus:
             v = bq.synthesize_divfree_velocity(grid64, r, 0.7, 20_000)
             expected += [harness.commutator_sample(v, f, q, r) for q in qs]
         assert [(s.lhs, s.rhs) for s in report.samples] == expected
+
+    def test_taylor_green_runs_integrated_once_per_n(self, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        exponents = []
+        original = harness.run_direct
+
+        def counting(state0, T, dt, r, **kwargs):
+            exponents.append(r)
+            return original(state0, T, dt, r, **kwargs)
+
+        monkeypatch.setattr(harness, "run_direct", counting)
+        runs = harness._coupled_runs(harness.CorpusSpec(resolutions=(32,)), 32)
+        # one run per Taylor-Green config, and the random data, drawn at r, once per r
+        assert exponents == [1.5, 1.5, 1.5, 2.5]
+        labels = ("tg-strong", "tg-mixed", "random")
+        assert [(r, label) for r, label, _ in runs] == [(r, label) for r in (1.5, 2.5) for label in labels]
+
+        def bits(record):
+            return record.r, [tuple(map(float.hex, dataclasses.astuple(s))) for s in record.samples]
+
+        (read_at_2_5,) = [rec for r, label, rec in runs if (r, label) == (2.5, "tg-strong")]
+        tg = bq.taylor_green_data(make_grid(32, 2.0 * np.pi), 1.0, 0.05)
+        assert bits(read_at_2_5) == bits(original(tg, 0.5, 2e-3, 2.5)[1])
 
 
 class TestScaleInvariance:

@@ -1,5 +1,7 @@
 """Grid, transform, and Fourier-multiplier contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,10 +50,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(bad_n, 2.0 * np.pi)
 
-    @pytest.mark.parametrize("bad_length", [0.0, -1.0])
+    @pytest.mark.parametrize("bad_length", [0.0, -1.0, float("inf")])
     def test_rejects_bad_length(self, bad_length):
-        with pytest.raises(ValueError):
-            make_grid(64, bad_length)
+        # rejected before any table is built: an infinite box would warn
+        # while giving NaN coordinates and all-zero wavenumbers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_grid(16, bad_length)
 
     @pytest.mark.parametrize("tiny_length", [1e-200, 1e-320])
     def test_rejects_overflowing_wavenumbers(self, tiny_length):
