@@ -77,7 +77,6 @@ from .spectral import (
     is_divergence_free,
     leray_project,
     linf_norm,
-    lp_norm,
 )
 from .transport import _check_cfl, _step_lattice, rk4
 
@@ -96,8 +95,6 @@ __all__ = [
     "synthesize_divfree_velocity",
     "hydrostatic_data",
     "taylor_green_data",
-    "kinetic_energy",
-    "buoyancy_work",
     "uniqueness_probe",
 ]
 
@@ -325,7 +322,7 @@ def _monitor_sample(
         t=state.t,
         grad_u_inf=g,
         bkm_integral=bkm,
-        theta_r=holder_norm(state.theta, r).value,
+        theta_r=holder_norm(state.theta, r),
         u_r=holder_norm_vector(state.u, r),
         div_residual=divergence_residual(state.u),
     )
@@ -361,16 +358,6 @@ def run_direct(
         if on_step is not None:
             on_step(state)
     return state, record
-
-
-def kinetic_energy(u: VectorField) -> float:
-    return 0.5 * (lp_norm(u.u1, 2) ** 2 + lp_norm(u.u2, 2) ** 2)
-
-
-def buoyancy_work(theta: SpectralField, u: VectorField) -> float:
-    """Integral of theta * u2 over the torus (power input of the buoyancy force)."""
-    cell = (theta.grid.length / theta.grid.n) ** 2
-    return float(np.sum(theta.values() * u.u2.values()) * cell)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +507,7 @@ def synthesize_holder_field(
             continue
         total += piece.coeffs * (amplitude * 2.0 ** (-q * r) / peak)
     f = dealias(SpectralField(grid, total))
-    measured = holder_norm(f, r).value
+    measured = holder_norm(f, r)
     if measured > 0.0:
         f = f * (amplitude / measured)
     return f

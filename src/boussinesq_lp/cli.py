@@ -136,11 +136,13 @@ class RunConfig:
             (self.seed < 0, "seed must be nonnegative"),
             (self.n_max < 2, "n_max must be >= 2"),
             (self.tol <= 0, "tol must be positive"),
+            (self.C is not None and self.C <= 0, "C must be positive"),
             ("estimate" in command.fields and self.estimate is None, f"{self.command} needs --estimate"),
             (
                 self.estimate not in (None, *harness.ESTIMATE_NAMES),
                 f"unknown estimate {self.estimate!r}; choose from {', '.join(harness.ESTIMATE_NAMES)}",
             ),
+            (not self.eps, "eps needs at least one value"),
             (any(e < 0 for e in self.eps), "eps values must be nonnegative"),
             (
                 len({f"{e:g}" for e in self.eps}) < len(self.eps),

@@ -47,7 +47,10 @@ def read_snapshot(path) -> tuple[SpectralField, dict]:
         raw = fh.read()
     try:
         header = json.loads(first_line.decode("utf-8"))
-        n, length = int(header["n"]), float(header["L"])
+        n, length = header["n"], header["L"]
+        if type(n) is not int or type(length) not in (int, float):
+            raise TypeError(f"n must be an integer and L a number, got n={n!r}, L={length!r}")
+        length = float(length)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SnapshotError(f"snapshot {path}: malformed header: {exc}") from None
     # sizes are compared before any grid is built, so a bad header allocates nothing

@@ -175,28 +175,28 @@ def _ratio_sample(descriptor, lhs, rhs, r, n) -> EstimateSample:
 
 def commutator_sample(v: VectorField, f: SpectralField, q: int, r: float) -> tuple[float, float]:
     lhs = linf_norm(commutator(v, q, f))
-    rhs = 2.0 ** (-q * r) * holder_norm(f, r).value * grad_linf_norm(v)
+    rhs = 2.0 ** (-q * r) * holder_norm(f, r) * grad_linf_norm(v)
     return lhs, rhs
 
 
 def embedding_linf_sample(f: SpectralField, r: float) -> tuple[float, float]:
-    return linf_norm(f), holder_norm(f, r).value
+    return linf_norm(f), holder_norm(f, r)
 
 
 def embedding_b1_sample(f: SpectralField, r: float) -> tuple[float, float]:
     rep = besov_norm(f, 1.0, np.inf, 1.0)
-    return rep.homogeneous_value, holder_norm(f, r).value
+    return rep.homogeneous_value, holder_norm(f, r)
 
 
 def product_sample(f: SpectralField, g: SpectralField, s: float) -> tuple[float, float]:
     prod = dealias(SpectralField.from_values(f.grid, f.values() * g.values()))
-    lhs = holder_norm(prod, s).value
-    rhs = linf_norm(f) * holder_norm(g, s).value + linf_norm(g) * holder_norm(f, s).value
+    lhs = holder_norm(prod, s)
+    rhs = linf_norm(f) * holder_norm(g, s) + linf_norm(g) * holder_norm(f, s)
     return lhs, rhs
 
 
 def advection_product_sample(u: VectorField, f: SpectralField, r: float) -> tuple[float, float]:
-    lhs = holder_norm(advect(u, f), r).value
+    lhs = holder_norm(advect(u, f), r)
     rhs = holder_norm_vector(u, r) * besov_norm(f, 1.0, np.inf, 1.0).value
     return lhs, rhs
 
@@ -314,7 +314,7 @@ def _transport_growth(corpus: CorpusSpec, n: int):
     for r, seed, v, _, traj in _transport_runs(corpus, n):
         gradv = grad_linf_norm(v)
         times = np.array(traj.times)
-        norms = np.array([holder_norm(f, r).value for f in traj.fields])
+        norms = np.array([holder_norm(f, r) for f in traj.fields])
         norm0 = norms[0]  # traj.fields[0] is the initial field
         for i in range(1, len(times)):
             weighted = float(np.trapezoid(gradv * norms[: i + 1], times[: i + 1]))
@@ -338,7 +338,7 @@ def _coupled_runs(corpus: CorpusSpec, n: int):
         ):
             at_r2 = []
             record = run_direct(state0, T, 2e-3, r1, on_step=lambda s: at_r2.append(
-                (holder_norm(s.theta, r2).value, holder_norm_vector(s.u, r2))))[1]
+                (holder_norm(s.theta, r2), holder_norm_vector(s.u, r2))))[1]
             samples = [replace(m, theta_r=a, u_r=b) for m, (a, b) in zip(record.samples, at_r2)]
             runs += [(r1, label, record), (r2, label, MonitorRecord(r2, samples))]
         if n <= 64:
@@ -501,7 +501,7 @@ def compute_thresholds(
     ``reports["lemma2.1"]``; a0 to the measured kernel mass; S to 10x the
     larger initial norm.
     """
-    tn = holder_norm(theta0, r).value
+    tn = holder_norm(theta0, r)
     un = holder_norm_vector(u0, r)
     if C is None:
         if reports is None:

@@ -21,7 +21,8 @@ Homogeneous norms use additional negative-q annulus blocks down to
 q_min = -floor(log2(L)) - 2, a torus truncation of the whole-space
 definition (below q_min there is no nonzero grid frequency left).  The
 Hoelder norm C^r is the inhomogeneous B^r_{inf,inf} norm and needs none
-of them, so a :class:`BesovReport` builds its negative blocks only on the
+of them: ``holder_norm`` returns it as a float, and only ``besov_norm``
+builds a :class:`BesovReport`, whose negative blocks are computed on the
 first read of ``homogeneous_blocks`` or ``homogeneous_value``.
 
 Every operator here (blocks, low-pass, norms, paraproducts, commutator)
@@ -31,9 +32,9 @@ a grid has exactly one partition, so none of them takes one as an argument.
 The sup-norm block profile [(q, ||D_q f||_inf)], q = -1..q_max, does not
 depend on the smoothness index.  It is computed once per field and cached
 on the (immutable) ``SpectralField``, next to the values cache described
-in ``spectral``; ``besov_norm`` reads it whenever p = inf, so every
-``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and its
-B^1_{inf,1} norm cost one profile.  The private kernel ``_block_sups``
+in ``spectral``; ``holder_norm`` and ``besov_norm`` at p = inf read it, so
+every ``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and
+its B^1_{inf,1} norm cost one profile.  The private kernel ``_block_sups``
 computes it, one inverse transform per block and no field built, for one
 field or for a stack of fields at once (the Cauchy and twin-run gaps of
 ``boussinesq`` take the profiles of a (theta, u1, u2) difference that
@@ -292,7 +293,7 @@ def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
 
 
 def _holder_rows(grid: Grid, coeffs: np.ndarray, r: float) -> list[float]:
-    """``holder_norm(f, r).value`` of every field f of a (k, n, n//2 + 1)
+    """``holder_norm(f, r)`` of every field f of a (k, n, n//2 + 1)
     coefficient stack: its ``_block_sups`` column assembled by ``_assemble``."""
     sups = _block_sups(grid, coeffs)
     return [_assemble(list(enumerate(map(float, column), -1)), r, np.inf) for column in sups.T]
@@ -314,16 +315,17 @@ def besov_norm(
     return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f)
 
 
-def holder_norm(f: SpectralField, r: float) -> BesovReport:
-    """Hoelder norm: sup-type Besov norm with p = q = infinity."""
+def holder_norm(f: SpectralField, r: float) -> float:
+    """Hoelder norm C^r = B^r_{inf,inf}: the value of ``besov_norm(f, r)``,
+    assembled from the profile cached on f without building a report."""
     if r <= 0:
         raise ValueError(f"Hoelder exponent must be positive, got {r}")
-    return besov_norm(f, r, np.inf, np.inf)
+    return _assemble(_sup_profile(f), r, np.inf)
 
 
 def holder_norm_vector(w: VectorField, r: float) -> float:
     """Componentwise maximum of the Hoelder norms."""
-    return max(holder_norm(w.u1, r).value, holder_norm(w.u2, r).value)
+    return max(holder_norm(w.u1, r), holder_norm(w.u2, r))
 
 
 def bony_decompose(

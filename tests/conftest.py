@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness
 from boussinesq_lp.spectral import make_grid
+from helpers import buoyancy_work, kinetic_energy
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +48,8 @@ def taylor_green_run(grid64):
         if len(energy["t"]) % 200 == 0:
             snapshots.append(state)
         energy["t"].append(state.t)
-        energy["E"].append(bq.kinetic_energy(state.u))
-        energy["W"].append(bq.buoyancy_work(state.theta, state.u))
+        energy["E"].append(kinetic_energy(state.u))
+        energy["W"].append(buoyancy_work(state.theta, state.u))
 
     _, record = bq.run_direct(state0, 1.0, 1e-3, 1.5, on_step=on_step)
     return {"state0": state0, "snapshots": snapshots, "record": record, "energy": energy}

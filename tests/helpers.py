@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm
+from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm, lp_norm
 
 
 def rel_linf(a: SpectralField, b: SpectralField) -> float:
@@ -18,6 +18,16 @@ def rel_linf_values(values: np.ndarray, reference: np.ndarray) -> float:
 
 def vec_linf(w: VectorField) -> float:
     return max(linf_norm(w.u1), linf_norm(w.u2))
+
+
+def kinetic_energy(u: VectorField) -> float:
+    return 0.5 * (lp_norm(u.u1, 2) ** 2 + lp_norm(u.u2, 2) ** 2)
+
+
+def buoyancy_work(theta: SpectralField, u: VectorField) -> float:
+    """Integral of theta * u2 over the torus (power input of the buoyancy force)."""
+    cell = (theta.grid.length / theta.grid.n) ** 2
+    return float(np.sum(theta.values() * u.u2.values()) * cell)
 
 
 def random_dealiased_field(grid, seed: int) -> SpectralField:

@@ -5,13 +5,17 @@ capability that no command, sweep or report reaches, so it is deleted
 with its tests rather than kept.  Each module of ``src/boussinesq_lp`` is
 parsed with ``ast``; a listed name counts as used when some module loads
 it (as a bare name or as an attribute) outside the name's own
-definition.  The imports of the package ``__init__.py`` re-export names
-and the ``__all__`` lists only list them, so neither counts as a use.
+definition.  An import only binds a name and an ``__all__`` list only
+lists it, so neither counts as a use.  The package ``__init__.py``
+re-exports each ``__all__`` by a ``*`` import and lists no name itself.
 """
 
 import ast
+import types
 from pathlib import Path
 
+import boussinesq_lp
+from boussinesq_lp import boussinesq, harness, littlewood_paley, spectral, transport
 from test_imports import _exported
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boussinesq_lp"
@@ -20,8 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boussinesq_lp"
 ALLOWED_UNUSED = {
     "bony_decompose": "the paraproduct split checked by acceptance test 03",
     "gronwall_constant": "the frozen constant of the Gronwall replays, wired in by ROADMAP item 11",
-    "kinetic_energy": "energy diagnostic; its fate waits on the decision of ROADMAP item 8",
-    "buoyancy_work": "energy diagnostic; its fate waits on the decision of ROADMAP item 8",
 }
 
 
@@ -47,8 +49,6 @@ def unused_public_names(sources: dict[str, str]) -> list[str]:
     trees = {module: ast.parse(source) for module, source in sources.items()}
     found = []
     for module, tree in trees.items():
-        if module == "__init__":
-            continue
         for name in _exported(tree):
             own = {
                 node
@@ -57,9 +57,7 @@ def unused_public_names(sources: dict[str, str]) -> list[str]:
                 and node.name == name
             }
             used = any(
-                name in _loaded(other, own if other is tree else frozenset())
-                for key, other in trees.items()
-                if key != "__init__"
+                name in _loaded(other, own if other is tree else frozenset()) for other in trees.values()
             )
             if not used:
                 found.append(f"{module}.{name}")
@@ -81,9 +79,19 @@ def test_allowlist_holds_only_unused_names():
     assert sorted(_unused_in_src()) == sorted(ALLOWED_UNUSED)
 
 
+def test_package_exports_exactly_the_module_all_lists():
+    exported = set().union(*(m.__all__ for m in (spectral, littlewood_paley, transport, boussinesq, harness)))
+    public = {
+        name
+        for name, value in vars(boussinesq_lp).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == exported
+
+
 def test_scan_flags_an_unused_export():
     sources = {
-        "__init__": "from .a import f, g, h\n",
+        "__init__": "from .a import *\n",
         "a": "__all__ = ['f', 'g', 'h', 'K', 'N']\n"
         "N = 1\n"
         "class K: pass\n"
