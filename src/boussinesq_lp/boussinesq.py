@@ -638,7 +638,7 @@ def _gap_norms(diff: _Stack, s: float) -> tuple[float, float]:
     of its velocity rows, from one inverse transform per block over all
     three rows.  The Cauchy gaps of the iterate and the twin-run gaps of
     the probe both read it."""
-    theta, u1, u2 = _holder_rows(diff.grid, diff.coeffs, s)
+    theta, u1, u2 = _holder_rows(diff, s)
     return theta, max(u1, u2)
 
 

@@ -137,6 +137,10 @@ class RunConfig:
             (self.n_max < 2, "n_max must be >= 2"),
             (self.tol <= 0, "tol must be positive"),
             (self.C is not None and self.C <= 0, "C must be positive"),
+            (self.P <= 0, "P must be positive"),
+            (self.Q <= 0, "Q must be positive"),
+            (self.S is not None and self.S <= 0, "S must be positive"),
+            (self.a0 is not None and self.a0 <= 0, "a0 must be positive"),
             ("estimate" in command.fields and self.estimate is None, f"{self.command} needs --estimate"),
             (
                 self.estimate not in (None, *harness.ESTIMATE_NAMES),

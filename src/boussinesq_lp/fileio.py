@@ -94,7 +94,16 @@ def iterations_to_csv(path, records: list[IterationRecord]) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write a report as indented, key-sorted JSON: through its own
+    """Write a report as indented, key-sorted, strict JSON: through its own
     ``to_dict`` when it has one, else a dataclass through ``asdict``."""
     data = payload.to_dict() if hasattr(payload, "to_dict") else asdict(payload)
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(_strict(data), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _strict(data):
+    """``data`` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return list(map(_strict, data))
+    return str(float(data)) if isinstance(data, float) and not np.isfinite(data) else data

@@ -29,20 +29,22 @@ Every operator here (blocks, low-pass, norms, paraproducts, commutator)
 uses the partition of its field's own grid, ``build_partition(f.grid)``;
 a grid has exactly one partition, so none of them takes one as an argument.
 
-The sup-norm block profile [(q, ||D_q f||_inf)], q = -1..q_max, does not
-depend on the smoothness index.  It is computed once per field and cached
-on the (immutable) ``SpectralField``, next to the values cache described
-in ``spectral``; ``holder_norm`` and ``besov_norm`` at p = inf read it, so
-every ``holder_norm`` and ``holder_norm_vector`` of a field, at any r, and
-its B^1_{inf,1} norm cost one profile.  The private kernel ``_block_sups``
-computes it, one inverse transform per block and no field built, for one
-field or for a stack of fields at once (the Cauchy and twin-run gaps of
-``boussinesq`` take the profiles of a (theta, u1, u2) difference that
-way).  Finite p is computed afresh on every call.  Each
-:class:`BesovReport` gets its own ``block_norms`` list, so a caller that
-edits a report cannot reach the cache.  Likewise ``commutator``
-caches advect(v, f) on f for the last velocity v it saw (by identity), so
-the commutators of all blocks of one (v, f) pair advect f once.
+Every block norm ||D_q f||_p (inhomogeneous, homogeneous, any p) comes
+from one private kernel, ``_block_norms``: one inverse transform per
+block multiplier over every row of a field or of a (theta, u1, u2)
+stack, and no field built.  The sup-norm block profile [(q, ||D_q f||_inf)],
+q = -1..q_max, does not depend on the smoothness index.  It is computed
+once per field and cached on the (immutable) ``SpectralField``, next to
+the values cache described in ``spectral``; ``holder_norm`` and
+``besov_norm`` at p = inf read it, so every ``holder_norm`` and
+``holder_norm_vector`` of a field, at any r, and its B^1_{inf,1} norm cost
+one profile.  The Cauchy and twin-run gaps of ``boussinesq`` take the
+profiles of a (theta, u1, u2) difference in one kernel call.  Finite p is
+computed afresh on every call.  Each :class:`BesovReport` gets its own
+``block_norms`` list, so a caller that edits a report cannot reach the
+cache.  Likewise ``commutator`` caches advect(v, f) on f for the last
+velocity v it saw (by identity), so the commutators of all blocks of one
+(v, f) pair advect f once.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .spectral import (
     advect,
     dealias,
     is_divergence_free,
-    lp_norm,
 )
 
 __all__ = [
@@ -112,6 +113,7 @@ class DyadicPartition:
         chi_hat: samples of chi(xi)  (block q = -1).
         phi_hat: list of samples of phi(2^-q xi) for q = 0..q_max, the
             last entry being the high-frequency tail block.
+        blocks: the multipliers of the blocks q = -1..q_max, in order.
     """
 
     def __init__(self, grid: Grid):
@@ -128,6 +130,7 @@ class DyadicPartition:
         self.chi_hat = chi_profile(s)
         self.phi_hat = [phi_profile(s / 2.0**q) for q in range(q_max)]
         self.phi_hat.append(1.0 - chi_profile(s / 2.0**q_max))
+        self.blocks = [self.chi_hat, *self.phi_hat]
 
         # S_q multipliers for q = 0..q_max+1 (partial sums of the blocks)
         self._lowpass = [self.chi_hat.copy()]
@@ -141,10 +144,8 @@ class DyadicPartition:
 
     def multiplier(self, q: int) -> np.ndarray:
         """Inhomogeneous block multiplier, q in [-1, q_max]."""
-        if q == -1:
-            return self.chi_hat
-        if 0 <= q <= self.q_max:
-            return self.phi_hat[q]
+        if -1 <= q <= self.q_max:
+            return self.blocks[q + 1]
         raise ValueError(f"block index q={q} outside [-1, {self.q_max}]")
 
     def homogeneous_multiplier(self, q: int) -> np.ndarray:
@@ -169,10 +170,7 @@ class DyadicPartition:
         return self._lowpass[-1]
 
     def frame_sum(self) -> np.ndarray:
-        out = self.chi_hat**2
-        for p in self.phi_hat:
-            out = out + p**2
-        return out
+        return sum(m**2 for m in self.blocks)
 
 
 def top_block(n: int, length: float) -> float:
@@ -221,11 +219,10 @@ class BesovReport:
     @cached_property
     def homogeneous_blocks(self) -> list[tuple[int, float]]:
         part = build_partition(self.source.grid)
-        hom = [
-            (q, lp_norm(self.source.multiplied(part.homogeneous_multiplier(q)), self.p))
-            for q in range(part.q_min_homogeneous, 0)
-        ]
-        return hom + self.block_norms[1:]  # blocks q >= 0 coincide in both decompositions
+        qs = range(part.q_min_homogeneous, 0)
+        norms = _block_norms(self.source, [part.homogeneous_multiplier(q) for q in qs], self.p)
+        # blocks q >= 0 coincide in both decompositions
+        return list(zip(qs, map(float, norms))) + self.block_norms[1:]
 
     @cached_property
     def homogeneous_value(self) -> float:
@@ -260,42 +257,41 @@ def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> flo
     return float(sum(terms) ** (1.0 / q_index))
 
 
-def _block_norms(f: SpectralField, p: float) -> list[tuple[int, float]]:
+def _block_norms(f, multipliers: list[np.ndarray], p: float) -> np.ndarray:
+    """||m f||_p for each multiplier m (axis 0) and every row of f, a field
+    or a (grid, coeffs) stack (the other axes): one inverse transform per
+    multiplier over every row, through one work array, and no field built.
+    p = inf takes the sup, finite p the quadrature (sum |f|^p (L/n)^2)^(1/p)."""
+    g, coeffs = f.grid, f.coeffs
+    multiplied = g.work("block_norms", coeffs.shape)
+    norms = np.empty((len(multipliers), *coeffs.shape[:-2]))
+    for i, m in enumerate(multipliers):
+        values = np.fft.irfft2(np.multiply(coeffs, m, out=multiplied), s=(g.n, g.n), norm="forward")
+        np.abs(values, out=values)
+        norms[i] = np.max(values, axis=(-2, -1)) if np.isinf(p) else np.sum(values**p, axis=(-2, -1))
+    if not np.isinf(p):  # each root on its own float, as a scalar power
+        cell = (g.length / g.n) ** 2
+        norms.flat = [(total * cell) ** (1.0 / p) for total in norms.flat]
+    return norms
+
+
+def _profile(f: SpectralField, p: float) -> list[tuple[int, float]]:
     """[(q, ||D_q f||_p)] for the inhomogeneous blocks q = -1..q_max."""
-    q_max = build_partition(f.grid).q_max
-    return [(q, lp_norm(block(q, f), p)) for q in range(-1, q_max + 1)]
-
-
-def _block_sups(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """||D_q f||_inf for q = -1..q_max (axis 0) and every field f of a
-    coefficient stack (..., n, n//2 + 1) on grid (the other axes): one
-    inverse transform per block over every row, and no field built."""
-    part = build_partition(grid)
-    n = grid.n
-    multiplied = grid.work("block_sups", coeffs.shape)
-    sups = np.empty((part.q_max + 2, *coeffs.shape[:-2]))
-    for i, q in enumerate(range(-1, part.q_max + 1)):
-        values = np.fft.irfft2(
-            np.multiply(coeffs, part.multiplier(q), out=multiplied), s=(n, n), norm="forward"
-        )
-        sups[i] = np.max(np.abs(values, out=values), axis=(-2, -1))
-    return sups
+    return list(enumerate(map(float, _block_norms(f, build_partition(f.grid).blocks, p)), -1))
 
 
 def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
-    """[(q, ||D_q f||_inf)] for q = -1..q_max, cached on f on first call:
-    ``_block_sups`` of the one field f."""
-    cache = f.__dict__.get("_sup_profile_cache")
-    if cache is None:
-        cache = tuple(enumerate(map(float, _block_sups(f.grid, f.coeffs)), -1))
-        object.__setattr__(f, "_sup_profile_cache", cache)
-    return cache
+    """``_profile(f, inf)``, cached on f on first call."""
+    profile = f.__dict__.get("_sup_profile")
+    if profile is None:
+        profile = f.__dict__["_sup_profile"] = tuple(_profile(f, np.inf))
+    return profile
 
 
-def _holder_rows(grid: Grid, coeffs: np.ndarray, r: float) -> list[float]:
-    """``holder_norm(f, r)`` of every field f of a (k, n, n//2 + 1)
-    coefficient stack: its ``_block_sups`` column assembled by ``_assemble``."""
-    sups = _block_sups(grid, coeffs)
+def _holder_rows(stack, r: float) -> list[float]:
+    """``holder_norm(f, r)`` of every row f of a (k, n, n//2 + 1) stack:
+    the column of its block sups assembled by ``_assemble``."""
+    sups = _block_norms(stack, build_partition(stack.grid).blocks, np.inf)
     return [_assemble(list(enumerate(map(float, column), -1)), r, np.inf) for column in sups.T]
 
 
@@ -311,7 +307,7 @@ def besov_norm(
     """
     if p < 1 or q_index < 1:
         raise ValueError("integrability indices must be >= 1")
-    blocks = list(_sup_profile(f)) if np.isinf(p) else _block_norms(f, p)
+    blocks = list(_sup_profile(f)) if np.isinf(p) else _profile(f, p)
     return BesovReport(s, p, q_index, blocks, _assemble(blocks, s, q_index), f)
 
 
@@ -373,10 +369,9 @@ def commutator(v: VectorField, q: int, f: SpectralField) -> SpectralField:
 def _advected(v: VectorField, f: SpectralField) -> SpectralField:
     """advect(v, f), cached on f for the last v (by identity), so the
     commutators of every block of one (v, f) pair share it."""
-    cache = f.__dict__.get("_advected_cache")
+    cache = f.__dict__.get("_advected")
     if cache is None or cache[0] is not v:
-        cache = (v, advect(v, f))
-        object.__setattr__(f, "_advected_cache", cache)
+        cache = f.__dict__["_advected"] = (v, advect(v, f))
     return cache[1]
 
 
@@ -391,8 +386,8 @@ def compute_a0() -> float:
     captures the L^1 mass far beyond the 1e-6 level needed downstream.
     chi(0) = 1 forces the integral of the kernel to 1, hence a0 >= 1.
 
-    |k| and the quadrature are those of a ``Grid`` and of ``lp_norm(f, 1)``
-    on it, operation for operation, but no ``Grid`` is built: the cache of
+    |k| and the quadrature are those of a ``Grid`` and of the p = 1
+    quadrature of ``_block_norms`` on it, operation for operation, but no ``Grid`` is built: the cache of
     ``make_grid`` would keep its meshes for the life of the process.
     """
     n, box = _A0_RESOLUTION, _A0_BOX

@@ -56,8 +56,9 @@ of the leading axes of each input).  The linearized iterate of
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
 after construction, and no code writes into ``coeffs`` in place.  Values
-derived from a field are therefore computed once and cached on the field
-object on first use:
+derived from a field are therefore computed on first use and kept in the
+field's ``__dict__`` (by a ``functools.cached_property``, or directly in
+``littlewood_paley``), so a later read is a plain attribute read:
 
 * ``SpectralField.values()``: the grid samples (read-only array);
 * ``VectorField.max_speed()``: max |v| over the grid;
@@ -72,7 +73,7 @@ stale; build a new field instead.
 Each ``Grid`` also holds a small workspace: reusable work arrays, keyed
 by (slot, shape, dtype) and built on first use (``Grid.work``).  The step
 and norm kernels (``_advect_rows``, ``leray_project``, ``divergence``,
-``grad_linf_norm``, ``littlewood_paley._block_sups``, ``transport.rk4``
+``grad_linf_norm``, ``littlewood_paley._block_norms``, ``transport.rk4``
 and the right-hand sides of ``boussinesq``) put the temporaries that no
 field keeps there: multiplied coefficients before an inverse transform,
 pointwise products, and forward transforms through
@@ -116,7 +117,6 @@ __all__ = [
     "advect",
     "advect_vector",
     "linf_norm",
-    "lp_norm",
     "grad_linf_norm",
     "divergence_residual",
     "is_divergence_free",
@@ -290,13 +290,12 @@ class SpectralField:
         Cached on first call (fields are immutable); the returned array
         is read-only.
         """
-        cache = self.__dict__.get("_values_cache")
-        if cache is None:
-            n = self.grid.n
-            cache = np.fft.irfft2(self.coeffs, s=(n, n), norm="forward")
-            cache.setflags(write=False)
-            object.__setattr__(self, "_values_cache", cache)
-        return cache
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        n = self.grid.n
+        return _frozen(np.fft.irfft2(self.coeffs, s=(n, n), norm="forward"))
 
     def mean(self) -> float:
         return float(self.coeffs[0, 0].real)
@@ -354,12 +353,32 @@ class VectorField:
     def max_speed(self) -> float:
         """max over the grid of |v|; cached like ``values()`` (fields are
         immutable), so a frozen velocity pays for it once."""
-        cache = self.__dict__.get("_max_speed_cache")
-        if cache is None:
-            v1, v2 = self.values()
-            cache = float(np.max(np.hypot(v1, v2)))
-            object.__setattr__(self, "_max_speed_cache", cache)
-        return cache
+        return self._max_speed
+
+    @cached_property
+    def _max_speed(self) -> float:
+        v1, v2 = self.values()
+        return float(np.max(np.hypot(v1, v2)))
+
+    @cached_property
+    def _grad_linf_norm(self) -> float:
+        g = self.grid
+        d = g.work("grad_linf_norm", g.spectral_shape)
+
+        def abs_derivative(c: np.ndarray, ik: np.ndarray) -> np.ndarray:
+            values = np.fft.irfft2(np.multiply(c, ik, out=d), s=(g.n, g.n), norm="forward")
+            return np.abs(values, out=values)
+
+        def row_sup(c: np.ndarray) -> float:
+            row = abs_derivative(c, g.ik1)
+            row += abs_derivative(c, g.ik2)
+            return np.max(row)
+
+        return float(max(row_sup(self.u1.coeffs), row_sup(self.u2.coeffs)))
+
+    @cached_property
+    def _divergence_residual(self) -> float:
+        return linf_norm(divergence(self))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.u1 + other.u1, self.u2 + other.u2)
@@ -470,49 +489,18 @@ def linf_norm(f: SpectralField) -> float:
     return float(np.max(np.abs(f.values())))
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
-    """L^p norm by collocation quadrature with cell weight (L/n)^2."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if np.isinf(p):
-        return linf_norm(f)
-    vals = np.abs(f.values())
-    cell = (f.grid.length / f.grid.n) ** 2
-    return float((np.sum(vals**p) * cell) ** (1.0 / p))
-
-
 def grad_linf_norm(w: VectorField) -> float:
     """sup-norm of the Jacobian as max over the grid of the max row sum.
 
     Consistent with the operator norm of v -> v . grad acting on scalars.
     Cached on ``w`` like ``max_speed()``.
     """
-    cache = w.__dict__.get("_grad_linf_cache")
-    if cache is None:
-        g = w.grid
-        d = g.work("grad_linf_norm", g.spectral_shape)
-
-        def abs_derivative(c: np.ndarray, ik: np.ndarray) -> np.ndarray:
-            values = np.fft.irfft2(np.multiply(c, ik, out=d), s=(g.n, g.n), norm="forward")
-            return np.abs(values, out=values)
-
-        def row_sup(c: np.ndarray) -> float:
-            row = abs_derivative(c, g.ik1)
-            row += abs_derivative(c, g.ik2)
-            return np.max(row)
-
-        cache = float(max(row_sup(w.u1.coeffs), row_sup(w.u2.coeffs)))
-        object.__setattr__(w, "_grad_linf_cache", cache)
-    return cache
+    return w._grad_linf_norm
 
 
 def divergence_residual(w: VectorField) -> float:
     """||div w||_inf; cached on ``w`` like ``max_speed()``."""
-    cache = w.__dict__.get("_div_residual_cache")
-    if cache is None:
-        cache = linf_norm(divergence(w))
-        object.__setattr__(w, "_div_residual_cache", cache)
-    return cache
+    return w._divergence_residual
 
 
 DIVFREE_RTOL = 1e-10

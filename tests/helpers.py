@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm, lp_norm
+from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm
 
 
 def rel_linf(a: SpectralField, b: SpectralField) -> float:
@@ -18,6 +18,19 @@ def rel_linf_values(values: np.ndarray, reference: np.ndarray) -> float:
 
 def vec_linf(w: VectorField) -> float:
     return max(linf_norm(w.u1), linf_norm(w.u2))
+
+
+def lp_norm(f: SpectralField, p: float) -> float:
+    """L^p norm by collocation quadrature with cell weight (L/n)^2: the
+    reference that the block-norm kernel of ``littlewood_paley`` is
+    compared with."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if np.isinf(p):
+        return linf_norm(f)
+    vals = np.abs(f.values())
+    cell = (f.grid.length / f.grid.n) ** 2
+    return float((np.sum(vals**p) * cell) ** (1.0 / p))
 
 
 def kinetic_energy(u: VectorField) -> float:

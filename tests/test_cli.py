@@ -5,6 +5,7 @@ import dataclasses
 import json
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,12 +474,19 @@ class TestRun:
              "--seed", "1", "--C", "-2.7"],
             ["solve", "--preset", "taylor-green", "--T", "0.002", "--C", "0"],
             ["solve", "--preset", "taylor-green", "--T", "0.002", "--C", "-1"],
+            *(
+                ["thresholds", "--data", "random", "--amplitude", "0.002", "--theta-amplitude", "0.002",
+                 "--seed", "1", "--C", "2.7", flag, value]
+                for flag, value in (("--P", "0"), ("--Q", "-3"), ("--a0", "0"), ("--S", "-1"))
+            ),
         ],
     )
     def test_bad_number_exits_2_with_one_line(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ")
+        if argv[-2] in ("--P", "--Q", "--a0", "--S"):
+            assert f"{argv[-2][2:]} must be positive" in line
 
     @pytest.mark.parametrize(
         "argv",
@@ -519,6 +527,14 @@ class TestRun:
         assert "t_star=" in capsys.readouterr().out
         payload = json.loads((tmp_path / "thresholds.json").read_text())
         assert payload["t_star"] > 0
+
+    def test_thresholds_json_is_strict(self, tmp_path, capsys):
+        # zero theta data sends T2_4 to infinity; the artifact spells it "inf"
+        argv = ["thresholds", "--data", "random", "--amplitude", "0.002", "--theta-amplitude", "0",
+                "--seed", "1", "--C", "2.7", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        payload = json.loads((tmp_path / "thresholds.json").read_text(), parse_constant=_reject_constant)
+        assert payload["t2"][-1] == "inf"
 
     def test_iterate_preset(self, tmp_path, capsys):
         config = cli.parse_config(
@@ -562,6 +578,18 @@ class TestRun:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_spells_non_finite_floats(tmp_path):
+    path = tmp_path / "report.json"
+    data = {"a": [1.5, float("inf"), (float("-inf"), np.float64("nan"))], "b": {"c": float("nan"), "d": None}}
+    fileio.write_json(path, SimpleNamespace(to_dict=lambda: data))
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload == {"a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": "nan", "d": None}}
 
 
 class TestSnapshotIO:

@@ -20,17 +20,16 @@ from boussinesq_lp.littlewood_paley import (
     holder_norm_vector,
     low_pass,
 )
-from boussinesq_lp.boussinesq import synthesize_divfree_velocity, synthesize_holder_field
+from boussinesq_lp.boussinesq import _Stack, synthesize_divfree_velocity, synthesize_holder_field
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
     dealias,
     linf_norm,
-    lp_norm,
     make_grid,
 )
 
-from helpers import random_dealiased_field, rel_linf
+from helpers import lp_norm, random_dealiased_field, rel_linf
 
 
 class TestPartition:
@@ -276,10 +275,11 @@ class TestBlockProfileCache:
         monkeypatch.setattr(lp, "_sup_profile", forbidden)
         assert json.dumps(besov_norm(f, 1.5, 2.0).to_dict()) == expected
 
+    @pytest.mark.parametrize("p", [np.inf, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("n", [16, 64])
-    def test_stacked_block_sups_bit_identical_to_per_block_norms(self, n):
+    def test_stacked_block_sups_bit_identical_to_per_block_norms(self, n, p):
         # one irfft2 per block over a (3, n, m) stack gives every row's block
-        # sup norms bit for bit as lp_norm(block(q, f), inf), signed zeros included
+        # norms bit for bit as lp_norm(block(q, f), p), signed zeros included
         grid = make_grid(n)
         rng = np.random.default_rng(n)
         parts = rng.standard_normal((2, 3, *grid.spectral_shape))
@@ -287,14 +287,19 @@ class TestBlockProfileCache:
         parts[pick == 1], parts[pick == 2] = 0.0, -0.0
         rows = parts[0] + 1j * parts[1]
         assert np.signbit(rows.real[rows.real == 0.0]).any()
-        sups = lp._block_sups(grid, rows)
-        q_max = build_partition(grid).q_max
-        assert sups.shape == (q_max + 2, 3)
-        for column, coeffs in zip(sups.T, rows):
+        part = build_partition(grid)
+        norms = lp._block_norms(_Stack(grid, rows), part.blocks, p)
+        q_max = part.q_max
+        assert norms.shape == (q_max + 2, 3)
+        for column, coeffs in zip(norms.T, rows):
             f = SpectralField(grid, coeffs)
-            expected = np.array([lp_norm(block(q, f), np.inf) for q in range(-1, q_max + 1)])
+            expected = np.array([lp_norm(block(q, f), p) for q in range(-1, q_max + 1)])
             assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
-            assert lp._holder_rows(grid, coeffs[None], 1.5) == [holder_norm(f, 1.5)]
+            one = lp._block_norms(f, part.blocks, p)
+            assert np.array_equal(one.view(np.uint64), expected.view(np.uint64))
+        if np.isinf(p):
+            fields = [SpectralField(grid, coeffs) for coeffs in rows]
+            assert lp._holder_rows(_Stack(grid, rows), 1.5) == [holder_norm(f, 1.5) for f in fields]
 
     def test_reports_own_their_block_lists(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 64)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from boussinesq_lp.littlewood_paley import besov_norm
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
@@ -19,12 +20,12 @@ from boussinesq_lp.spectral import (
     is_divergence_free,
     leray_project,
     linf_norm,
-    lp_norm,
     make_grid,
 )
 
 from helpers import (
     bits,
+    lp_norm,
     mean_zero_smooth_field,
     rel_linf,
     rel_linf_values,
@@ -337,15 +338,13 @@ class TestDealiasAndNorms:
         assert abs(linf_norm(f) - 1.0) < 1e-3
 
     def test_lp_norm_of_constant(self, grid64):
+        # a constant c has only the q = -1 block, whose L^p norm is c L^(2/p)
         c = 2.5
         f = SpectralField.from_values(grid64, np.full((64, 64), c))
         for p in (1, 2, 4):
-            expected = c * grid64.length ** (2.0 / p)
-            assert np.isclose(lp_norm(f, p), expected, rtol=1e-12)
-
-    def test_lp_norm_rejects_small_p(self, grid64):
-        with pytest.raises(ValueError):
-            lp_norm(SpectralField.zero(grid64), 0.5)
+            (q, norm), *rest = besov_norm(f, 1.0, p).block_norms
+            assert q == -1 and np.isclose(norm, c * grid64.length ** (2.0 / p), rtol=1e-12)
+            assert max(v for _, v in rest) <= 1e-12 * norm
 
     def test_advect_constant_velocity(self, grid64):
         f = mean_zero_smooth_field(grid64, 17)

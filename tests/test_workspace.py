@@ -14,7 +14,7 @@ import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import transport
-from boussinesq_lp.littlewood_paley import _block_sups, build_partition
+from boussinesq_lp.littlewood_paley import _block_norms, build_partition
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
@@ -171,12 +171,11 @@ class TestParentForms:
 
     def test_block_sups(self, n):
         g = make_grid(n)
-        one = signed_zero_coeffs(g, 70 * n)
-        rows = _stack(g, 70 * n + 1).coeffs
-        for coeffs in (one, rows):
-            got = _block_sups(g, coeffs)
-            want = _parent_block_sups(g, coeffs)
-            assert got.shape == want.shape == (build_partition(g).q_max + 2, *coeffs.shape[:-2])
+        part = build_partition(g)
+        for f in (SpectralField(g, signed_zero_coeffs(g, 70 * n)), _stack(g, 70 * n + 1)):
+            got = _block_norms(f, part.blocks, np.inf)
+            want = _parent_block_sups(g, f.coeffs)
+            assert got.shape == want.shape == (part.q_max + 2, *f.coeffs.shape[:-2])
             _same_bits(got, want)
 
 
@@ -263,7 +262,7 @@ def test_no_field_aliases_a_work_array_and_reruns_repeat(run):
     assert work  # the run used the workspace
     for f in fields:
         f.values()  # cache the values of every field, then look at them too
-        for held in (f.coeffs, f.__dict__["_values_cache"]):
+        for held in (f.coeffs, f.__dict__["_values"]):
             assert not any(np.shares_memory(held, buf) for buf in work)
     for name in TABLES:
         assert not getattr(grid, name).flags.writeable
@@ -303,3 +302,27 @@ def test_no_irfft2_call_passes_out():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+
+def _attribute_calls(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
+
+
+def test_one_block_kernel_and_no_object_setattr():
+    # littlewood_paley transforms every dyadic block in _block_norms (and the
+    # kernel mass in compute_a0), and derived values are cached through
+    # cached_property or a field's __dict__, never object.__setattr__
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        calls = _attribute_calls(ast.parse(path.read_text()))
+        offenders += [f"{path.name}:{c.lineno}" for c in calls if ast.unparse(c.func) == "object.__setattr__"]
+    tree = ast.parse((SRC / "littlewood_paley.py").read_text())
+    kernels = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in ("_block_norms", "compute_a0")]
+    allowed = {id(node) for fn in kernels for node in ast.walk(fn)}
+    offenders += [
+        f"littlewood_paley.py:{c.lineno}"
+        for c in _attribute_calls(tree)
+        if c.func.attr == "irfft2" and id(c) not in allowed
+    ]
+    assert len(kernels) == 2 and offenders == []
