@@ -68,6 +68,7 @@ from .spectral import (
     VectorField,
     _advect_rows,
     _gradient_part,
+    _rfft2,
     advect,
     dealias,
     dealias_vector,
@@ -97,11 +98,6 @@ __all__ = [
     "taylor_green_data",
     "uniqueness_probe",
 ]
-
-# direct_step is public but not listed: the per-function tracer in perfbench/
-# wraps every name listed here.  run_direct and uniqueness_probe step their
-# stacks through the private _direct_step, whose CFL and projection work the
-# tracer attributes to them.
 
 
 class NumericsError(RuntimeError):
@@ -244,7 +240,7 @@ def _rhs(y: _Stack, buoyancy: bool) -> _Stack:
     product = g.work("rhs.product", (g.n, g.n), float)
     f11, f12, f22 = fluxes = g.work("rhs.fluxes", y.coeffs.shape)
     for a, b, out in zip((u1, u1, u2), (u1, u2, u2), fluxes):
-        np.fft.rfft2(np.multiply(a, b, out=product), norm="forward", out=out)
+        _rfft2(np.multiply(a, b, out=product), out)
     m1 = f11 * g.ik1
     m1 += np.multiply(f12, g.ik2, out=f11)
     m1 *= g.dealias_multiplier
@@ -299,13 +295,6 @@ def _direct_step(y: _Stack, t: float, h: float, buoyancy: bool) -> _Stack:
     against the CFL bound of its velocity."""
     _check_cfl(y.velocity, h, t)
     return _coupled_step(y, lambda _t, s: _rhs(s, buoyancy), t, h)[0]
-
-
-def direct_step(state: BoussinesqState, dt: float, buoyancy: bool = True) -> BoussinesqState:
-    """One RK4 step; raises on CFL violation or non-finite output.  The
-    returned fields are views over the rows of the new stack."""
-    y = _direct_step(_Stack.of(state.theta, state.u), state.t, dt, buoyancy)
-    return BoussinesqState(y.theta, y.velocity, state.t + dt)
 
 
 def _monitor_sample(
@@ -600,7 +589,7 @@ def _solve_linear_iterate(
 ) -> _HermiteTrajectory:
     """Advance the linearized system driven by the previous iterate.
 
-    This is the coupled step of ``direct_step`` with the advecting
+    This is the coupled step of ``_direct_step`` with the advecting
     velocity frozen to the previous iterate and the buoyancy source set
     to the current (or, with ``theta_lag``, the previous) temperature;
     the pressure gradient is refreshed at every substage through the
@@ -608,7 +597,7 @@ def _solve_linear_iterate(
     stage advects its three rows at once (``_linear_rhs``).  It steps on
     ``lattice`` (from ``transport._step_lattice``) and checks each step
     against the CFL bound of the advecting velocity at its start, as
-    ``direct_step`` does.  The stage-one slope of each step is kept as the
+    ``_direct_step`` does.  The stage-one slope of each step is kept as the
     Hermite derivative at its node.  The previous iterate is read once
     per distinct substage time (rk4 stages 2 and 3 share t + h/2), so the
     values of its velocity are transformed once.

@@ -59,6 +59,7 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
+    _irfft2,
     advect,
     dealias,
     is_divergence_free,
@@ -260,14 +261,14 @@ def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> flo
 def _block_norms(f, multipliers: list[np.ndarray], p: float) -> np.ndarray:
     """||m f||_p for each multiplier m (axis 0) and every row of f, a field
     or a (grid, coeffs) stack (the other axes): one inverse transform per
-    multiplier over every row, through one work array, and no field built.
+    multiplier over every row, through work arrays of the grid, no field built.
     p = inf takes the sup, finite p the quadrature (sum |f|^p (L/n)^2)^(1/p)."""
     g, coeffs = f.grid, f.coeffs
     multiplied = g.work("block_norms", coeffs.shape)
+    values = g.work("block_norms.values", (*coeffs.shape[:-2], g.n, g.n), float)
     norms = np.empty((len(multipliers), *coeffs.shape[:-2]))
     for i, m in enumerate(multipliers):
-        values = np.fft.irfft2(np.multiply(coeffs, m, out=multiplied), s=(g.n, g.n), norm="forward")
-        np.abs(values, out=values)
+        np.abs(_irfft2(np.multiply(coeffs, m, out=multiplied), g, values), out=values)
         norms[i] = np.max(values, axis=(-2, -1)) if np.isinf(p) else np.sum(values**p, axis=(-2, -1))
     if not np.isinf(p):  # each root on its own float, as a scalar power
         cell = (g.length / g.n) ** 2
@@ -387,12 +388,12 @@ def compute_a0() -> float:
     chi(0) = 1 forces the integral of the kernel to 1, hence a0 >= 1.
 
     |k| and the quadrature are those of a ``Grid`` and of the p = 1
-    quadrature of ``_block_norms`` on it, operation for operation, but no ``Grid`` is built: the cache of
-    ``make_grid`` would keep its meshes for the life of the process.
+    quadrature of ``_block_norms`` on it, operation for operation, but no ``Grid`` is built (so
+    ``_irfft2`` works in fresh arrays): the cache of ``make_grid`` would keep its meshes for the
+    life of the process.
     """
     n, box = _A0_RESOLUTION, _A0_BOX
     k = (2.0 * np.pi / box) * np.rint(np.fft.fftfreq(n, d=1.0 / n))  # Grid.k1_full's column
     abs_k = np.sqrt(k[:, None] ** 2 + k[: n // 2 + 1] ** 2)
     coeffs = chi_profile(abs_k).astype(complex) / box**2
-    values = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
-    return float(np.sum(np.abs(values)) * (box / n) ** 2)
+    return float(np.sum(np.abs(_irfft2(coeffs))) * (box / n) ** 2)

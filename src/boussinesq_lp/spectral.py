@@ -43,15 +43,17 @@ divides a complex array, so a table gives every coefficient bit for bit
 as the float or bool form would (signed zeros included), without the
 per-call allocation and cast.
 
-Every transform is a call of ``np.fft.rfft2`` or ``np.fft.irfft2``, looked
-up as an attribute of ``np.fft`` at call time (never bound to a local
-name, never a per-axis ``fft``/``rfft``): the transform counts of the
-tests wrap exactly those two attributes.  One call may cover a stack of
-fields along leading axes, (k, n, n//2 + 1) coefficients or (k, n, n)
-values; numpy transforms each row exactly as a call of its own would, bit
-for bit.  So the Tier-1 counters count both calls and fields (the product
-of the leading axes of each input).  The linearized iterate of
-``boussinesq`` advects its (theta, u1, u2) stack with the private kernel
+Every transform goes through one private pair, ``_rfft2`` and
+``_irfft2``, the one place that fixes the half spectrum, ``norm="forward"``
+and the n x n grid.  ``_irfft2`` is numpy's own ``irfftn`` in its two
+passes (``np.fft.ifft`` down the columns, then ``np.fft.irfft`` along the
+rows), so it gives ``np.fft.irfft2`` bit for bit and, unlike it, honours
+``out=``.  Both look up ``np.fft`` at call time, so the transform counts
+of the tests wrap ``np.fft.rfft2`` and ``np.fft.irfft``, one call per
+transform.  A call may cover a stack of fields along leading axes, each
+row transformed bit for bit as on its own, so the Tier-1 counters count
+calls and fields (the product of the leading axes).  The linearized
+iterate of ``boussinesq`` advects its (theta, u1, u2) stack with
 ``_advect_rows``, of which ``advect`` is the one-field case.
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
@@ -76,9 +78,9 @@ and norm kernels (``_advect_rows``, ``leray_project``, ``divergence``,
 ``grad_linf_norm``, ``littlewood_paley._block_norms``, ``transport.rk4``
 and the right-hand sides of ``boussinesq``) put the temporaries that no
 field keeps there: multiplied coefficients before an inverse transform,
-pointwise products, and forward transforms through
-``np.fft.rfft2(..., out=)``.  Everything else they write with ``out=`` or
-in place on an array they have just allocated.  The rules:
+pointwise products, and the results of the transforms.  Everything else
+they write with ``out=`` or in place on an array they have just
+allocated.  The rules:
 
 * each slot belongs to one kernel, which is done with its work arrays
   before it returns (it may pass them to a helper it calls, never back
@@ -90,9 +92,9 @@ in place on an array they have just allocated.  The rules:
   an addition or of a real multiplication may swap: both are
   commutative in IEEE arithmetic).
 
-``np.fft.irfft2`` takes an ``out=`` argument and ignores it (numpy 2.4
-calls ``irfftn`` with ``out=None``), so no code passes one; the kernels
-use the array it returns.
+``_irfft2`` puts its intermediate in its own slot ``irfft2`` and its result
+in a slot of its kernel, but ``values()``, whose field keeps it, gets a
+fresh result, and ``compute_a0``, which builds no grid, fresh arrays.
 """
 
 from __future__ import annotations
@@ -251,6 +253,20 @@ def make_grid(n: int, box_length: float = 2.0 * np.pi) -> Grid:
     return Grid(n, box_length)
 
 
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The half spectrum of every (n, n) field of ``values``, into ``out`` if given."""
+    return np.fft.rfft2(values, norm="forward", out=out)
+
+
+def _irfft2(coeffs: np.ndarray, grid: Grid | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The (n, n) values of every half spectrum of ``coeffs``, into ``out`` if
+    given; the intermediate goes to the ``irfft2`` work array of ``grid``."""
+    n = coeffs.shape[-2]
+    mid = None if grid is None else grid.work("irfft2", coeffs.shape)
+    mid = np.fft.ifft(coeffs, n, axis=-2, norm="forward", out=mid)
+    return np.fft.irfft(mid, n, axis=-1, norm="forward", out=out)
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Real scalar field stored as its half spectrum of Fourier coefficients."""
@@ -273,29 +289,20 @@ class SpectralField:
             raise ValueError(
                 f"value array shape {values.shape} does not match grid {(grid.n, grid.n)}"
             )
-        return cls(grid, np.fft.rfft2(values, norm="forward"))
+        return cls(grid, _rfft2(values))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
         return cls(grid, np.zeros(grid.spectral_shape, dtype=complex))
 
     def values(self) -> np.ndarray:
-        """Collocation-grid samples: the (n, n) inverse real transform.
-
-        The stored (n, n//2 + 1) half spectrum is extended by Hermitian
-        symmetry, so the result is real by construction.  The inverse uses
-        ``norm="forward"``, the "unitary in mean" convention of the
-        module: it is unscaled, and a coefficient is a mode amplitude.
-
-        Cached on first call (fields are immutable); the returned array
-        is read-only.
-        """
+        """Collocation-grid samples, the (n, n) ``_irfft2`` of the half
+        spectrum; cached on first call (fields are immutable), read-only."""
         return self._values
 
     @cached_property
     def _values(self) -> np.ndarray:
-        n = self.grid.n
-        return _frozen(np.fft.irfft2(self.coeffs, s=(n, n), norm="forward"))
+        return _frozen(_irfft2(self.coeffs, self.grid))
 
     def mean(self) -> float:
         return float(self.coeffs[0, 0].real)
@@ -364,14 +371,14 @@ class VectorField:
     def _grad_linf_norm(self) -> float:
         g = self.grid
         d = g.work("grad_linf_norm", g.spectral_shape)
+        values = g.work("grad_linf_norm.values", (2, g.n, g.n), float)
 
-        def abs_derivative(c: np.ndarray, ik: np.ndarray) -> np.ndarray:
-            values = np.fft.irfft2(np.multiply(c, ik, out=d), s=(g.n, g.n), norm="forward")
-            return np.abs(values, out=values)
+        def abs_derivative(c: np.ndarray, ik: np.ndarray, out: np.ndarray) -> np.ndarray:
+            return np.abs(_irfft2(np.multiply(c, ik, out=d), g, out), out=out)
 
         def row_sup(c: np.ndarray) -> float:
-            row = abs_derivative(c, g.ik1)
-            row += abs_derivative(c, g.ik2)
+            row = abs_derivative(c, g.ik1, values[0])
+            row += abs_derivative(c, g.ik2, values[1])
             return np.max(row)
 
         return float(max(row_sup(self.u1.coeffs), row_sup(self.u2.coeffs)))
@@ -465,12 +472,13 @@ def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
     a fresh array.
     """
     v1, v2 = v.values()
-    d1, d2 = g.work("advect_rows.derivatives", (2, *coeffs.shape))
-    fx = np.fft.irfft2(np.multiply(coeffs, g.ik1, out=d1), s=(g.n, g.n), norm="forward")
-    fy = np.fft.irfft2(np.multiply(coeffs, g.ik2, out=d2), s=(g.n, g.n), norm="forward")
+    d = g.work("advect_rows.derivative", coeffs.shape)
+    fx, fy = g.work("advect_rows.values", (2, *coeffs.shape[:-2], g.n, g.n), float)
+    _irfft2(np.multiply(coeffs, g.ik1, out=d), g, fx)
+    _irfft2(np.multiply(coeffs, g.ik2, out=d), g, fy)
     fx *= v1
     fx += np.multiply(fy, v2, out=fy)
-    product = np.fft.rfft2(fx, norm="forward", out=g.work("advect_rows.product", coeffs.shape))
+    product = _rfft2(fx, g.work("advect_rows.product", coeffs.shape))
     return product * g.dealias_multiplier
 
 

@@ -1,7 +1,10 @@
 """Transform counts of the solver paths, pinned exactly.
 
-Every transform in the program is a ``np.fft.rfft2`` or ``np.fft.irfft2``,
-so counting those two calls counts all the work that dominates a step.
+Every transform in the program goes through ``spectral._rfft2`` or
+``spectral._irfft2``, which make exactly one call of ``np.fft.rfft2`` or
+``np.fft.irfft`` per transform (``_irfft2`` first runs an ``np.fft.ifft``
+down the columns, not counted), so counting those two calls counts all the
+work that dominates a step.
 One call may transform a stack of fields along its leading axes, so the
 pins count fields (the product of the leading axes of each input, 1 for a
 single field) and, where a path stacks its fields, calls as well.  The
@@ -56,7 +59,7 @@ def _counter(monkeypatch, owner, names, weight=lambda *args: 1):
     return run
 
 
-TRANSFORMS = ("rfft2", "irfft2")
+TRANSFORMS = ("rfft2", "irfft")
 
 
 def _fields(a, *args) -> int:
@@ -67,14 +70,14 @@ def _fields(a, *args) -> int:
 
 @pytest.fixture
 def count(monkeypatch):
-    """count(fn, *args) -> number of fields the rfft2/irfft2 calls of
+    """count(fn, *args) -> number of fields the rfft2/irfft calls of
     fn(*args) transform."""
     return _counter(monkeypatch, np.fft, TRANSFORMS, _fields)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """calls(fn, *args) -> number of rfft2/irfft2 calls made by fn(*args)."""
+    """calls(fn, *args) -> number of rfft2/irfft calls made by fn(*args)."""
     return _counter(monkeypatch, np.fft, TRANSFORMS)
 
 
@@ -93,6 +96,11 @@ def _tg():
     return bq.taylor_green_data(_grid(), 1.0, 0.05)
 
 
+def _tg_stack():
+    tg = _tg()
+    return bq._Stack.of(tg.theta, tg.u)
+
+
 def _q_max() -> int:
     return build_partition(_grid()).q_max
 
@@ -101,14 +109,14 @@ def test_direct_step(count):
     # the CFL check reads u (2); stage 1 advects theta (3) and transforms
     # the three products of the flux tensor u (x) u (3); the stages after
     # the first also read their substage velocity (2): 2 + (3 + 3) + 3 * 8
-    assert count(bq.direct_step, _tg(), DT) == 32
+    assert count(bq._direct_step, _tg_stack(), 0.0, DT, True) == 32
 
 
 def test_run_direct_monitor_sample(count):
-    # one step of run_direct = one direct_step + one monitor sample
+    # one step of run_direct = one _direct_step + one monitor sample
     one = count(bq.run_direct, _tg(), DT, DT, 1.5)
     two = count(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
-    step = count(bq.direct_step, _tg(), DT)
+    step = count(bq._direct_step, _tg_stack(), 0.0, DT, True)
     sample = two - one - step
     # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms
     # of q_max + 2 blocks each
@@ -123,14 +131,13 @@ def test_field_results_per_step_and_sample(built):
     # stack (3, the first stage's shared with the CFL check), advect(u,
     # theta) (1), the force (2) and its projection (2; the gradient part
     # goes through work arrays of the grid).  The stage sums and the final
-    # projection act on the stack and build none.  Then the returned
-    # state's fields over the new stack (3): 4 * 8 + 3
-    assert built(bq.direct_step, _tg(), DT) == 35
+    # projection act on the stack and build none: 4 * 8
+    assert built(bq._direct_step, _tg_stack(), 0.0, DT, True) == 32
     one = built(bq.run_direct, _tg(), DT, DT, 1.5)
     two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
-    # run_direct holds its stack, so a later step reads the fields of the
-    # state it returned last: a direct_step less the 3 fields of its input
-    sample = two - one - (built(bq.direct_step, _tg(), DT) - 3)
+    # run_direct holds its stack and builds its state's 3 fields over the
+    # new stack, which the first stage of the next step reads: a held step
+    sample = two - one - built(bq._direct_step, _tg_stack(), 0.0, DT, True)
     # divergence (1); grad_linf_norm transforms its derivatives from a work
     # array and the three Hoelder profiles their blocks, without building
     # a field

@@ -19,6 +19,8 @@ from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
     _advect_rows,
+    _irfft2,
+    _rfft2,
     advect,
     divergence,
     divergence_residual,
@@ -34,14 +36,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boussinesq_lp"
 TABLES = ("ik1", "ik2", "dealias_multiplier", "leray_k1", "leray_k2", "leray_ksq")
 
 
-def _irfft2(g, c):
+def _parent_irfft2(g, c):
     return np.fft.irfft2(c, s=(g.n, g.n), norm="forward")
 
 
 def _parent_advect_rows(g, v, coeffs):
     v1, v2 = v.values()
-    fx = _irfft2(g, coeffs * g.ik1)
-    fy = _irfft2(g, coeffs * g.ik2)
+    fx = _parent_irfft2(g, coeffs * g.ik1)
+    fy = _parent_irfft2(g, coeffs * g.ik2)
     return np.fft.rfft2(v1 * fx + v2 * fy, norm="forward") * g.dealias_multiplier
 
 
@@ -75,13 +77,13 @@ def _parent_rk4(y, rhs, t, h):
 
 
 def _parent_grad_linf(g, c1, c2):
-    d11, d12, d21, d22 = (np.abs(_irfft2(g, c * k)) for c in (c1, c2) for k in (g.ik1, g.ik2))
+    d11, d12, d21, d22 = (np.abs(_parent_irfft2(g, c * k)) for c in (c1, c2) for k in (g.ik1, g.ik2))
     return float(max(np.max(d11 + d12), np.max(d21 + d22)))
 
 
 def _parent_block_sups(g, coeffs):
     part = build_partition(g)
-    blocks = (_irfft2(g, coeffs * part.multiplier(q)) for q in range(-1, part.q_max + 1))
+    blocks = (_parent_irfft2(g, coeffs * part.multiplier(q)) for q in range(-1, part.q_max + 1))
     return np.array([np.max(np.abs(values), axis=(-2, -1)) for values in blocks])
 
 
@@ -97,10 +99,31 @@ def _velocity(g, seed):
     return VectorField(*(SpectralField(g, signed_zero_coeffs(g, seed + i)) for i in range(2)))
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
 class TestParentForms:
     """Each rewritten kernel against the expression it replaced, on
     coefficients with signed zeros, compared bit for bit."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_transform_seam(self, n, stacked):
+        g = make_grid(n)
+        coeffs, other = (_stack(g, 5 * n + i).coeffs for i in (0, 3))
+        if not stacked:
+            coeffs, other = coeffs[0], other[0]
+        want = _parent_irfft2(g, coeffs)
+        fresh = _irfft2(coeffs, g)
+        _same_bits(fresh, want)
+        assert not any(np.shares_memory(fresh, buf) for buf in g._work.values())
+        _same_bits(_irfft2(coeffs), want)  # no grid: fresh arrays throughout
+        slot = g.work("test.values", want.shape, float)
+        assert _irfft2(coeffs, g, slot) is slot
+        _same_bits(slot, want)
+        values = _parent_irfft2(g, other)
+        forward = np.fft.rfft2(values, norm="forward")
+        _same_bits(_rfft2(values), forward)
+        slot = g.work("test.coeffs", coeffs.shape)
+        assert _rfft2(values, slot) is slot
+        _same_bits(slot, forward)
 
     def test_advect_rows(self, n):
         g = make_grid(n)
@@ -166,7 +189,7 @@ class TestParentForms:
         c1, c2 = (signed_zero_coeffs(g, 60 * n + i) for i in range(2))
         w = VectorField(SpectralField(g, c1), SpectralField(g, c2))
         _same_bits(grad_linf_norm(w), _parent_grad_linf(g, c1, c2))
-        div = _irfft2(g, c1 * g.ik1 + c2 * g.ik2)
+        div = _parent_irfft2(g, c1 * g.ik1 + c2 * g.ik2)
         _same_bits(divergence_residual(w), float(np.max(np.abs(div))))
 
     def test_block_sups(self, n):
@@ -288,41 +311,44 @@ def test_no_kernel_result_aliases_a_work_array(n):
             assert not any(np.shares_memory(coeffs, buf) for buf in work)
 
 
-def test_no_irfft2_call_passes_out():
-    # numpy's irfft2 accepts out= and ignores it (it calls irfftn with
-    # out=None), so a buffer passed to it is never written
+SEAM = ("_rfft2", "_irfft2")
+
+
+def _calls(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def _inside(tree, names):
+    """The functions of ``tree`` with the given names, and the ids of every
+    node within them."""
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]
+    return fns, {id(node) for fn in fns for node in ast.walk(fn)}
+
+
+def test_one_transform_seam_and_no_object_setattr():
+    # every transform goes through the seam spectral._rfft2/_irfft2: no other
+    # code calls an np.fft transform (fftfreq only labels modes) or imports
+    # from numpy.fft; littlewood_paley calls the seam only to transform a
+    # dyadic block in _block_norms and the kernel mass in compute_a0; derived
+    # values are cached through cached_property or a field's __dict__, never
+    # object.__setattr__
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "irfft2"
-                and (any(k.arg == "out" for k in node.keywords) or len(node.args) >= 5)
-            ):
+        tree = ast.parse(path.read_text())
+        seams, allowed = _inside(tree, SEAM if path.name == "spectral.py" else ())
+        assert len(seams) == (2 if path.name == "spectral.py" else 0)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
-
-
-
-def _attribute_calls(tree):
-    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
-
-
-def test_one_block_kernel_and_no_object_setattr():
-    # littlewood_paley transforms every dyadic block in _block_norms (and the
-    # kernel mass in compute_a0), and derived values are cached through
-    # cached_property or a field's __dict__, never object.__setattr__
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        calls = _attribute_calls(ast.parse(path.read_text()))
-        offenders += [f"{path.name}:{c.lineno}" for c in calls if ast.unparse(c.func) == "object.__setattr__"]
+        for c in _calls(tree):
+            func = ast.unparse(c.func)
+            transform = func.startswith(("np.fft.", "numpy.fft.")) and not func.endswith(".fftfreq")
+            if func == "object.__setattr__" or (transform and id(c) not in allowed):
+                offenders.append(f"{path.name}:{c.lineno}")
     tree = ast.parse((SRC / "littlewood_paley.py").read_text())
-    kernels = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in ("_block_norms", "compute_a0")]
-    allowed = {id(node) for fn in kernels for node in ast.walk(fn)}
-    offenders += [
-        f"littlewood_paley.py:{c.lineno}"
-        for c in _attribute_calls(tree)
-        if c.func.attr == "irfft2" and id(c) not in allowed
-    ]
+    kernels, allowed = _inside(tree, ("_block_norms", "compute_a0"))
+    for c in _calls(tree):
+        name = c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None)
+        if name in SEAM and id(c) not in allowed:
+            offenders.append(f"littlewood_paley.py:{c.lineno}")
     assert len(kernels) == 2 and offenders == []
