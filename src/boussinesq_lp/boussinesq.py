@@ -28,15 +28,16 @@ Every coupled run holds its state as one (3, n, n//2 + 1) stack of
 (theta, u1, u2) coefficients (``_Stack``), and ``rk4`` and
 ``_coupled_step`` see no other state: the direct run and the probe's twin
 runs hold their stacks across steps, and the linearized iterate keeps its
-nodes, stage slopes and Hermite reads as stacks.  A ``BoussinesqState``
-handed out by a run has fields that are views over the rows of the stack
-that produced it.  Each step does the per-field arithmetic of the
-right-hand side on the rows, then one RK4 combination, one projection
-and one finite check over the whole stack.  In the iterate all three rows
-are advected by one velocity, so one stacked advection (3 transform calls
-over 9 fields) replaces three (9 calls), and a Cauchy gap or a probe gap
-takes one inverse transform per block over the three rows of a
-difference.  The direct step advects u by itself in flux form, so its
+nodes, stage slopes and Hermite reads as stacks, each step only until the
+next iterate has stepped past it, so the scheme holds one trajectory, not
+two.  A ``BoussinesqState`` handed out by a run has fields that are views
+over the rows of the stack that produced it.  Each step does the per-field
+arithmetic of the right-hand side on the rows, then one RK4 combination,
+one projection and one finite check over the whole stack.  In the iterate
+all three rows are advected by one velocity, so one stacked advection (3
+transform calls over 9 fields) replaces three (9 calls), and a Cauchy gap
+or a probe gap takes one inverse transform per block over the three rows
+of a difference.  The direct step advects u by itself in flux form, so its
 rows share no one advection and its stack saves no transform; it writes
 the rows of each slope into one new array, with its products and their
 transforms in the work arrays of the grid (see ``spectral``).  Measured
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,7 @@ from .spectral import (
     VectorField,
     _advect_rows,
     _gradient_part,
+    _irfft2,
     _rfft2,
     advect,
     dealias,
@@ -553,7 +555,10 @@ class _HermiteTrajectory:
     interpolates by cubic Hermite over that step's own width, so a
     remainder step is read on its own width.  A read within 1e-12 of a
     step's ends (in units of its width) returns the stored node object
-    itself, and a one-node trajectory is constant in time.
+    itself, and a one-node trajectory is constant in time.  The next
+    iterate consumes it: ``release`` drops a step's start node and slope
+    (with the values cached on the node) once that iterate has passed
+    the step, and a read that needs them raises ``LookupError``.
     """
 
     def __init__(self, lattice: list[tuple[float, float]], nodes: list, slopes: list):
@@ -562,12 +567,19 @@ class _HermiteTrajectory:
         self._nodes = nodes
         self._slopes = slopes
 
+    def release(self, j: int) -> None:
+        """Drop node j and slope j; a one-node trajectory keeps its node."""
+        if self._widths:
+            self._nodes[j] = self._slopes[j] = None
+
     def at(self, t: float):
         if not self._widths:
             return self._nodes[0]
         j = min(max(bisect.bisect_right(self.times, t) - 1, 0), len(self._widths) - 1)
         h = self._widths[j]
         s = (t - self.times[j]) / h
+        if self._nodes[j + (s > 1.0 - 1e-12)] is None:
+            raise LookupError(f"read at t={t:.6g} needs a released step of the iterate")
         if s < 1e-12:
             return self._nodes[j]
         if s > 1.0 - 1e-12:
@@ -586,7 +598,8 @@ def _solve_linear_iterate(
     init: _Stack,
     lattice: list[tuple[float, float]],
     theta_lag: bool,
-) -> _HermiteTrajectory:
+    r: float,
+) -> tuple[_HermiteTrajectory, float, float]:
     """Advance the linearized system driven by the previous iterate.
 
     This is the coupled step of ``_direct_step`` with the advecting
@@ -600,7 +613,10 @@ def _solve_linear_iterate(
     ``_direct_step`` does.  The stage-one slope of each step is kept as the
     Hermite derivative at its node.  The previous iterate is read once
     per distinct substage time (rk4 stages 2 and 3 share t + h/2), so the
-    values of its velocity are transformed once.
+    values of its velocity are transformed once.  Each node's Cauchy gap
+    to ``prev`` (``_gap_norms`` in C^{r-1}) is taken as soon as the node
+    exists, and each step of ``prev`` is released once passed.  Returns
+    the trajectory and the largest theta and u gaps over its nodes.
     """
     frozen = lru_cache(maxsize=1)(prev.at)
 
@@ -608,17 +624,21 @@ def _solve_linear_iterate(
         driver = frozen(t)
         return _linear_rhs(y, driver.velocity, (driver if theta_lag else y).coeffs[0])
 
+    gaps = [_gap_norms(init - frozen(0.0), r - 1)]
     nodes = [init]
     slopes = []
     t = 0.0
-    for h, t_end in lattice:
+    for j, (h, t_end) in enumerate(lattice):
         _check_cfl(frozen(t).velocity, h, t)
         y, k1 = _coupled_step(nodes[-1], rhs, t, h)
         nodes.append(y)
         slopes.append(k1)
         t = t_end
+        gaps.append(_gap_norms(y - frozen(t), r - 1))
+        prev.release(j)
     slopes.append(rhs(t, nodes[-1]))
-    return _HermiteTrajectory(lattice, nodes, slopes)
+    gap_theta, gap_u = (reduce(max, column, 0.0) for column in zip(*gaps))
+    return _HermiteTrajectory(lattice, nodes, slopes), gap_theta, gap_u
 
 
 def _gap_norms(diff: _Stack, s: float) -> tuple[float, float]:
@@ -652,9 +672,11 @@ def iterate_scheme(
     checked against the CFL bound, so a (T, dt) means the same here as in
     a direct run; a bad (T, dt) raises ``ValueError`` before any step.
     Record m carries the gap sup_{t <= T} ||x_m - x_{m-1}||_{C^{r-1}},
-    taken at the node times, and the ratio to the previous gap.  Stops when the gap drops below tol, after three
+    taken at each node as iterate m makes it (so the run holds about one
+    trajectory, see ``_solve_linear_iterate``), and the ratio to the
+    previous gap.  Stops when the gap drops below tol, after three
     consecutive ratio > 1 events (non-contraction at this horizon), or
-    at n_max.
+    at n_max.  The initial theta and u must be dealiased.
     """
     lattice = _step_lattice(T, dt)
     if r <= 1:
@@ -662,9 +684,10 @@ def iterate_scheme(
     if n_max < 2:
         raise ValueError(f"need n_max >= 2 to measure a Cauchy gap, got {n_max}")
     validate_state(BoussinesqState(theta0, u0))
-    if linf_norm(dealias(theta0) - theta0) > 1e-13:
+    g = theta0.grid
+    if np.max(np.abs(_irfft2(_Stack.of(theta0, u0).coeffs * (1.0 - g.dealias_multiplier), g))) > 1e-13:
         raise ValueError("initial data must be dealiased")
-    q_max = build_partition(theta0.grid).q_max
+    q_max = build_partition(g).q_max
 
     # iterate 1 is constant in time: one node with a zero slope
     start = _Stack.of(low_pass(2, theta0), low_pass_vector(2, u0))
@@ -676,13 +699,7 @@ def iterate_scheme(
     for m in range(2, n_max + 1):
         level = min(m + 1, q_max + 1)
         init = _Stack.of(low_pass(level, theta0), low_pass_vector(level, u0))
-        new = _solve_linear_iterate(current, init, lattice, theta_lag)
-        gap_theta = 0.0
-        gap_u = 0.0
-        for t in new.times:
-            node_theta, node_u = _gap_norms(new.at(t) - current.at(t), r - 1)
-            gap_theta = max(gap_theta, node_theta)
-            gap_u = max(gap_u, node_u)
+        new, gap_theta, gap_u = _solve_linear_iterate(current, init, lattice, theta_lag, r)
         gap = max(gap_theta, gap_u)
         ratio = (gap / prev_gap) if (prev_gap is not None and prev_gap > 1e-14) else None
         final = new.at(new.times[-1])

@@ -1,5 +1,8 @@
 """Coupled solver: pressure, conservation, iteration, monitor, probes."""
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import transport
 from boussinesq_lp.littlewood_paley import (
     besov_norm,
+    build_partition,
     holder_norm,
     holder_norm_vector,
+    low_pass,
     low_pass_vector,
 )
 from boussinesq_lp.spectral import (
@@ -215,9 +220,18 @@ class TestIterationScheme:
             bq.iterate_scheme(theta0, u0, 0.9, 5, 0.01, 2e-3, 1e-10)
         with pytest.raises(ValueError):
             bq.iterate_scheme(theta0, u0, 1.5, 1, 0.01, 2e-3, 1e-10)
-        lumpy = theta0 + SpectralField.from_values(grid64, np.full((64, 64), 1.0))
-        with pytest.raises(ValueError):
-            bq.iterate_scheme(lumpy, u0, 1.5, 5, 0.01, 2e-3, 1e-10)
+        # mean-zero, so only the dealias check can reject it
+        aliased_theta = theta0 + SpectralField.from_values(grid64, 1e-3 * np.cos(30 * grid64.x1))
+        with pytest.raises(ValueError, match="must be dealiased"):
+            bq.iterate_scheme(aliased_theta, u0, 1.5, 5, 0.01, 2e-3, 1e-10)
+        # mean-zero and divergence-free, with a mode |k| = 30 > n/3: its
+        # alias residual is 0.03
+        psi = SpectralField.from_values(
+            grid64, 1e-3 * np.cos(30 * grid64.x1) + 1e-2 * np.sin(grid64.x1 + 2 * grid64.x2)
+        )
+        aliased_u = VectorField(-derivative(psi, 2), derivative(psi, 1))
+        with pytest.raises(ValueError, match="must be dealiased"):
+            bq.iterate_scheme(theta0, aliased_u, 1.5, 5, 0.01, 2e-3, 1e-10)
 
     def test_cfl_violation(self, grid64):
         # unit-speed vortex: the bound is 0.5 * dx = 0.049
@@ -248,6 +262,109 @@ class TestIterationScheme:
         lattice = [(0.0, 2e-3), (2e-3, 2e-3), (4e-3, 2e-3), (6e-3, 0.0073 - 3 * 2e-3)]
         assert len(records) == 2
         assert steps == 2 * lattice
+
+    def test_peak_memory_is_one_trajectory(self):
+        # 20 steps: an iterate holds 21 nodes and 21 slopes, each a stack
+        # of 3 * n * (n/2 + 1) complex coefficients, and the run may hold
+        # 1.5 times that at its peak, not the two trajectories of a
+        # measurement taken after the iterate
+        grid = make_grid(32)
+        theta0 = bq.synthesize_holder_field(grid, 1.5, 0.05, 1)
+        u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
+        args = (theta0, u0, 1.5, 4, 20 * 2e-3, 2e-3, 1e-30)
+        bq.iterate_scheme(*args)  # builds the grid's tables and work arrays
+        tracemalloc.start()
+        try:
+            records = bq.iterate_scheme(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 3
+        stack = 3 * grid.n * (grid.n // 2 + 1) * np.dtype(complex).itemsize
+        assert peak < 1.5 * 2 * (20 + 1) * stack
+
+
+def _parent_linear_iterate(prev, init, lattice, theta_lag):
+    """The linearized iterate as stepped before its gaps were streamed:
+    against the whole stored previous iterate, which it keeps."""
+    frozen = lru_cache(maxsize=1)(prev.at)
+
+    def rhs(t, y):
+        advecting = frozen(t)
+        return bq._linear_rhs(y, advecting.velocity, (advecting if theta_lag else y).coeffs[0])
+
+    nodes, slopes, t = [init], [], 0.0
+    for h, t_end in lattice:
+        transport._check_cfl(frozen(t).velocity, h, t)
+        y, k1 = bq._coupled_step(nodes[-1], rhs, t, h)
+        nodes.append(y)
+        slopes.append(k1)
+        t = t_end
+    slopes.append(rhs(t, nodes[-1]))
+    return bq._HermiteTrajectory(lattice, nodes, slopes)
+
+
+def _parent_gaps(theta0, u0, r, n_max, T, dt, theta_lag):
+    """(gap_theta, gap_u, ratio, final stack) of iterates 2..n_max by the
+    two-pass measurement: each iterate stepped, then its gaps taken at
+    its node times with both trajectories kept; no stop rule."""
+    lattice = transport._step_lattice(T, dt)
+    q_max = build_partition(theta0.grid).q_max
+    start = bq._Stack.of(low_pass(2, theta0), low_pass_vector(2, u0))
+    current = bq._HermiteTrajectory([], [start], [0.0 * start])
+    out, prev_gap = [], None
+    for m in range(2, n_max + 1):
+        level = min(m + 1, q_max + 1)
+        init = bq._Stack.of(low_pass(level, theta0), low_pass_vector(level, u0))
+        new = _parent_linear_iterate(current, init, lattice, theta_lag)
+        gap_theta = gap_u = 0.0
+        for t in new.times:
+            node_theta, node_u = bq._gap_norms(new.at(t) - current.at(t), r - 1)
+            gap_theta = max(gap_theta, node_theta)
+            gap_u = max(gap_u, node_u)
+        gap = max(gap_theta, gap_u)
+        ratio = (gap / prev_gap) if (prev_gap is not None and prev_gap > 1e-14) else None
+        out.append((gap_theta, gap_u, ratio, new.at(new.times[-1])))
+        current, prev_gap = new, gap
+    return out
+
+
+def _hex(x):
+    return None if x is None else float.hex(x)
+
+
+class TestStreamedGaps:
+    """The Cauchy gaps taken as each node is made, and the steps of the
+    previous iterate released behind the reads, give every gap, ratio and
+    final iterate bit for bit as the two-pass measurement."""
+
+    @pytest.mark.parametrize("theta_lag", [False, True])
+    @pytest.mark.parametrize("T", [0.006, 0.0073, 0.0])  # T/dt = 3, 3.65 and 0
+    def test_gaps_match_the_two_pass_measurement(self, small_data, T, theta_lag):
+        theta0, u0 = small_data
+        records = bq.iterate_scheme(theta0, u0, 1.5, 5, T, 2e-3, 1e-30, theta_lag=theta_lag)
+        want = _parent_gaps(theta0, u0, 1.5, 5, T, 2e-3, theta_lag)
+        # at T = 0 the gap of iterate 3 is 0, below tol
+        assert len(records) == (2 if T == 0.0 else 4)
+        for rec, (gap_theta, gap_u, ratio, final) in zip(records, want):
+            got = (rec.cauchy_gap_theta, rec.cauchy_gap_u, rec.ratio)
+            assert tuple(map(_hex, got)) == tuple(map(_hex, (gap_theta, gap_u, ratio)))
+            stack = bq._Stack.of(rec.theta_n, rec.u_n)
+            assert np.array_equal(stack.coeffs.view(np.uint64), final.coeffs.view(np.uint64))
+
+    def test_next_iterate_releases_the_steps_it_passed(self, small_data):
+        theta0, u0 = small_data
+        lattice = transport._step_lattice(0.0073, 2e-3)
+        start = bq._Stack.of(theta0, u0)
+        constant = bq._HermiteTrajectory([], [start], [0.0 * start])
+        prev = bq._solve_linear_iterate(constant, start, lattice, False, 1.5)[0]
+        assert constant.at(0.0) is start  # a one-node trajectory releases nothing
+        last = prev.at(0.0073)
+        bq._solve_linear_iterate(prev, start, lattice, False, 1.5)
+        for t in (0.0, 3e-3, 5e-3):
+            with pytest.raises(LookupError, match=f"t={t:.6g}"):
+                prev.at(t)
+        assert prev.at(0.0073) is last
 
 
 def _per_field_rhs(theta, u, buoyancy):
@@ -356,7 +473,20 @@ class TestHermiteTrajectory:
         node = bq._Stack.of(f, VectorField(f, f))
         traj = bq._HermiteTrajectory([], [node], [0.0 * node])
         assert traj.times == [0.0]
+        traj.release(0)  # a constant trajectory keeps its one node
         assert traj.at(0.0) is node and traj.at(0.5) is node
+
+    def test_a_read_of_a_released_step_raises(self):
+        f, _, traj, nodes = self.trajectory(make_grid(16))
+        traj.release(0)
+        traj.release(1)
+        for t in (0.0, 1e-3, 3.3e-3, 4e-3 * (1.0 - 1e-11)):
+            with pytest.raises(LookupError, match=f"t={t:.6g} needs a released step"):
+                traj.at(t)
+        # reads that need only nodes 2 and later still return them
+        for t in (4e-3 * (1.0 - 1e-15), 4e-3):
+            assert traj.at(t) is nodes[2]
+        assert rel_linf(traj.at(5.5e-3).theta, self.cubic(5.5e-3) * f) < 1e-13
 
 
 BAD_T_DT = [

@@ -175,14 +175,15 @@ def _iterate_data():
 
 def test_iterate_scheme_run(count, calls):
     # two linearised iterates over 3 steps, plus the Cauchy gap norms
-    assert count(bq.iterate_scheme, *_iterate_data()) == 376
+    assert count(bq.iterate_scheme, *_iterate_data()) == 378
     # the same fields in fewer calls: validation, divergence check (5) and
-    # dealias check (1); each of the 4 stages of the 3 steps of both
-    # iterates, and the slope at each final node, advects the (theta, u1,
-    # u2) stack in 3 calls; the advecting velocity's values (2 calls) are
-    # read at the one node of iterate 1, and at the first node, the 3
-    # midpoints and the 3 later nodes of iterate 2; the Cauchy gap at each
-    # of the 4 nodes of both iterates takes one call per block
+    # dealias check of theta, u1 and u2 (1 call over 3 fields); each of
+    # the 4 stages of the 3 steps of both iterates, and the slope at each
+    # final node, advects the (theta, u1, u2) stack in 3 calls; the
+    # advecting velocity's values (2 calls) are read at the one node of
+    # iterate 1, and at the first node, the 3 midpoints and the 3 later
+    # nodes of iterate 2; the Cauchy gap at each of the 4 nodes of both
+    # iterates takes one call per block
     stages = 2 * (4 * 3 + 1) * 3
     velocity = 2 + 2 * (1 + 3 + 3)
     gaps = 2 * 4 * (_q_max() + 2)
