@@ -32,19 +32,18 @@ a grid has exactly one partition, so none of them takes one as an argument.
 Every block norm ||D_q f||_p (inhomogeneous, homogeneous, any p) comes
 from one private kernel, ``_block_norms``: one inverse transform per
 block multiplier over every row of a field or of a (theta, u1, u2)
-stack, and no field built.  The sup-norm block profile [(q, ||D_q f||_inf)],
-q = -1..q_max, does not depend on the smoothness index.  It is computed
-once per field and cached on the (immutable) ``SpectralField``, next to
-the values cache described in ``spectral``; ``holder_norm`` and
-``besov_norm`` at p = inf read it, so every ``holder_norm`` and
-``holder_norm_vector`` of a field, at any r, and its B^1_{inf,1} norm cost
-one profile.  The Cauchy and twin-run gaps of ``boussinesq`` take the
-profiles of a (theta, u1, u2) difference in one kernel call.  Finite p is
-computed afresh on every call.  Each :class:`BesovReport` gets its own
-``block_norms`` list, so a caller that edits a report cannot reach the
-cache.  Likewise ``commutator`` caches advect(v, f) on f for the last
-velocity v it saw (by identity), so the commutators of all blocks of one
-(v, f) pair advect f once.
+stack, and no field built.  Finite p is scaled by the block sup (no p-th
+power under- or overflows) and computed afresh on every call.  The block
+sups do not depend on the smoothness index: each field, and each stack
+whose gaps ``boussinesq`` takes, caches them (next to the values cache of
+``spectral``), each block transformed at most once, over every row.
+``besov_norm`` at p = inf fills the blocks still missing; the Hoelder
+norms (``_holder_rows``) only those whose l1 bound B_q >= ||D_q f||_inf
+can still set the norm, for the full profile's value bit for bit.  Each
+:class:`BesovReport` gets its own ``block_norms`` list, so a caller that
+edits a report cannot reach the cache.  Likewise ``commutator`` caches
+advect(v, f) on f for the last velocity v it saw (by identity), so the
+commutators of all blocks of one (v, f) pair advect f once.
 """
 
 from __future__ import annotations
@@ -111,10 +110,11 @@ class DyadicPartition:
         q_max: largest dyadic block, ``top_block(n, L)``: the largest q
             with 2^q * 8/3 <= (2/3) * k_max so every full annulus sits
             inside the dealiased band.
-        chi_hat: samples of chi(xi)  (block q = -1).
-        phi_hat: list of samples of phi(2^-q xi) for q = 0..q_max, the
-            last entry being the high-frequency tail block.
-        blocks: the multipliers of the blocks q = -1..q_max, in order.
+        blocks: read-only (q_max + 2, n, n//2 + 1) array whose rows are the
+            multipliers (all >= 0) of the blocks q = -1..q_max, in order.
+        chi_hat: samples of chi(xi)  (block q = -1), its first row.
+        phi_hat: list of its other rows, samples of phi(2^-q xi) for
+            q = 0..q_max, the last entry being the high-frequency tail block.
     """
 
     def __init__(self, grid: Grid):
@@ -128,10 +128,12 @@ class DyadicPartition:
         self.q_max = q_max
 
         s = grid.abs_k
-        self.chi_hat = chi_profile(s)
-        self.phi_hat = [phi_profile(s / 2.0**q) for q in range(q_max)]
-        self.phi_hat.append(1.0 - chi_profile(s / 2.0**q_max))
-        self.blocks = [self.chi_hat, *self.phi_hat]
+        self.blocks = np.empty((q_max + 2, *s.shape))
+        self.blocks[0], self.blocks[-1] = chi_profile(s), 1.0 - chi_profile(s / 2.0**q_max)
+        for q in range(q_max):
+            self.blocks[q + 1] = phi_profile(s / 2.0**q)
+        self.blocks.setflags(write=False)
+        self.chi_hat, *self.phi_hat = self.blocks
 
         # S_q multipliers for q = 0..q_max+1 (partial sums of the blocks)
         self._lowpass = [self.chi_hat.copy()]
@@ -258,22 +260,25 @@ def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> flo
     return float(sum(terms) ** (1.0 / q_index))
 
 
-def _block_norms(f, multipliers: list[np.ndarray], p: float) -> np.ndarray:
+def _block_norms(f, multipliers, p: float) -> np.ndarray:
     """||m f||_p for each multiplier m (axis 0) and every row of f, a field
     or a (grid, coeffs) stack (the other axes): one inverse transform per
     multiplier over every row, through work arrays of the grid, no field built.
-    p = inf takes the sup, finite p the quadrature (sum |f|^p (L/n)^2)^(1/p)."""
+    p = inf takes the sup M of each row, finite p the quadrature
+    M (sum (|f|/M)^p (L/n)^2)^(1/p) (M itself when M is 0, inf or NaN)."""
     g, coeffs = f.grid, f.coeffs
     multiplied = g.work("block_norms", coeffs.shape)
     values = g.work("block_norms.values", (*coeffs.shape[:-2], g.n, g.n), float)
-    norms = np.empty((len(multipliers), *coeffs.shape[:-2]))
+    rows = values.reshape(-1, g.n, g.n)
+    norms = np.empty((len(multipliers), len(rows)))
+    cell = (g.length / g.n) ** 2
     for i, m in enumerate(multipliers):
         np.abs(_irfft2(np.multiply(coeffs, m, out=multiplied), g, values), out=values)
-        norms[i] = np.max(values, axis=(-2, -1)) if np.isinf(p) else np.sum(values**p, axis=(-2, -1))
-    if not np.isinf(p):  # each root on its own float, as a scalar power
-        cell = (g.length / g.n) ** 2
-        norms.flat = [(total * cell) ** (1.0 / p) for total in norms.flat]
-    return norms
+        norms[i] = np.max(rows, axis=(-2, -1))
+        if not np.isinf(p):  # scaled by M, so no p-th power under- or overflows
+            norms[i] = [M * (np.sum((row / M) ** p) * cell) ** (1.0 / p) if 0.0 < M < np.inf else M
+                        for M, row in zip(norms[i], rows)]
+    return norms.reshape(len(multipliers), *coeffs.shape[:-2])
 
 
 def _profile(f: SpectralField, p: float) -> list[tuple[int, float]]:
@@ -281,19 +286,70 @@ def _profile(f: SpectralField, p: float) -> list[tuple[int, float]]:
     return list(enumerate(map(float, _block_norms(f, build_partition(f.grid).blocks, p)), -1))
 
 
+def _block_sups(x, blocks=()) -> tuple[np.ndarray, np.ndarray]:
+    """The sup cache on a field or stack x: its (q_max + 2, rows) block sups and
+    which are filled, after transforming each block of ``blocks`` still missing."""
+    part = build_partition(x.grid)
+    cache = x.__dict__.get("_block_sups")
+    if cache is None:
+        shape = (len(part.blocks), math.prod(x.coeffs.shape[:-2]))
+        cache = x.__dict__["_block_sups"] = (np.zeros(shape), np.zeros(shape[0], bool))
+    sups, known = cache
+    if missing := [i for i in blocks if not known[i]]:
+        sups[missing] = _block_norms(x, [part.blocks[i] for i in missing], np.inf).reshape(len(missing), -1)
+        known[missing] = True
+    return cache
+
+
+def _sup_bounds(x) -> np.ndarray:
+    """B_q = sum_k w_k m_q(k) |c_k| >= ||D_q f||_inf for every block (axis 0)
+    and row f of x, kept on x: w = 1 on the columns m2 = 0 and m2 = -n/2 (the
+    inverse transform reads one value of each conjugate pair there), w = 2
+    on the others, and every m_q >= 0."""
+    bounds = x.__dict__.get("_sup_bounds")
+    if bounds is None:
+        blocks = build_partition(x.grid).blocks
+        weighted = np.abs(x.coeffs, out=x.grid.work("sup_bounds", x.coeffs.shape, float))
+        weighted[..., 1:-1] *= 2.0
+        bounds = blocks.reshape(len(blocks), -1) @ weighted.reshape(-1, blocks[0].size).T
+        x.__dict__["_sup_bounds"] = bounds
+    return bounds
+
+
 def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
-    """``_profile(f, inf)``, cached on f on first call."""
-    profile = f.__dict__.get("_sup_profile")
-    if profile is None:
-        profile = f.__dict__["_sup_profile"] = tuple(_profile(f, np.inf))
-    return profile
+    """``_profile(f, inf)``, from the sup cache of f, filling the blocks it lacks."""
+    sups = _block_sups(f, range(build_partition(f.grid).q_max + 2))[0]
+    return tuple(enumerate(map(float, sups[:, 0]), -1))
 
 
-def _holder_rows(stack, r: float) -> list[float]:
-    """``holder_norm(f, r)`` of every row f of a (k, n, n//2 + 1) stack:
-    the column of its block sups assembled by ``_assemble``."""
-    sups = _block_norms(stack, build_partition(stack.grid).blocks, np.inf)
-    return [_assemble(list(enumerate(map(float, column), -1)), r, np.inf) for column in sups.T]
+def _holder_rows(x, r: float) -> list[float]:
+    """``_assemble`` at s = r, index inf, of the block sups of every row of x
+    (a field or a (k, n, n//2 + 1) stack): the C^r norm of each row.
+
+    While a row's running max M (over its cached blocks, from 0) is below
+    2^{qr} (B_q (1 + 1e-9) + tiny) for an uncached block with B_q > 0, the
+    block with the largest such bound is transformed over every row.  An FFT
+    sup exceeds B_q by at most about log2(n^2) u B_q (tiny covers subnormal
+    rounding), so no block left out can set a max: each value is the same
+    float as ``_assemble``'s.  Non-finite bounds (NaN or inf coefficients),
+    an overflowing weight and a full cache take the full profile in q order.
+    """
+    sups, known = _block_sups(x)
+    try:
+        weights = [2.0 ** (q * r) for q in range(-1, len(known) - 1)]
+        bounds = None if known.all() else _sup_bounds(x) * (1.0 + 1e-9)
+    except OverflowError:  # which _assemble raises again
+        bounds = None
+    if bounds is None or not np.isfinite(bounds).all():
+        sups = _block_sups(x, range(len(known)))[0]
+        return [_assemble(list(enumerate(map(float, column), -1)), r, np.inf) for column in sups.T]
+    tiny = float(np.finfo(float).tiny)
+    reach = [[w * (b + tiny) if b > 0.0 else 0.0 for b in row] for w, row in zip(weights, bounds.tolist())]
+    best = [0.0] * len(reach[0])
+    for i in sorted(range(len(known)), key=lambda i: (not known[i], -max(reach[i]))):  # cached first
+        if known[i] or any(c > m for c, m in zip(reach[i], best)):
+            best = [max(m, weights[i] * v) for m, v in zip(best, _block_sups(x, [i])[0][i].tolist())]
+    return best
 
 
 def besov_norm(
@@ -304,7 +360,8 @@ def besov_norm(
 ) -> BesovReport:
     """Inhomogeneous Besov norm; the homogeneous variant is built on first read.
 
-    For p = inf the block norms come from the profile cached on f.
+    For p = inf the block norms come from the sups cached on f, the blocks
+    still missing filled first.
     """
     if p < 1 or q_index < 1:
         raise ValueError("integrability indices must be >= 1")
@@ -314,10 +371,11 @@ def besov_norm(
 
 def holder_norm(f: SpectralField, r: float) -> float:
     """Hoelder norm C^r = B^r_{inf,inf}: the value of ``besov_norm(f, r)``,
-    assembled from the profile cached on f without building a report."""
+    bit for bit, without building a report; it transforms only the blocks
+    of f whose sup can still set the norm (see ``_holder_rows``)."""
     if r <= 0:
         raise ValueError(f"Hoelder exponent must be positive, got {r}")
-    return _assemble(_sup_profile(f), r, np.inf)
+    return _holder_rows(f, r)[0]
 
 
 def holder_norm_vector(w: VectorField, r: float) -> float:

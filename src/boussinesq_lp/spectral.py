@@ -66,8 +66,8 @@ field's ``__dict__`` (by a ``functools.cached_property``, or directly in
 * ``VectorField.max_speed()``: max |v| over the grid;
 * ``grad_linf_norm(w)`` and ``divergence_residual(w)``, cached on the
   ``VectorField`` (so ``is_divergence_free`` pays once per field);
-* the sup-norm block profile and the advection term of the commutator
-  in ``littlewood_paley`` (see there).
+* the block sups (each filled on demand), their l1 bounds and the
+  advection term of the commutator in ``littlewood_paley`` (see there).
 
 Writing into ``f.coeffs`` after one of these was read leaves the cache
 stale; build a new field instead.

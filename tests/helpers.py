@@ -33,6 +33,18 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float((np.sum(vals**p) * cell) ** (1.0 / p))
 
 
+def scaled_lp_norm(f: SpectralField, p: float) -> float:
+    """``lp_norm`` scaled by the sup M of |f|, M (sum (|f|/M)^p (L/n)^2)^(1/p)
+    (M itself when M is 0, inf or NaN), operation for operation: the
+    bit-for-bit reference of the finite-p block norms of ``littlewood_paley``."""
+    vals = np.abs(f.values())
+    sup = np.max(vals)
+    if np.isinf(p) or not 0.0 < sup < np.inf:
+        return float(sup)
+    cell = (f.grid.length / f.grid.n) ** 2
+    return float(sup * (np.sum((vals / sup) ** p) * cell) ** (1.0 / p))
+
+
 def kinetic_energy(u: VectorField) -> float:
     return 0.5 * (lp_norm(u.u1, 2) ** 2 + lp_norm(u.u2, 2) ** 2)
 

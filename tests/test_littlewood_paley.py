@@ -1,12 +1,15 @@
 """Dyadic partition, Besov norms, paraproducts, commutator, kernel mass."""
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boussinesq_lp import cli
 from boussinesq_lp import littlewood_paley as lp
 from boussinesq_lp.littlewood_paley import (
     DyadicPartition,
@@ -29,7 +32,7 @@ from boussinesq_lp.spectral import (
     make_grid,
 )
 
-from helpers import lp_norm, random_dealiased_field, rel_linf
+from helpers import lp_norm, random_dealiased_field, rel_linf, scaled_lp_norm
 
 
 class TestPartition:
@@ -252,11 +255,11 @@ class TestLazyHomogeneousBlocks:
 
 
 class TestBlockProfileCache:
-    """The sup-norm block profile is computed once per field and shared."""
+    """Each block sup is computed at most once per field and shared."""
 
     def test_cached_profile_gives_the_fresh_values(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 62)
-        holder_norm(f, 2.0)  # f now holds its profile
+        holder_norm(f, 2.0)  # f now holds the block sups this norm needed
         fresh = lambda: SpectralField(grid64, f.coeffs.copy())
         for r in (1.1, 1.5, 3.0):
             assert holder_norm(f, r) == holder_norm(fresh(), r)
@@ -279,7 +282,8 @@ class TestBlockProfileCache:
     @pytest.mark.parametrize("n", [16, 64])
     def test_stacked_block_sups_bit_identical_to_per_block_norms(self, n, p):
         # one irfft2 per block over a (3, n, m) stack gives every row's block
-        # norms bit for bit as lp_norm(block(q, f), p), signed zeros included
+        # norms bit for bit as scaled_lp_norm(block(q, f), p), signed zeros
+        # included, and within 1e-14 relative of the unscaled lp_norm
         grid = make_grid(n)
         rng = np.random.default_rng(n)
         parts = rng.standard_normal((2, 3, *grid.spectral_shape))
@@ -293,8 +297,10 @@ class TestBlockProfileCache:
         assert norms.shape == (q_max + 2, 3)
         for column, coeffs in zip(norms.T, rows):
             f = SpectralField(grid, coeffs)
-            expected = np.array([lp_norm(block(q, f), p) for q in range(-1, q_max + 1)])
+            expected = np.array([scaled_lp_norm(block(q, f), p) for q in range(-1, q_max + 1)])
             assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+            unscaled = [lp_norm(block(q, f), p) for q in range(-1, q_max + 1)]
+            np.testing.assert_allclose(column, unscaled, rtol=1e-14, atol=0.0)
             one = lp._block_norms(f, part.blocks, p)
             assert np.array_equal(one.view(np.uint64), expected.view(np.uint64))
         if np.isinf(p):
@@ -310,6 +316,174 @@ class TestBlockProfileCache:
         second = besov_norm(f, 1.5)
         assert second.block_norms == expected
         assert second.value == holder_norm(SpectralField(grid64, f.coeffs.copy()), 1.5)
+
+def _edge_modes(grid) -> np.ndarray:
+    """Indices of the half-spectrum modes where some block multiplier lies
+    strictly between 0 and 1: the edges of the dyadic blocks."""
+    blocks = build_partition(grid).blocks
+    return np.argwhere(((blocks > 0.0) & (blocks < 1.0)).any(axis=0))
+
+
+def _test_coeffs(grid, kind: str, seed: int, amplitude: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = grid.spectral_shape
+    c = np.zeros(shape, dtype=complex)
+    if kind == "random":
+        c += rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c *= (1.0 + grid.abs_k) ** -rng.uniform(0.0, 4.0)
+    elif kind == "lacunary":  # modes |k| = 2^j on both axes, decaying at random rates
+        for j in range(int(np.log2(grid.n // 2))):
+            pair = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            c[2**j, 0], c[0, 2**j] = pair * 2.0 ** (-j * rng.uniform(0, 3))
+    elif kind == "edge":  # one mode on a block edge
+        edges = _edge_modes(grid)
+        c[tuple(edges[rng.integers(len(edges))])] = rng.standard_normal() + 1j * rng.standard_normal()
+    return c * amplitude
+
+
+def _full_path(coeffs: np.ndarray, grid, r: float) -> float:
+    """``_assemble`` over the full ``_block_norms`` sup profile of one field."""
+    sups = lp._block_norms(SpectralField(grid, coeffs.copy()), build_partition(grid).blocks, np.inf)
+    return lp._assemble(list(enumerate(map(float, sups), -1)), r, np.inf)
+
+
+class TestBranchAndBound:
+    """Hoelder norms transform a block only while its l1 coefficient bound
+    can still set the norm, and give the full profile's value bit for bit."""
+
+    def test_blocks_are_one_nonnegative_array(self, grid64):
+        part = build_partition(grid64)
+        assert part.blocks.shape == (part.q_max + 2, *grid64.spectral_shape)
+        assert np.all(part.blocks >= 0.0) and not part.blocks.flags.writeable
+        assert all(np.shares_memory(m, part.blocks) for m in [part.chi_hat, *part.phi_hat])
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_bound_dominates_every_block_sup(self, n):
+        # random complex coefficients everywhere, the columns m2 = 0 and
+        # m2 = -n/2 included (the inverse transform reads one value of each
+        # conjugate pair there), and a stack of them
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        shape = (3, *grid.spectral_shape)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = _Stack(grid, rows * (1.0 + grid.abs_k) ** -1.0)
+        sups = lp._block_norms(stack, build_partition(grid).blocks, np.inf)
+        bounds = lp._sup_bounds(stack)
+        assert bounds.shape == sups.shape
+        assert np.all(sups <= bounds) and np.all(bounds <= 4.0 * n * n * sups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        fields=st.lists(
+            st.tuples(
+                st.sampled_from(["random", "lacunary", "edge", "zero"]),
+                st.integers(0, 2**16),
+                st.sampled_from([1.0, 1e-300, 1e300]),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        poison=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0.0, np.nan)]),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["holder", "vector", "besov", "rows"]),
+                st.integers(0, 2),
+                st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_every_norm_equals_the_full_profile(self, n, fields, poison, calls):
+        grid = make_grid(n)
+        part = build_partition(grid)
+        coeffs = [_test_coeffs(grid, *spec) for spec in fields]
+        if poison is not None:  # NaN or inf coefficients take the full path
+            coeffs[0][n // 4, 1] = poison
+        expected = {(i, r): _full_path(c, grid, r) for i, c in enumerate(coeffs) for *_, r in calls}
+
+        fs = [SpectralField(grid, c.copy()) for c in coeffs]
+        w = VectorField(fs[1], fs[2])
+        stack = _Stack(grid, np.stack(coeffs))
+        transformed = {id(x): [] for x in (*fs, stack)}
+        kernel = lp._block_norms
+
+        def recorded(x, multipliers, p):
+            rows = [(m.ctypes.data - part.blocks.ctypes.data) // part.blocks.strides[0] for m in multipliers]
+            transformed[id(x)].extend(rows)
+            return kernel(x, multipliers, p)
+
+        with mock.patch.object(lp, "_block_norms", recorded):
+            for kind, i, r in calls:
+                if kind == "holder":
+                    got, want = [holder_norm(fs[i], r)], [expected[i, r]]
+                elif kind == "vector":
+                    got, want = [holder_norm_vector(w, r)], [max(expected[1, r], expected[2, r])]
+                elif kind == "besov":
+                    got, want = [besov_norm(fs[i], r).value], [expected[i, r]]
+                else:
+                    got, want = lp._holder_rows(stack, r), [expected[j, r] for j in range(3)]
+                assert [v.hex() for v in got] == [v.hex() for v in want], (kind, i, r)
+        for rows in transformed.values():  # each block at most once per field or stack
+            assert len(rows) == len(set(rows)) and set(rows) <= set(range(part.q_max + 2))
+
+    def test_search_skips_blocks_whose_bound_cannot_reach(self, grid64):
+        # a single mode inside block 1 has a zero bound on the blocks it
+        # does not touch and takes one transform at any r; a zero field none
+        part = build_partition(grid64)
+        c = np.zeros(grid64.spectral_shape, dtype=complex)
+        c[3, 0] = 0.5
+        f = SpectralField(grid64, c)
+        assert holder_norm(f, 1.5) == _full_path(c, grid64, 1.5)
+        assert lp._block_sups(f)[1].tolist() == [q == 1 for q in range(-1, part.q_max + 1)]
+        zero = SpectralField.zero(grid64)
+        assert holder_norm(zero, 2.0) == 0.0 and not lp._block_sups(zero)[1].any()
+
+
+class TestFinitePNorms:
+    """Finite-p block norms are scaled by the block sup M, so no p-th power
+    under- or overflows, and they rise to the sup as p grows."""
+
+    def test_lp_analyze_rises_to_its_sup_norm_value(self, tmp_path):
+        def value(p: float) -> float:
+            assert cli.main(["lp-analyze", "--n", "64", "--p", repr(p), "--out-dir", str(tmp_path)]) == 0
+            return json.loads((tmp_path / "besov_report.json").read_text())["value"]
+
+        ps = [2.0, 400.0, 1000.0, 1e6, 1e300]
+        values = [value(p) for p in ps]
+        sup = value(np.inf)
+        # the raw norms carry the area factor L^(2/p), which falls from p = 2
+        # to p = 400; without it each block norm is a power mean in p
+        normalized = [v * (2.0 * np.pi) ** (-2.0 / p) for v, p in zip(values, ps)]
+        assert normalized == sorted(normalized)
+        assert values[1:] == sorted(values[1:]) and values[-1] == sup
+        assert abs(values[3] - sup) <= 1e-5 * sup
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-200, 1e200])
+    def test_block_power_means_rise_to_the_block_sups(self, grid64, amplitude):
+        f = random_dealiased_field(grid64, 5) * amplitude
+        sups = [v for _, v in besov_norm(f, 1.0).block_norms]
+        ps = [2.0**k for k in range(20)] + [1e6]
+        norms = [[v for _, v in besov_norm(f, 1.0, p).block_norms] for p in ps]
+        means = np.array([np.multiply(row, grid64.length ** (-2.0 / p)) for row, p in zip(norms, ps)])
+        assert np.all(np.diff(means, axis=0) >= 0.0)
+        np.testing.assert_allclose(means[-1], sups, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("a", [1.0, 1e-250, 1e250])
+    @pytest.mark.parametrize("p", [2, 4, 8, 20])
+    def test_single_mode_has_its_closed_form(self, grid64, a, p):
+        # a cos(3 x1) is its own block q = 1; for even p with 3p < n the grid
+        # mean of cos^p is exact, C(p, p/2) / 2^p
+        f = SpectralField.from_values(grid64, a * np.cos(3.0 * grid64.x1))
+        norm = dict(besov_norm(f, 1.0, float(p)).block_norms)[1]
+        exact = a * grid64.length ** (2.0 / p) * (math.comb(p, p // 2) / 2.0**p) ** (1.0 / p)
+        assert norm == pytest.approx(exact, rel=1e-12)
+
+    def test_besov_norm_falls_as_the_sum_index_grows(self, grid64):
+        f = random_dealiased_field(grid64, 6)
+        values = [besov_norm(f, 1.0, 3.0, q).value for q in (1.0, 2.0, 4.0, np.inf)]
+        assert values == sorted(values, reverse=True)
 
 
 class TestBony:

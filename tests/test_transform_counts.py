@@ -17,8 +17,12 @@ counts its full-array field results (each is one coefficient array), the
 elementwise work between the transforms.  Those pins must not rise.
 
 Inputs are built fresh for every count: ``SpectralField.values()``, the
-sup-norm block profile and the velocity norms are cached per field, so a
-field whose values or norms were already read would give a smaller count.
+block sups and the velocity norms are cached per field, so a field whose
+values or norms were already read would give a smaller count.
+
+A Hoelder norm transforms only the blocks whose l1 coefficient bound can
+still set the norm (``littlewood_paley._holder_rows``), so its count
+depends on the data; the pins below say which blocks each norm takes.
 """
 
 import math
@@ -28,7 +32,7 @@ import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness, transport
-from boussinesq_lp.littlewood_paley import build_partition, holder_norm
+from boussinesq_lp.littlewood_paley import besov_norm, build_partition, holder_norm
 from boussinesq_lp.spectral import SpectralField, is_divergence_free, make_grid
 
 N = 64
@@ -118,12 +122,21 @@ def test_run_direct_monitor_sample(count):
     two = count(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
     step = count(bq._direct_step, _tg_stack(), 0.0, DT, True)
     sample = two - one - step
-    # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms
-    # of q_max + 2 blocks each
-    assert sample == 5 + 3 * (_q_max() + 2)
+    # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms of
+    # one block each (was 3 * (q_max + 2) = 15): Taylor-Green theta lives
+    # in block -1 (|k| = 1) and u in block 0 (|k| = sqrt 2), and the bound
+    # of every other block is 0 or, after a step, too small to set the norm
+    assert sample == 5 + 3 == 8
     # T = 0: validation (divergence-free check) plus the initial sample,
     # which reads the two velocity norms the check cached on u0
-    assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3 * (_q_max() + 2)
+    assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3
+
+
+def test_taylor_green_monitor_sample_at_128(count):
+    # the benchmark's size: the same 5 + 3 fields, where transforming every
+    # block took 5 + 3 * (q_max + 2) = 23 (q_max = 4)
+    state = bq.taylor_green_data(make_grid(128), 1.0, 0.05)
+    assert count(bq._monitor_sample, state, 1.5) == 8
 
 
 def test_field_results_per_step_and_sample(built):
@@ -174,8 +187,10 @@ def _iterate_data():
 
 
 def test_iterate_scheme_run(count, calls):
-    # two linearised iterates over 3 steps, plus the Cauchy gap norms
-    assert count(bq.iterate_scheme, *_iterate_data()) == 378
+    # two linearised iterates over 3 steps, plus the Cauchy gap norms: 7
+    # gaps of one block over 3 rows each, where transforming every block
+    # took 2 * 4 * (q_max + 2) * 3 = 120 fields (378 in all)
+    assert count(bq.iterate_scheme, *_iterate_data()) == 378 - 120 + 7 * 3 == 279
     # the same fields in fewer calls: validation, divergence check (5) and
     # dealias check of theta, u1 and u2 (1 call over 3 fields); each of
     # the 4 stages of the 3 steps of both iterates, and the slope at each
@@ -183,17 +198,27 @@ def test_iterate_scheme_run(count, calls):
     # advecting velocity's values (2 calls) are read at the one node of
     # iterate 1, and at the first node, the 3 midpoints and the 3 later
     # nodes of iterate 2; the Cauchy gap at each of the 4 nodes of both
-    # iterates takes one call per block
+    # iterates transforms one block, q = 2, the one with the largest bound
+    # (the bounds of the others cannot reach its sup), except at the first
+    # node of iterate 2: the data has no modes above block 1, so iterate 2
+    # starts from the coefficients of iterate 1 bit for bit (low-pass levels
+    # 4 and 3), and a zero difference has every bound 0 and takes none
     stages = 2 * (4 * 3 + 1) * 3
     velocity = 2 + 2 * (1 + 3 + 3)
-    gaps = 2 * 4 * (_q_max() + 2)
-    assert calls(bq.iterate_scheme, *_iterate_data()) == 6 + stages + velocity + gaps == 140
+    gaps = 2 * 4 - 1
+    assert calls(bq.iterate_scheme, *_iterate_data()) == 6 + stages + velocity + gaps == 107
 
 
 def test_holder_norms_share_one_block_profile(count):
     f = bq.synthesize_holder_field(_grid(), 1.5, 1.0, 3) * 0.5  # a fresh field
-    assert count(holder_norm, f, 1.5) == _q_max() + 2  # one inverse transform per block
-    assert count(holder_norm, f, 2.5) == 0
+    # its populated blocks q = 0, 1 (synthesized with equal weighted sups
+    # at r = 1.5): one inverse transform each; the bounds of the other
+    # q_max blocks cannot reach their terms
+    assert count(holder_norm, f, 1.5) == 2
+    assert count(holder_norm, f, 2.5) == 0  # the cached sups at another r
+    # the full profile fills the q_max + 2 - 2 blocks still missing
+    assert count(besov_norm, f, 1.0, np.inf, 1.0) == _q_max()
+    assert count(holder_norm, f, 1.1) == 0
 
 
 def test_divergence_check_paid_once_per_velocity(count):
@@ -210,14 +235,18 @@ def test_static_verify_run(count, monkeypatch):
     monkeypatch.setattr(harness, "_RUN_CACHE", {})
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
-    # a synthesized field: two transforms per populated block, then its
-    # Hoelder norm; a velocity adds the Hoelder norms of both components
-    holder = 2 * (q_max - 1) + (q_max + 2)
-    velocity = holder + 2 * (q_max + 2)
-    # per exponent: synthesize f, g, v, w; one block profile of f, which
-    # besov_norm and holder_norm share; the 4 negative homogeneous blocks
-    per_r = 2 * holder + 2 * velocity + (q_max + 2) + 4
-    assert count(harness.verify, "lemma2.2.3", corpus) == 5 * per_r == 325
+    # per exponent, the synthesis of f, g, v and w: two transforms per
+    # populated block q = 0..q_max - 2 of each, and 8 Hoelder norms (one of
+    # f and of g, and per velocity one of its stream function and one of
+    # each component), each transforming the top populated block q = 1;
+    # the block profile of f (the rescaled field, a fresh one), which
+    # besov_norm fills and holder_norm reads; the 4 negative homogeneous
+    # blocks.  Transforming every block took 5 * 65 = 325.
+    per_r = 4 * 2 * (q_max - 1) + 8 + (q_max + 2) + 4
+    # the norms whose block q = 0 can still set the value, at r = 1.1, 1.5,
+    # 2.0, 2.5 and 3.0
+    also_q0 = 5 + 1 + 1 + 1 + 0
+    assert count(harness.verify, "lemma2.2.3", corpus) == 5 * per_r + also_q0 == 173
 
 
 def test_commutator_verify_run(count, monkeypatch):
@@ -225,11 +254,14 @@ def test_commutator_verify_run(count, monkeypatch):
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
     # the four synthesized fields of each exponent, as in test_static_verify_run
-    holder = 2 * (q_max - 1) + (q_max + 2)
-    synthesis = 2 * holder + 2 * (holder + 2 * (q_max + 2))
-    # per exponent, once: the block profile of f, the divergence check of v
-    # (divergence_residual 1 + grad_linf_norm 4), the values of v (2) and
-    # v.grad f (3), which the commutators of all blocks share; per block:
-    # v.grad(D_q f) (3) and the sup of the commutator (1)
-    per_r = synthesis + (q_max + 2) + 5 + 2 + 3 + 4 * (q_max + 2)
-    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r == 455
+    synthesis = 4 * 2 * (q_max - 1) + 8
+    # per exponent, once: the Hoelder norm of f (its block q = 1), the
+    # divergence check of v (divergence_residual 1 + grad_linf_norm 4), the
+    # values of v (2) and v.grad f (3), which the commutators of all blocks
+    # share; per block: v.grad(D_q f) (3) and the sup of the commutator (1).
+    # Transforming every block took 5 * 91 = 455.
+    per_r = synthesis + 1 + 5 + 2 + 3 + 4 * (q_max + 2)
+    # block q = 0 as well: in 5, 1, 1, 1, 0 of the synthesis norms and 1, 0,
+    # 0, 0, 0 norms of f, at r = 1.1, 1.5, 2.0, 2.5 and 3.0
+    also_q0 = (5 + 1 + 1 + 1 + 0) + 1
+    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r + also_q0 == 284
