@@ -24,26 +24,23 @@ iterate.  A monitor
 tracks sup|grad u|, its running time integral, Hoelder norms and the
 divergence residual for blow-up diagnostics.
 
-Every coupled run holds its state as one (3, n, n//2 + 1) stack of
-(theta, u1, u2) coefficients (``_Stack``), and ``rk4`` and
+The one coupled state type is ``BoussinesqState``, the (theta, u1, u2)
+coefficients as one (3, n, n//2 + 1) stack with its time, and ``rk4`` and
 ``_coupled_step`` see no other state: the direct run and the probe's twin
-runs hold their stacks across steps, and the linearized iterate keeps its
-nodes, stage slopes and Hermite reads as stacks, each step only until the
-next iterate has stepped past it, so the scheme holds one trajectory, not
-two.  A ``BoussinesqState`` handed out by a run has fields that are views
-over the rows of the stack that produced it.  Each step does the per-field
-arithmetic of the right-hand side on the rows, then one RK4 combination,
-one projection and one finite check over the whole stack.  In the iterate
-all three rows are advected by one velocity, so one stacked advection (3
-transform calls over 9 fields) replaces three (9 calls), and a Cauchy gap
-or a probe gap takes one inverse transform per block over the three rows
-of a difference.  The direct step advects u by itself in flux form, so its
-rows share no one advection and its stack saves no transform; it writes
-the rows of each slope into one new array, with its products and their
-transforms in the work arrays of the grid (see ``spectral``).  Measured
-step times are kept with the benchmark records (``BENCH_*.json`` at the
-repository root and their entries in ``CHANGES.md``), not here, where
-they would go stale.
+runs step states, and the linearized iterate keeps its nodes, stage slopes
+and Hermite reads as states, each step only until the next iterate has
+stepped past it, so the scheme holds one trajectory, not two.  Each step
+does the per-field arithmetic of the right-hand side on the rows, then one
+RK4 combination, one projection and one finite check over the whole stack.
+In the iterate all three rows are advected by one velocity, so one stacked
+advection (3 transform calls over 9 fields) replaces three (9 calls), and
+a Cauchy gap or a probe gap takes one inverse transform per block over the
+three rows of a difference.  The direct step advects u by itself in flux
+form, so its rows share no one advection; it writes the rows of each slope
+into one new array, with its products and their transforms in the work
+arrays of the grid (see ``spectral``).  Measured step times are kept with
+the benchmark records (``BENCH_*.json`` and ``CHANGES.md``), not here,
+where they would go stale.
 """
 
 from __future__ import annotations
@@ -60,8 +57,6 @@ from .littlewood_paley import (
     build_partition,
     holder_norm,
     holder_norm_vector,
-    low_pass,
-    low_pass_vector,
 )
 from .spectral import (
     Grid,
@@ -106,21 +101,53 @@ class NumericsError(RuntimeError):
     """Raised when a run produces non-finite values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoussinesqState:
-    """The temperature and velocity at time t, on one grid."""
+    """The temperature and velocity at time t, on one grid, as one (3, n,
+    n//2 + 1) array of (theta, u1, u2) coefficients.  Slopes, stage inputs,
+    Hermite reads and differences are states too (their ``t`` is never
+    read): ``rk4``, sums, differences and scalar multiples act on the whole
+    array.  ``theta`` and ``u`` are fields over its rows, built on first
+    read, so the values of a state's velocity are transformed once,
+    whichever reader (the CFL check, the next step, the monitor, a Hermite
+    read) comes first.
+    """
 
-    theta: SpectralField
-    u: VectorField
+    grid: Grid
+    coeffs: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        if self.theta.grid != self.u.grid:
-            raise ValueError("fields live on different grids")
+        shape, want = np.shape(self.coeffs), (3, *self.grid.spectral_shape)
+        if shape != want:
+            raise ValueError(f"coefficient array shape {shape} does not match the state "
+                             f"shape {want} of {self.grid!r}")
 
-    @property
-    def grid(self) -> Grid:
-        return self.theta.grid
+    @classmethod
+    def of(cls, theta: SpectralField, u: VectorField, t: float = 0.0) -> "BoussinesqState":
+        if theta.grid != u.grid:
+            raise ValueError("fields live on different grids")
+        return cls(theta.grid, np.stack((theta.coeffs, u.u1.coeffs, u.u2.coeffs)), t)
+
+    @cached_property
+    def theta(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[0])
+
+    @cached_property
+    def u(self) -> VectorField:
+        g, c = self.grid, self.coeffs
+        return VectorField(SpectralField(g, c[1]), SpectralField(g, c[2]))
+
+    def __add__(self, other: "BoussinesqState") -> "BoussinesqState":
+        return BoussinesqState(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "BoussinesqState") -> "BoussinesqState":
+        return BoussinesqState(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float) -> "BoussinesqState":
+        return BoussinesqState(self.grid, self.coeffs * scalar)
+
+    __rmul__ = __mul__
 
 
 def _mean_zero(f: SpectralField) -> bool:
@@ -169,73 +196,28 @@ class MonitorRecord:
 
 @dataclass
 class IterationRecord:
-    """Iterate n with its Cauchy gap against iterate n-1."""
+    """Iterate n, as its state at T, with its Cauchy gap against iterate n-1."""
 
     n: int
-    theta_n: SpectralField
-    u_n: VectorField
+    state: BoussinesqState
     cauchy_gap_theta: float
     cauchy_gap_u: float
     ratio: float | None
 
 
-class _Stack:
-    """One state (or slope) of a coupled run: the (theta, u1, u2)
-    coefficients on ``grid`` as one (3, n, n//2 + 1) array.  The direct
-    run, the probe's twin runs and the linearized iterates all step it.
-
-    ``rk4`` combines the coefficients of stacks as it combines those of
-    fields, and sums, differences and scalar multiples act on the whole
-    stack, so the Hermite reads and the gaps do too, with the same
-    operations on every coefficient.  ``theta`` and
-    ``velocity`` are fields over the rows, built on first read; so the
-    values of a stepped state's velocity, cached on its ``VectorField``,
-    are transformed once, whichever reader (the CFL check, the first
-    stage of the next step, a Hermite read of a stored node) comes first.
-    """
-
-    def __init__(self, grid: Grid, coeffs: np.ndarray):
-        self.grid = grid
-        self.coeffs = coeffs
-
-    @classmethod
-    def of(cls, theta: SpectralField, u: VectorField) -> "_Stack":
-        return cls(theta.grid, np.stack((theta.coeffs, u.u1.coeffs, u.u2.coeffs)))
-
-    @cached_property
-    def theta(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[0])
-
-    @cached_property
-    def velocity(self) -> VectorField:
-        g, c = self.grid, self.coeffs
-        return VectorField(SpectralField(g, c[1]), SpectralField(g, c[2]))
-
-    def __add__(self, other: "_Stack") -> "_Stack":
-        return _Stack(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "_Stack") -> "_Stack":
-        return _Stack(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "_Stack":
-        return _Stack(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def _rhs(y: _Stack, buoyancy: bool) -> _Stack:
-    """Slope of the stack y with its velocity u advecting every row, forced
+def _rhs(y: BoussinesqState, buoyancy: bool) -> BoussinesqState:
+    """Slope of the state y with its velocity u advecting every row, forced
     by the buoyancy of theta (unless ``buoyancy`` is off), with the
     velocity rows projected.
 
     The momentum term is taken in flux form, u . grad u = div(u (x) u),
-    from the values of ``y.velocity``: each product u1 u1, u1 u2, u2 u2 is
+    from the values of ``y.u``: each product u1 u1, u1 u2, u2 u2 is
     transformed once, 3 transforms in place of the 6 of the advective form.
     The products and their transforms go through work arrays of the grid,
     and the three rows of the slope are written into one new array.
     """
     g = y.grid
-    u = y.velocity
+    u = y.u
     slope = np.empty_like(y.coeffs)
     np.negative(advect(u, y.theta).coeffs, out=slope[0])
     u1, u2 = u.values()
@@ -254,12 +236,12 @@ def _rhs(y: _Stack, buoyancy: bool) -> _Stack:
     force = leray_project(VectorField(SpectralField(g, force1), SpectralField(g, force2)))
     slope[1] = force.u1.coeffs
     slope[2] = force.u2.coeffs
-    return _Stack(g, slope)
+    return BoussinesqState(g, slope)
 
 
-def _project_rows(y: _Stack) -> _Stack:
-    """``leray_project`` of the velocity rows of a stack, in place: only
-    for a stack its caller has just built and nothing has read."""
+def _project_rows(y: BoussinesqState) -> BoussinesqState:
+    """``leray_project`` of the velocity rows of a state, in place: only
+    for a state its caller has just built and nothing has read."""
     g = y.grid
     grad = g.work("project_rows", (2, *g.spectral_shape))
     _gradient_part(g, y.coeffs[1], y.coeffs[2], grad[0], grad[1])
@@ -267,8 +249,8 @@ def _project_rows(y: _Stack) -> _Stack:
     return y
 
 
-def _linear_rhs(y: _Stack, v: VectorField, source: np.ndarray) -> _Stack:
-    """Slope of the stack y advected by v and forced by the buoyancy of the
+def _linear_rhs(y: BoussinesqState, v: VectorField, source: np.ndarray) -> BoussinesqState:
+    """Slope of the state y advected by v and forced by the buoyancy of the
     temperature coefficients ``source``, with the velocity rows projected:
     the arithmetic of ``-advect``, ``advect_vector`` and ``leray_project``
     on every coefficient, with the three rows advected by one
@@ -276,27 +258,27 @@ def _linear_rhs(y: _Stack, v: VectorField, source: np.ndarray) -> _Stack:
     slope = _advect_rows(y.grid, v, y.coeffs)
     np.subtract(source, slope[2], out=slope[2])
     np.negative(slope[:2], out=slope[:2])
-    return _project_rows(_Stack(y.grid, slope))
+    return _project_rows(BoussinesqState(y.grid, slope))
 
 
-def _coupled_step(y: _Stack, rhs, t: float, h: float) -> tuple[_Stack, _Stack]:
-    """One ``rk4`` step of a coupled stack with the final velocity rows
-    projected and the whole stack checked finite; returns the new stack
-    and the stage-one slope.  The stage slopes are already
-    divergence-free, so the projection only clears the roundoff of the
-    combination."""
-    y, k1 = rk4(y, rhs, t, h)
-    _project_rows(y)
-    if not np.all(np.isfinite(y.coeffs)):
-        raise NumericsError(f"non-finite field values at t={t + h:.6g}")
-    return y, k1
+def _coupled_step(y: BoussinesqState, rhs, h: float, t_end: float) -> tuple[BoussinesqState, BoussinesqState]:
+    """One ``rk4`` step of width h from the state y at time ``y.t``, with the
+    final velocity rows projected and the whole stack checked finite;
+    returns the new state, at the lattice time ``t_end``, and the
+    stage-one slope.  The stage slopes are already divergence-free, so the
+    projection only clears the roundoff of the combination."""
+    stepped, k1 = rk4(y, rhs, y.t, h)
+    coeffs = _project_rows(stepped).coeffs
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericsError(f"non-finite field values at t={t_end:.6g}")
+    return BoussinesqState(y.grid, coeffs, t_end), k1
 
 
-def _direct_step(y: _Stack, t: float, h: float, buoyancy: bool) -> _Stack:
-    """One step of the full system from the stack y at time t, checked
+def _direct_step(y: BoussinesqState, h: float, t_end: float, buoyancy: bool) -> BoussinesqState:
+    """One step of the full system from the state y to ``t_end``, checked
     against the CFL bound of its velocity."""
-    _check_cfl(y.velocity, h, t)
-    return _coupled_step(y, lambda _t, s: _rhs(s, buoyancy), t, h)[0]
+    _check_cfl(y.u, h, y.t)
+    return _coupled_step(y, lambda _t, s: _rhs(s, buoyancy), h, t_end)[0]
 
 
 def _monitor_sample(
@@ -341,10 +323,8 @@ def run_direct(
     state = state0
     if on_step is not None:
         on_step(state)
-    y = _Stack.of(state0.theta, state0.u)
     for h, t in lattice:
-        y = _direct_step(y, state.t, h, buoyancy)
-        state = BoussinesqState(y.theta, y.velocity, t)
+        state = _direct_step(state, h, t, buoyancy)
         record.append(_monitor_sample(state, r, record.final(), h))
         if on_step is not None:
             on_step(state)
@@ -524,7 +504,7 @@ def hydrostatic_data(grid: Grid, amplitude: float = 1.0) -> BoussinesqState:
     theta = SpectralField.from_values(
         grid, amplitude * np.sin(2.0 * np.pi * grid.x2 / grid.length)
     )
-    return BoussinesqState(dealias(theta), VectorField.zero(grid), 0.0)
+    return BoussinesqState.of(dealias(theta), VectorField.zero(grid))
 
 
 def taylor_green_data(
@@ -539,7 +519,7 @@ def taylor_green_data(
         -u_amplitude * np.cos(kx) * np.sin(ky),
     )
     theta = SpectralField.from_values(grid, theta_amplitude * np.sin(kx))
-    return BoussinesqState(dealias(theta), dealias_vector(u), 0.0)
+    return BoussinesqState.of(dealias(theta), dealias_vector(u))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +529,7 @@ def taylor_green_data(
 class _HermiteTrajectory:
     """Iterate stored at the node times of its step lattice (node 0 at
     t = 0, node i at the end of step i) with its time derivatives, one
-    ``_Stack`` each.
+    ``BoussinesqState`` each.
 
     A read ``at(t)`` finds the step that holds t among the node times and
     interpolates by cubic Hermite over that step's own width, so a
@@ -595,7 +575,7 @@ class _HermiteTrajectory:
 
 def _solve_linear_iterate(
     prev: _HermiteTrajectory,
-    init: _Stack,
+    init: BoussinesqState,
     lattice: list[tuple[float, float]],
     theta_lag: bool,
     r: float,
@@ -606,11 +586,11 @@ def _solve_linear_iterate(
     velocity frozen to the previous iterate and the buoyancy source set
     to the current (or, with ``theta_lag``, the previous) temperature;
     the pressure gradient is refreshed at every substage through the
-    projection.  The state is one ``_Stack`` from ``init`` on, and each
-    stage advects its three rows at once (``_linear_rhs``).  It steps on
-    ``lattice`` (from ``transport._step_lattice``) and checks each step
-    against the CFL bound of the advecting velocity at its start, as
-    ``_direct_step`` does.  The stage-one slope of each step is kept as the
+    projection.  Every node, slope and stage input is a ``BoussinesqState``,
+    and each stage advects its three rows at once (``_linear_rhs``).  It
+    steps from ``init`` (at t = 0) on ``lattice`` (from
+    ``transport._step_lattice``) and checks each step against the CFL
+    bound of the advecting velocity at its start, as ``_direct_step`` does.  The stage-one slope of each step is kept as the
     Hermite derivative at its node.  The previous iterate is read once
     per distinct substage time (rk4 stages 2 and 3 share t + h/2), so the
     values of its velocity are transformed once.  Each node's Cauchy gap
@@ -620,28 +600,27 @@ def _solve_linear_iterate(
     """
     frozen = lru_cache(maxsize=1)(prev.at)
 
-    def rhs(t: float, y: _Stack) -> _Stack:
+    def rhs(t: float, y: BoussinesqState) -> BoussinesqState:
         driver = frozen(t)
-        return _linear_rhs(y, driver.velocity, (driver if theta_lag else y).coeffs[0])
+        return _linear_rhs(y, driver.u, (driver if theta_lag else y).coeffs[0])
 
     gaps = [_gap_norms(init - frozen(0.0), r - 1)]
     nodes = [init]
     slopes = []
-    t = 0.0
     for j, (h, t_end) in enumerate(lattice):
-        _check_cfl(frozen(t).velocity, h, t)
-        y, k1 = _coupled_step(nodes[-1], rhs, t, h)
+        y = nodes[-1]
+        _check_cfl(frozen(y.t).u, h, y.t)
+        y, k1 = _coupled_step(y, rhs, h, t_end)
         nodes.append(y)
         slopes.append(k1)
-        t = t_end
-        gaps.append(_gap_norms(y - frozen(t), r - 1))
+        gaps.append(_gap_norms(y - frozen(t_end), r - 1))
         prev.release(j)
-    slopes.append(rhs(t, nodes[-1]))
+    slopes.append(rhs(nodes[-1].t, nodes[-1]))
     gap_theta, gap_u = (reduce(max, column, 0.0) for column in zip(*gaps))
     return _HermiteTrajectory(lattice, nodes, slopes), gap_theta, gap_u
 
 
-def _gap_norms(diff: _Stack, s: float) -> tuple[float, float]:
+def _gap_norms(diff: BoussinesqState, s: float) -> tuple[float, float]:
     """C^s norms of the temperature and of the velocity of a (theta, u1, u2)
     difference: ``holder_norm`` of its theta row and ``holder_norm_vector``
     of its velocity rows, from one inverse transform per block over all
@@ -652,8 +631,7 @@ def _gap_norms(diff: _Stack, s: float) -> tuple[float, float]:
 
 
 def iterate_scheme(
-    theta0: SpectralField,
-    u0: VectorField,
+    state0: BoussinesqState,
     r: float,
     n_max: int,
     T: float,
@@ -671,48 +649,39 @@ def iterate_scheme(
     steps of dt ending at i*dt, then a remainder step ending at T, each
     checked against the CFL bound, so a (T, dt) means the same here as in
     a direct run; a bad (T, dt) raises ``ValueError`` before any step.
-    Record m carries the gap sup_{t <= T} ||x_m - x_{m-1}||_{C^{r-1}},
-    taken at each node as iterate m makes it (so the run holds about one
-    trajectory, see ``_solve_linear_iterate``), and the ratio to the
-    previous gap.  Stops when the gap drops below tol, after three
-    consecutive ratio > 1 events (non-contraction at this horizon), or
-    at n_max.  The initial theta and u must be dealiased.
+    Every iterate starts at t = 0 (``state0.t`` is not read) from
+    ``state0``, which must be dealiased, truncated as one state.  Record m
+    carries the state of iterate m at T, the gap
+    sup_{t <= T} ||x_m - x_{m-1}||_{C^{r-1}}, taken at each node as iterate
+    m makes it (so the run holds about one trajectory, see
+    ``_solve_linear_iterate``), and the ratio to the previous gap.  Stops
+    when the gap drops below tol, after three consecutive ratio > 1 events
+    (non-contraction at this horizon), or at n_max.
     """
     lattice = _step_lattice(T, dt)
     if r <= 1:
         raise ValueError(f"need r > 1, got {r}")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2 to measure a Cauchy gap, got {n_max}")
-    validate_state(BoussinesqState(theta0, u0))
-    g = theta0.grid
-    if np.max(np.abs(_irfft2(_Stack.of(theta0, u0).coeffs * (1.0 - g.dealias_multiplier), g))) > 1e-13:
+    validate_state(state0)
+    g = state0.grid
+    if np.max(np.abs(_irfft2(state0.coeffs * (1.0 - g.dealias_multiplier), g))) > 1e-13:
         raise ValueError("initial data must be dealiased")
-    q_max = build_partition(g).q_max
+    part = build_partition(g)
 
     # iterate 1 is constant in time: one node with a zero slope
-    start = _Stack.of(low_pass(2, theta0), low_pass_vector(2, u0))
-    current = _HermiteTrajectory([], [start], [_Stack(start.grid, np.zeros_like(start.coeffs))])
+    start = BoussinesqState(g, state0.coeffs * part.lowpass_multiplier(2))
+    current = _HermiteTrajectory([], [start], [BoussinesqState(g, np.zeros_like(start.coeffs))])
     records: list[IterationRecord] = []
     prev_gap: float | None = None
     rising = 0
 
     for m in range(2, n_max + 1):
-        level = min(m + 1, q_max + 1)
-        init = _Stack.of(low_pass(level, theta0), low_pass_vector(level, u0))
+        init = BoussinesqState(g, state0.coeffs * part.lowpass_multiplier(min(m + 1, part.q_max + 1)))
         new, gap_theta, gap_u = _solve_linear_iterate(current, init, lattice, theta_lag, r)
         gap = max(gap_theta, gap_u)
         ratio = (gap / prev_gap) if (prev_gap is not None and prev_gap > 1e-14) else None
-        final = new.at(new.times[-1])
-        records.append(
-            IterationRecord(
-                n=m,
-                theta_n=final.theta,
-                u_n=final.velocity,
-                cauchy_gap_theta=gap_theta,
-                cauchy_gap_u=gap_u,
-                ratio=ratio,
-            )
-        )
+        records.append(IterationRecord(m, new.at(new.times[-1]), gap_theta, gap_u, ratio))
         current = new
         if gap < tol:
             break
@@ -756,30 +725,29 @@ def uniqueness_probe(
     """Twin-run divergence curves for theta-only perturbations, one per eps.
 
     The perturbation direction is a fixed synthesized field (seed 7)
-    with unit C^{r-1} norm.  One unperturbed reference run advances in
-    lockstep with every perturbed run on ``transport._step_lattice``, the
-    lattice of ``run_direct``, so each curve ends at T.  The gaps to the
-    reference are measured in C^{r-1} at t = 0 and after every step.  A
-    bad (T, dt) raises ``ValueError`` and a bad initial state the
+    with unit C^{r-1} norm.  One unperturbed reference run, ``state0``
+    itself, advances in lockstep with every perturbed run on
+    ``transport._step_lattice``, the lattice of ``run_direct``, so each
+    curve ends at ``state0.t`` + T.  The gaps to the reference are
+    measured in C^{r-1} at the start and after every step.  A bad (T, dt)
+    or r <= 1 raises ``ValueError``, and a bad initial state the
     ``ValueError`` of ``run_direct``, before any step.
     """
-    lattice = _step_lattice(T, dt)
+    lattice = _step_lattice(T, dt, state0.t)
+    if r <= 1:
+        raise ValueError(f"need r > 1, got {r}")
     validate_state(state0)
     direction = synthesize_holder_field(state0.grid, r - 1.0, 1.0, seed=7)
-    ref = _Stack.of(state0.theta, state0.u)
-    runs = [_Stack.of(state0.theta + eps * direction, state0.u) for eps in eps_values]
-
-    def gaps(b: _Stack) -> tuple[float, float]:
-        return _gap_norms(ref - b, r - 1.0)
-
-    times = [0.0]
-    sampled = [[gaps(b)] for b in runs]
+    ref = state0
+    runs = [BoussinesqState.of(state0.theta + eps * direction, state0.u, state0.t) for eps in eps_values]
+    times = [state0.t]
+    sampled = [[_gap_norms(ref - b, r - 1.0)] for b in runs]
     for h, t in lattice:
-        ref = _direct_step(ref, t - h, h, True)
-        runs = [_direct_step(b, t - h, h, True) for b in runs]
+        ref = _direct_step(ref, h, t, True)
+        runs = [_direct_step(b, h, t, True) for b in runs]
         times.append(t)
         for curve, b in zip(sampled, runs):
-            curve.append(gaps(b))
+            curve.append(_gap_norms(ref - b, r - 1.0))
     return [
         ProbeCurve(eps, list(times), *(list(g) for g in zip(*curve)))
         for eps, curve in zip(eps_values, sampled)

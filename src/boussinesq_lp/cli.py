@@ -291,7 +291,7 @@ def _initial_state(config: RunConfig) -> bq.BoussinesqState:
         return bq.taylor_green_data(grid, config.amplitude, config.theta_amplitude)
     theta = bq.synthesize_holder_field(grid, config.r, config.theta_amplitude, config.seed)
     u = bq.synthesize_divfree_velocity(grid, config.r, config.amplitude, config.seed + 1)
-    return bq.BoussinesqState(theta, u, 0.0)
+    return bq.BoussinesqState.of(theta, u)
 
 
 def _out(config: RunConfig, name: str) -> Path:
@@ -330,9 +330,8 @@ def _cmd_solve(config: RunConfig) -> str:
 
 
 def _cmd_iterate(config: RunConfig) -> str:
-    state0 = _initial_state(config)
     records = bq.iterate_scheme(
-        state0.theta, state0.u, config.r, config.n_max, config.T, config.dt, config.tol,
+        _initial_state(config), config.r, config.n_max, config.T, config.dt, config.tol,
         theta_lag=bool(config.theta_lag),
     )
     fileio.iterations_to_csv(_out(config, "iterations.csv"), records)

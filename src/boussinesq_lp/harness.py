@@ -345,7 +345,7 @@ def _coupled_runs(corpus: CorpusSpec, n: int):
             for r in DYNAMIC_R_VALUES:  # the random data are drawn at r
                 theta0 = synthesize_holder_field(grid, r, 0.3, 61_000)
                 u0 = synthesize_divfree_velocity(grid, r, 0.5, 62_000)
-                runs.append((r, "random", run_direct(BoussinesqState(theta0, u0, 0.0), T, 2e-3, r)[1]))
+                runs.append((r, "random", run_direct(BoussinesqState.of(theta0, u0), T, 2e-3, r)[1]))
         return sorted(runs, key=lambda run: run[0])  # stable: labels keep their order
     return _cached(("coupled", corpus, n), build)
 

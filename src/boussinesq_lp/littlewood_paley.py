@@ -31,12 +31,13 @@ a grid has exactly one partition, so none of them takes one as an argument.
 
 Every block norm ||D_q f||_p (inhomogeneous, homogeneous, any p) comes
 from one private kernel, ``_block_norms``: one inverse transform per
-block multiplier over every row of a field or of a (theta, u1, u2)
-stack, and no field built.  Finite p is scaled by the block sup (no p-th
-power under- or overflows) and computed afresh on every call.  The block
-sups do not depend on the smoothness index: each field, and each stack
-whose gaps ``boussinesq`` takes, caches them (next to the values cache of
-``spectral``), each block transformed at most once, over every row.
+block multiplier over every row of a field or of the (theta, u1, u2)
+coefficients of a ``BoussinesqState``, and no field built.  Finite p is
+scaled by the block sup (no p-th power under- or overflows) and computed
+afresh on every call.  The block sups do not depend on the smoothness
+index: each field, and each state whose gaps ``boussinesq`` takes, caches
+them (next to the values cache of ``spectral``), each block transformed
+at most once, over every row.
 ``besov_norm`` at p = inf fills the blocks still missing; the Hoelder
 norms (``_holder_rows``) only those whose l1 bound B_q >= ||D_q f||_inf
 can still set the norm, for the full profile's value bit for bit.  Each
@@ -70,7 +71,6 @@ __all__ = [
     "build_partition",
     "block",
     "low_pass",
-    "low_pass_vector",
     "holder_norm",
     "besov_norm",
     "holder_norm_vector",
@@ -199,10 +199,6 @@ def low_pass(q: int, f: SpectralField) -> SpectralField:
     return f.multiplied(build_partition(f.grid).lowpass_multiplier(q))
 
 
-def low_pass_vector(q: int, w: VectorField) -> VectorField:
-    return VectorField(low_pass(q, w.u1), low_pass(q, w.u2))
-
-
 @dataclass
 class BesovReport:
     """Per-block norms and the assembled (in)homogeneous Besov norm.
@@ -262,7 +258,7 @@ def _assemble(entries: list[tuple[int, float]], s: float, q_index: float) -> flo
 
 def _block_norms(f, multipliers, p: float) -> np.ndarray:
     """||m f||_p for each multiplier m (axis 0) and every row of f, a field
-    or a (grid, coeffs) stack (the other axes): one inverse transform per
+    or a ``BoussinesqState`` (the other axes): one inverse transform per
     multiplier over every row, through work arrays of the grid, no field built.
     p = inf takes the sup M of each row, finite p the quadrature
     M (sum (|f|/M)^p (L/n)^2)^(1/p) (M itself when M is 0, inf or NaN)."""
@@ -287,8 +283,9 @@ def _profile(f: SpectralField, p: float) -> list[tuple[int, float]]:
 
 
 def _block_sups(x, blocks=()) -> tuple[np.ndarray, np.ndarray]:
-    """The sup cache on a field or stack x: its (q_max + 2, rows) block sups and
-    which are filled, after transforming each block of ``blocks`` still missing."""
+    """The sup cache on a field or ``BoussinesqState`` x: its (q_max + 2, rows)
+    block sups and which are filled, after transforming each block of
+    ``blocks`` still missing."""
     part = build_partition(x.grid)
     cache = x.__dict__.get("_block_sups")
     if cache is None:
@@ -324,7 +321,7 @@ def _sup_profile(f: SpectralField) -> tuple[tuple[int, float], ...]:
 
 def _holder_rows(x, r: float) -> list[float]:
     """``_assemble`` at s = r, index inf, of the block sups of every row of x
-    (a field or a (k, n, n//2 + 1) stack): the C^r norm of each row.
+    (a field or a ``BoussinesqState``): the C^r norm of each row.
 
     While a row's running max M (over its cached blocks, from 0) is below
     2^{qr} (B_q (1 + 1e-9) + tiny) for an uncached block with B_q > 0, the

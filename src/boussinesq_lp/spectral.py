@@ -53,7 +53,7 @@ of the tests wrap ``np.fft.rfft2`` and ``np.fft.irfft``, one call per
 transform.  A call may cover a stack of fields along leading axes, each
 row transformed bit for bit as on its own, so the Tier-1 counters count
 calls and fields (the product of the leading axes).  The linearized
-iterate of ``boussinesq`` advects its (theta, u1, u2) stack with
+iterate of ``boussinesq`` advects the (theta, u1, u2) rows of its states with
 ``_advect_rows``, of which ``advect`` is the one-field case.
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
@@ -435,7 +435,7 @@ def _gradient_part(
     """The k (x) k / |k|^2 multiplier on the coefficient arrays (c1, c2) of
     grid g, written into (out1, out2), which must not be c1 or c2: the
     arithmetic of ``grad_inv_laplacian_div``, which ``leray_project`` and
-    the stacks of ``boussinesq`` share."""
+    the states of ``boussinesq`` share."""
     s = np.multiply(g.leray_k1, c1, out=g.work("gradient_part", g.spectral_shape))
     s += np.multiply(g.leray_k2, c2, out=out1)
     s /= g.leray_ksq

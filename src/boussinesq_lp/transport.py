@@ -79,8 +79,9 @@ def rk4(
     y: _State, rhs: Callable[[float, _State], _State], t: float, h: float
 ) -> tuple[_State, _State]:
     """One classical RK4 step of dy/dt = rhs(t, y) for one state y: a
-    ``SpectralField``, or the (theta, u1, u2) stack of a coupled run.
-    Both are built as ``type(y)(grid, coeffs)``.
+    ``SpectralField``, or the ``BoussinesqState`` of a coupled run.  Both
+    are built as ``type(y)(grid, coeffs)``, so the stage inputs and the
+    result of a coupled step are states too, at the default time.
 
     The stage inputs y + c*k and the combination
     y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4) are formed on the coefficients,

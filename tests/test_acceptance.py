@@ -214,7 +214,7 @@ def test_10_iteration_contraction(small_data, reports):
     r, dt, tol = 1.5, 2e-3, 1e-13
     thresholds = harness.compute_thresholds(theta0, u0, r, reports)
     T = thresholds.t_star / 2.0
-    records = bq.iterate_scheme(theta0, u0, r, 25, T, dt, tol)
+    records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), r, 25, T, dt, tol)
 
     gaps = [max(rec.cauchy_gap_theta, rec.cauchy_gap_u) for rec in records]
     tail = [g for rec, g in zip(records, gaps) if rec.n >= 3]
@@ -222,10 +222,10 @@ def test_10_iteration_contraction(small_data, reports):
     summary = harness.contraction_report(records)
     rho_ok = summary.converged or (summary.rho is not None and summary.rho <= 0.8)
 
-    final, _ = bq.run_direct(bq.BoussinesqState(theta0, u0, 0.0), T, dt, r)
+    final, _ = bq.run_direct(bq.BoussinesqState.of(theta0, u0), T, dt, r)
     limit_dist = max(
-        holder_norm(records[-1].theta_n - final.theta, r - 1),
-        holder_norm_vector(records[-1].u_n - final.u, r - 1),
+        holder_norm(records[-1].state.theta - final.theta, r - 1),
+        holder_norm_vector(records[-1].state.u - final.u, r - 1),
     )
     runtime = time.perf_counter() - t0
     ok = (

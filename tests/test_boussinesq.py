@@ -1,5 +1,6 @@
 """Coupled solver: pressure, conservation, iteration, monitor, probes."""
 
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -14,7 +15,6 @@ from boussinesq_lp.littlewood_paley import (
     holder_norm,
     holder_norm_vector,
     low_pass,
-    low_pass_vector,
 )
 from boussinesq_lp.spectral import (
     SpectralField,
@@ -45,14 +45,36 @@ class TestSelfAdvection:
             u = bq.taylor_green_data(grid, 1.0, 0.0).u
         else:
             u = bq.synthesize_divfree_velocity(grid, 1.5, 1.0, 5)
-        slope = bq._rhs(bq._Stack.of(SpectralField.zero(grid), u), buoyancy=False).velocity
+        slope = bq._rhs(bq.BoussinesqState.of(SpectralField.zero(grid), u), buoyancy=False).u
         advective = advect_vector(u, u)
         assert vec_linf(slope + leray_project(advective)) / vec_linf(advective) < 1e-12
         for c in (slope.u1, slope.u2):
             assert np.all(c.coeffs[~grid.dealias_mask] == 0.0)
 
 
+class TestState:
+    """``BoussinesqState``: the (theta, u1, u2) coefficients as one array."""
+
+    @pytest.mark.parametrize("shape", ["two rows", "full spectrum"])
+    def test_rejects_a_coefficient_array_of_another_shape(self, shape):
+        grid = make_grid(16)
+        coeffs = np.zeros((2, *grid.spectral_shape) if shape == "two rows" else (3, 16, 16), complex)
+        want = re.escape(f"{coeffs.shape} does not match the state shape {(3, 16, 9)}")
+        with pytest.raises(ValueError, match=want):
+            bq.BoussinesqState(grid, coeffs)
+
+
 class TestDirectRun:
+    def test_every_state_views_its_own_coeffs_at_its_lattice_time(self):
+        grid = make_grid(32)
+        seen = []
+        final, _ = bq.run_direct(bq.taylor_green_data(grid, 1.0, 0.05), 0.007, 2e-3, 1.5, on_step=seen.append)
+        assert seen[-1] is final
+        assert [s.t for s in seen] == [0.0] + [t for _, t in transport._step_lattice(0.007, 2e-3)]
+        for s in seen:
+            for field in (s.theta, s.u.u1, s.u.u2):
+                assert np.shares_memory(field.coeffs, s.coeffs)
+
     def test_hydrostatic_steady_state_short(self, grid64):
         state0 = bq.hydrostatic_data(grid64)
         final, record = bq.run_direct(state0, 0.5, 0.02, 1.5)
@@ -99,7 +121,7 @@ class TestDirectRun:
     def test_time_reversal(self, grid64):
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         forward, _ = bq.run_direct(state0, 0.25, 1e-3, 1.5)
-        turned = bq.BoussinesqState(forward.theta, -forward.u, 0.0)
+        turned = bq.BoussinesqState.of(forward.theta, -forward.u)
         back, _ = bq.run_direct(turned, 0.25, 1e-3, 1.5)
         assert linf_norm(back.theta - state0.theta) < 1e-6
         assert vec_linf(back.u + state0.u) < 1e-6
@@ -125,31 +147,29 @@ class TestDirectRun:
         T = 0.4
 
         def final(steps):
-            y = bq._Stack.of(state0.theta, state0.u)
+            y = state0
             for i in range(steps):
-                y = bq._direct_step(y, i * T / steps, T / steps, True)
+                y = bq._direct_step(y, T / steps, (i + 1) * T / steps, True)
             return y
 
         ref = final(256)
         errors = []
         for steps in (8, 16, 32, 64):
             s = final(steps)
-            errors.append(max(linf_norm(s.theta - ref.theta), vec_linf(s.velocity - ref.velocity)))
+            errors.append(max(linf_norm(s.theta - ref.theta), vec_linf(s.u - ref.u)))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(14.0 <= q <= 18.0 for q in ratios), ratios
 
     def test_nan_detection(self, grid64):
         bad = SpectralField.zero(grid64).coeffs.copy()
         bad[1, 1] = np.nan
-        state = bq.BoussinesqState(
-            SpectralField(grid64, bad), VectorField.zero(grid64), 0.0
-        )
+        state = bq.BoussinesqState.of(SpectralField(grid64, bad), VectorField.zero(grid64))
         with pytest.raises(bq.NumericsError):
-            bq._direct_step(bq._Stack.of(state.theta, state.u), 0.0, 1e-3, True)
+            bq._direct_step(state, 1e-3, 1e-3, True)
 
     def test_rejects_non_mean_zero(self, grid64):
         theta = SpectralField.from_values(grid64, np.full((64, 64), 1.0))
-        state = bq.BoussinesqState(theta, VectorField.zero(grid64), 0.0)
+        state = bq.BoussinesqState.of(theta, VectorField.zero(grid64))
         with pytest.raises(ValueError):
             bq.run_direct(state, 0.1, 1e-3, 1.5)
 
@@ -158,9 +178,9 @@ class TestDirectRun:
         theta0 = bq.synthesize_holder_field(grid64, 1.5, 0.05, 1)
         u0 = bq.synthesize_divfree_velocity(make_grid(64, 1.9 * np.pi), 1.5, 0.05, 2)
         with pytest.raises(ValueError, match="fields live on different grids"):
-            bq.BoussinesqState(theta0, u0)
+            bq.BoussinesqState.of(theta0, u0)
         with pytest.raises(ValueError, match="fields live on different grids"):
-            bq.iterate_scheme(theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30)
+            bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 3, 0.006, 2e-3, 1e-30)
 
 
 class TestIterationScheme:
@@ -174,15 +194,15 @@ class TestIterationScheme:
             SpectralField(grid64, -1j * grid64.k2 * psi.coeffs),
             SpectralField(grid64, 1j * grid64.k1 * psi.coeffs),
         )
-        assert rel_linf(low_pass_vector(2, u0).u1, u0.u1) < 1e-14
+        assert rel_linf(low_pass(2, u0.u1), u0.u1) < 1e-14
         theta0 = SpectralField.zero(grid64)
-        records = bq.iterate_scheme(theta0, u0, 1.5, 6, 0.02, 2e-3, 1e-13)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 6, 0.02, 2e-3, 1e-13)
         for rec in records:
-            assert linf_norm(rec.theta_n) == 0.0
+            assert linf_norm(rec.state.theta) == 0.0
 
     def test_small_data_contraction(self, small_data):
         theta0, u0 = small_data
-        records = bq.iterate_scheme(theta0, u0, 1.5, 20, 0.01, 2e-3, 1e-13)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 20, 0.01, 2e-3, 1e-13)
         assert len(records) >= 3
         gaps = [max(r.cauchy_gap_theta, r.cauchy_gap_u) for r in records]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -193,7 +213,7 @@ class TestIterationScheme:
         # terminal ratio comfortably below 0.8
         theta0 = bq.synthesize_holder_field(grid64, 1.5, 0.1, 1)
         u0 = bq.synthesize_divfree_velocity(grid64, 1.5, 0.1, 2)
-        records = bq.iterate_scheme(theta0, u0, 1.5, 15, 0.2, 2e-3, 1e-13)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 15, 0.2, 2e-3, 1e-13)
         gaps = [max(r.cauchy_gap_theta, r.cauchy_gap_u) for r in records]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         terminal_ratios = [r.ratio for r in records if r.ratio is not None]
@@ -202,14 +222,14 @@ class TestIterationScheme:
     def test_theta_lag_variant_runs(self, small_data):
         theta0, u0 = small_data
         records = bq.iterate_scheme(
-            theta0, u0, 1.5, 8, 0.01, 2e-3, 1e-10, theta_lag=True
+            bq.BoussinesqState.of(theta0, u0), 1.5, 8, 0.01, 2e-3, 1e-10, theta_lag=True
         )
         gaps = [max(r.cauchy_gap_theta, r.cauchy_gap_u) for r in records]
         assert gaps[-1] < gaps[0]
 
     def test_ratio_only_after_measurable_gap(self, small_data):
         theta0, u0 = small_data
-        records = bq.iterate_scheme(theta0, u0, 1.5, 10, 0.01, 2e-3, 1e-13)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 10, 0.01, 2e-3, 1e-13)
         assert records[0].ratio is None
         for rec in records[1:]:
             assert rec.ratio is None or rec.ratio >= 0.0
@@ -217,13 +237,13 @@ class TestIterationScheme:
     def test_rejects_bad_inputs(self, grid64, small_data):
         theta0, u0 = small_data
         with pytest.raises(ValueError):
-            bq.iterate_scheme(theta0, u0, 0.9, 5, 0.01, 2e-3, 1e-10)
+            bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 0.9, 5, 0.01, 2e-3, 1e-10)
         with pytest.raises(ValueError):
-            bq.iterate_scheme(theta0, u0, 1.5, 1, 0.01, 2e-3, 1e-10)
+            bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 1, 0.01, 2e-3, 1e-10)
         # mean-zero, so only the dealias check can reject it
         aliased_theta = theta0 + SpectralField.from_values(grid64, 1e-3 * np.cos(30 * grid64.x1))
         with pytest.raises(ValueError, match="must be dealiased"):
-            bq.iterate_scheme(aliased_theta, u0, 1.5, 5, 0.01, 2e-3, 1e-10)
+            bq.iterate_scheme(bq.BoussinesqState.of(aliased_theta, u0), 1.5, 5, 0.01, 2e-3, 1e-10)
         # mean-zero and divergence-free, with a mode |k| = 30 > n/3: its
         # alias residual is 0.03
         psi = SpectralField.from_values(
@@ -231,13 +251,13 @@ class TestIterationScheme:
         )
         aliased_u = VectorField(-derivative(psi, 2), derivative(psi, 1))
         with pytest.raises(ValueError, match="must be dealiased"):
-            bq.iterate_scheme(theta0, aliased_u, 1.5, 5, 0.01, 2e-3, 1e-10)
+            bq.iterate_scheme(bq.BoussinesqState.of(theta0, aliased_u), 1.5, 5, 0.01, 2e-3, 1e-10)
 
     def test_cfl_violation(self, grid64):
         # unit-speed vortex: the bound is 0.5 * dx = 0.049
         state0 = bq.taylor_green_data(grid64, 1.0, 0.05)
         with pytest.raises(CFLViolation):
-            bq.iterate_scheme(state0.theta, state0.u, 1.5, 5, 0.4, 0.2, 1e-10)
+            bq.iterate_scheme(state0, 1.5, 5, 0.4, 0.2, 1e-10)
 
     def test_same_dt_same_cfl_verdict_as_direct_run(self, grid64):
         # amplitude 27: the bound is 0.5 * dx / 27 = 1.82e-3 < dt; T/dt = 2.5
@@ -245,7 +265,7 @@ class TestIterationScheme:
         with pytest.raises(CFLViolation):
             bq.run_direct(state0, 0.005, 2e-3, 1.5)
         with pytest.raises(CFLViolation):
-            bq.iterate_scheme(state0.theta, state0.u, 1.5, 6, 0.005, 2e-3, 1e-13)
+            bq.iterate_scheme(state0, 1.5, 6, 0.005, 2e-3, 1e-13)
 
     def test_iterates_step_on_the_direct_lattice(self, small_data, monkeypatch):
         # T/dt = 3.65: three steps of dt and a remainder step ending at T
@@ -253,12 +273,12 @@ class TestIterationScheme:
         steps = []
         coupled_step = bq._coupled_step
 
-        def recorded(y, rhs, t, h):
-            steps.append((t, h))
-            return coupled_step(y, rhs, t, h)
+        def recorded(y, rhs, h, t_end):
+            steps.append((y.t, h))
+            return coupled_step(y, rhs, h, t_end)
 
         monkeypatch.setattr(bq, "_coupled_step", recorded)
-        records = bq.iterate_scheme(theta0, u0, 1.5, 3, 0.0073, 2e-3, 1e-30)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 3, 0.0073, 2e-3, 1e-30)
         lattice = [(0.0, 2e-3), (2e-3, 2e-3), (4e-3, 2e-3), (6e-3, 0.0073 - 3 * 2e-3)]
         assert len(records) == 2
         assert steps == 2 * lattice
@@ -271,7 +291,7 @@ class TestIterationScheme:
         grid = make_grid(32)
         theta0 = bq.synthesize_holder_field(grid, 1.5, 0.05, 1)
         u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
-        args = (theta0, u0, 1.5, 4, 20 * 2e-3, 2e-3, 1e-30)
+        args = (bq.BoussinesqState.of(theta0, u0), 1.5, 4, 20 * 2e-3, 2e-3, 1e-30)
         bq.iterate_scheme(*args)  # builds the grid's tables and work arrays
         tracemalloc.start()
         try:
@@ -291,17 +311,22 @@ def _parent_linear_iterate(prev, init, lattice, theta_lag):
 
     def rhs(t, y):
         advecting = frozen(t)
-        return bq._linear_rhs(y, advecting.velocity, (advecting if theta_lag else y).coeffs[0])
+        return bq._linear_rhs(y, advecting.u, (advecting if theta_lag else y).coeffs[0])
 
     nodes, slopes, t = [init], [], 0.0
     for h, t_end in lattice:
-        transport._check_cfl(frozen(t).velocity, h, t)
-        y, k1 = bq._coupled_step(nodes[-1], rhs, t, h)
+        transport._check_cfl(frozen(t).u, h, t)
+        y, k1 = bq._coupled_step(nodes[-1], rhs, h, t_end)
         nodes.append(y)
         slopes.append(k1)
         t = t_end
     slopes.append(rhs(t, nodes[-1]))
     return bq._HermiteTrajectory(lattice, nodes, slopes)
+
+
+def _low_pass_state(level, theta0, u0):
+    """The iterate's data truncated at ``level`` field by field."""
+    return bq.BoussinesqState.of(low_pass(level, theta0), VectorField(low_pass(level, u0.u1), low_pass(level, u0.u2)))
 
 
 def _parent_gaps(theta0, u0, r, n_max, T, dt, theta_lag):
@@ -310,12 +335,12 @@ def _parent_gaps(theta0, u0, r, n_max, T, dt, theta_lag):
     its node times with both trajectories kept; no stop rule."""
     lattice = transport._step_lattice(T, dt)
     q_max = build_partition(theta0.grid).q_max
-    start = bq._Stack.of(low_pass(2, theta0), low_pass_vector(2, u0))
+    start = _low_pass_state(2, theta0, u0)
     current = bq._HermiteTrajectory([], [start], [0.0 * start])
     out, prev_gap = [], None
     for m in range(2, n_max + 1):
         level = min(m + 1, q_max + 1)
-        init = bq._Stack.of(low_pass(level, theta0), low_pass_vector(level, u0))
+        init = _low_pass_state(level, theta0, u0)
         new = _parent_linear_iterate(current, init, lattice, theta_lag)
         gap_theta = gap_u = 0.0
         for t in new.times:
@@ -342,20 +367,19 @@ class TestStreamedGaps:
     @pytest.mark.parametrize("T", [0.006, 0.0073, 0.0])  # T/dt = 3, 3.65 and 0
     def test_gaps_match_the_two_pass_measurement(self, small_data, T, theta_lag):
         theta0, u0 = small_data
-        records = bq.iterate_scheme(theta0, u0, 1.5, 5, T, 2e-3, 1e-30, theta_lag=theta_lag)
+        records = bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 5, T, 2e-3, 1e-30, theta_lag=theta_lag)
         want = _parent_gaps(theta0, u0, 1.5, 5, T, 2e-3, theta_lag)
         # at T = 0 the gap of iterate 3 is 0, below tol
         assert len(records) == (2 if T == 0.0 else 4)
         for rec, (gap_theta, gap_u, ratio, final) in zip(records, want):
             got = (rec.cauchy_gap_theta, rec.cauchy_gap_u, rec.ratio)
             assert tuple(map(_hex, got)) == tuple(map(_hex, (gap_theta, gap_u, ratio)))
-            stack = bq._Stack.of(rec.theta_n, rec.u_n)
-            assert np.array_equal(stack.coeffs.view(np.uint64), final.coeffs.view(np.uint64))
+            assert np.array_equal(rec.state.coeffs.view(np.uint64), final.coeffs.view(np.uint64))
 
     def test_next_iterate_releases_the_steps_it_passed(self, small_data):
         theta0, u0 = small_data
         lattice = transport._step_lattice(0.0073, 2e-3)
-        start = bq._Stack.of(theta0, u0)
+        start = bq.BoussinesqState.of(theta0, u0)
         constant = bq._HermiteTrajectory([], [start], [0.0 * start])
         prev = bq._solve_linear_iterate(constant, start, lattice, False, 1.5)[0]
         assert constant.at(0.0) is start  # a one-node trajectory releases nothing
@@ -403,9 +427,9 @@ class TestStack:
         u = bq.synthesize_divfree_velocity(grid64, 1.5, 0.5, 72)
         v = bq.synthesize_divfree_velocity(grid64, 1.5, 1.0, 73)
         source = bq.synthesize_holder_field(grid64, 1.5, 0.5, 74)
-        slope = bq._linear_rhs(bq._Stack.of(theta, u), v, source.coeffs)
+        slope = bq._linear_rhs(bq.BoussinesqState.of(theta, u), v, source.coeffs)
         m = advect_vector(v, u)
-        expected = bq._Stack.of(-advect(v, theta), leray_project(VectorField(-m.u1, source - m.u2)))
+        expected = bq.BoussinesqState.of(-advect(v, theta), leray_project(VectorField(-m.u1, source - m.u2)))
         assert np.array_equal(slope.coeffs.view(np.uint64), expected.coeffs.view(np.uint64))
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -413,19 +437,19 @@ class TestStack:
     def test_direct_step_matches_per_field_rk4(self, n, buoyancy):
         grid = make_grid(n)
         tg = bq.taylor_green_data(grid, 1.0, 0.5)
-        state = bq.BoussinesqState(
+        state = bq.BoussinesqState.of(
             tg.theta + bq.synthesize_holder_field(grid, 1.5, 0.1, 75),
             tg.u + bq.synthesize_divfree_velocity(grid, 1.5, 0.1, 76),
         )
-        stepped = bq._direct_step(bq._Stack.of(state.theta, state.u), 0.0, 2e-3, buoyancy)
+        stepped = bq._direct_step(state, 2e-3, 2e-3, buoyancy)
         theta, u = _per_field_step(state.theta, state.u, 2e-3, buoyancy)
-        for got, want in zip((stepped.theta, stepped.velocity.u1, stepped.velocity.u2), (theta, u.u1, u.u2)):
+        for got, want in zip((stepped.theta, stepped.u.u1, stepped.u.u2), (theta, u.u1, u.u2)):
             assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
 
     def test_gap_norms_are_the_holder_norms_of_the_difference(self, grid64):
         a = bq.taylor_green_data(grid64, 1.0, 0.05)
         b = bq.taylor_green_data(grid64, 0.9, 0.04)
-        gaps = bq._gap_norms(bq._Stack.of(a.theta, a.u) - bq._Stack.of(b.theta, b.u), 0.5)
+        gaps = bq._gap_norms(a - b, 0.5)
         assert gaps == (holder_norm(a.theta - b.theta, 0.5), holder_norm_vector(a.u - b.u, 0.5))
 
 
@@ -444,7 +468,7 @@ class TestHermiteTrajectory:
     def trajectory(self, grid):
         f = SpectralField.from_values(grid, np.sin(grid.x1))
         w = VectorField(f, -f)
-        state = bq._Stack.of(f, w)
+        state = bq.BoussinesqState.of(f, w)
         lattice = transport._step_lattice(0.0073, 2e-3)
         times = [0.0] + [t for _, t in lattice]
         nodes = [self.cubic(t) * state for t in times]
@@ -456,7 +480,7 @@ class TestHermiteTrajectory:
         assert traj.times == [0.0, 2e-3, 4e-3, 6e-3, 0.0073]
         for t, node in zip(traj.times, nodes):
             assert traj.at(t) is node
-            assert traj.at(t).velocity is node.velocity
+            assert traj.at(t).u is node.u
         # an rk4 stage time t + h can round to either side of the next node
         for t in (4e-3 * (1.0 - 1e-15), 4e-3 * (1.0 + 1e-15)):
             assert t != 4e-3 and traj.at(t) is nodes[2]
@@ -466,11 +490,11 @@ class TestHermiteTrajectory:
         f, w, traj, _ = self.trajectory(make_grid(16))
         scale = self.cubic(t)
         assert rel_linf(traj.at(t).theta, scale * f) < 1e-13
-        assert rel_linf(traj.at(t).velocity.u2, scale * w.u2) < 1e-13
+        assert rel_linf(traj.at(t).u.u2, scale * w.u2) < 1e-13
 
     def test_one_node_is_constant(self, grid64):
         f = SpectralField.from_values(grid64, np.sin(grid64.x1))
-        node = bq._Stack.of(f, VectorField(f, f))
+        node = bq.BoussinesqState.of(f, VectorField(f, f))
         traj = bq._HermiteTrajectory([], [node], [0.0 * node])
         assert traj.times == [0.0]
         traj.release(0)  # a constant trajectory keeps its one node
@@ -503,7 +527,7 @@ BAD_T_DT = [
 INTEGRATORS = {
     "run_direct": lambda s, T, dt: bq.run_direct(s, T, dt, 1.5),
     "uniqueness_probe": lambda s, T, dt: bq.uniqueness_probe(s, [1e-4], T, dt, 1.5),
-    "iterate_scheme": lambda s, T, dt: bq.iterate_scheme(s.theta, s.u, 1.5, 3, T, dt, 1e-13),
+    "iterate_scheme": lambda s, T, dt: bq.iterate_scheme(s, 1.5, 3, T, dt, 1e-13),
     "transport.solve": lambda s, T, dt: transport.solve(
         transport.TransportProblem(s.theta, s.u, T, dt)
     ),
@@ -669,19 +693,31 @@ class TestUniquenessProbe:
         with pytest.raises(CFLViolation):
             bq.uniqueness_probe(state0, [1e-4], 0.4, 0.2, 1.5)
 
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_rejects_r_at_most_one_before_any_synthesis(self, r, monkeypatch):
+        # the gaps are taken in C^{r-1}: the message names the caller's r
+        state0 = bq.taylor_green_data(make_grid(32), 1.0, 0.05)
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("the probe synthesized a direction for a bad r")
+
+        monkeypatch.setattr(bq, "synthesize_holder_field", no_synthesis)
+        with pytest.raises(ValueError, match=re.escape(f"need r > 1, got {r}")):
+            bq.uniqueness_probe(state0, [1e-3], 0.01, 1e-3, r)
+
     @pytest.mark.parametrize("defect", ["theta mean", "compressible u"])
     def test_rejects_invalid_initial_state(self, grid64, defect):
         # the checks of run_direct, before any step
         state0 = bq.taylor_green_data(grid64, 0.5, 0.02)
         if defect == "theta mean":
             lifted = state0.theta + SpectralField.from_values(grid64, np.full((64, 64), 0.3))
-            bad, message = bq.BoussinesqState(lifted, state0.u), "theta must be mean-zero"
+            bad, message = bq.BoussinesqState.of(lifted, state0.u), "theta must be mean-zero"
         else:
             rng = np.random.default_rng(3)
             u = VectorField.from_values(grid64, *rng.standard_normal((2, 64, 64)))
             u = u - VectorField.from_values(grid64, np.full((64, 64), u.u1.mean()),
                                             np.full((64, 64), u.u2.mean()))
-            bad, message = bq.BoussinesqState(state0.theta, u), "divergence-free"
+            bad, message = bq.BoussinesqState.of(state0.theta, u), "divergence-free"
         with pytest.raises(ValueError, match=message):
             bq.run_direct(bad, 0.01, 2e-3, 1.5)
         with pytest.raises(ValueError, match=message):

@@ -310,13 +310,12 @@ class TestThresholds:
 
 def _records_from_gaps(gaps):
     grid = make_grid(16, 2 * np.pi)
-    zero_t = SpectralField.zero(grid)
-    zero_u = VectorField.zero(grid)
+    zero = bq.BoussinesqState.of(SpectralField.zero(grid), VectorField.zero(grid))
     records = []
     prev = None
     for i, gap in enumerate(gaps):
         ratio = None if prev is None or prev <= 1e-14 else gap / prev
-        records.append(bq.IterationRecord(i + 2, zero_t, zero_u, gap, gap, ratio))
+        records.append(bq.IterationRecord(i + 2, zero, gap, gap, ratio))
         prev = gap
     return records
 

@@ -23,7 +23,7 @@ from boussinesq_lp.littlewood_paley import (
     holder_norm_vector,
     low_pass,
 )
-from boussinesq_lp.boussinesq import _Stack, synthesize_divfree_velocity, synthesize_holder_field
+from boussinesq_lp.boussinesq import BoussinesqState, synthesize_divfree_velocity, synthesize_holder_field
 from boussinesq_lp.spectral import (
     SpectralField,
     VectorField,
@@ -292,7 +292,7 @@ class TestBlockProfileCache:
         rows = parts[0] + 1j * parts[1]
         assert np.signbit(rows.real[rows.real == 0.0]).any()
         part = build_partition(grid)
-        norms = lp._block_norms(_Stack(grid, rows), part.blocks, p)
+        norms = lp._block_norms(BoussinesqState(grid, rows), part.blocks, p)
         q_max = part.q_max
         assert norms.shape == (q_max + 2, 3)
         for column, coeffs in zip(norms.T, rows):
@@ -305,7 +305,7 @@ class TestBlockProfileCache:
             assert np.array_equal(one.view(np.uint64), expected.view(np.uint64))
         if np.isinf(p):
             fields = [SpectralField(grid, coeffs) for coeffs in rows]
-            assert lp._holder_rows(_Stack(grid, rows), 1.5) == [holder_norm(f, 1.5) for f in fields]
+            assert lp._holder_rows(BoussinesqState(grid, rows), 1.5) == [holder_norm(f, 1.5) for f in fields]
 
     def test_reports_own_their_block_lists(self, grid64):
         f = synthesize_holder_field(grid64, 1.5, 1.0, 64)
@@ -366,7 +366,7 @@ class TestBranchAndBound:
         rng = np.random.default_rng(n)
         shape = (3, *grid.spectral_shape)
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        stack = _Stack(grid, rows * (1.0 + grid.abs_k) ** -1.0)
+        stack = BoussinesqState(grid, rows * (1.0 + grid.abs_k) ** -1.0)
         sups = lp._block_norms(stack, build_partition(grid).blocks, np.inf)
         bounds = lp._sup_bounds(stack)
         assert bounds.shape == sups.shape
@@ -405,7 +405,7 @@ class TestBranchAndBound:
 
         fs = [SpectralField(grid, c.copy()) for c in coeffs]
         w = VectorField(fs[1], fs[2])
-        stack = _Stack(grid, np.stack(coeffs))
+        stack = BoussinesqState(grid, np.stack(coeffs))
         transformed = {id(x): [] for x in (*fs, stack)}
         kernel = lp._block_norms
 

@@ -100,11 +100,6 @@ def _tg():
     return bq.taylor_green_data(_grid(), 1.0, 0.05)
 
 
-def _tg_stack():
-    tg = _tg()
-    return bq._Stack.of(tg.theta, tg.u)
-
-
 def _q_max() -> int:
     return build_partition(_grid()).q_max
 
@@ -113,14 +108,14 @@ def test_direct_step(count):
     # the CFL check reads u (2); stage 1 advects theta (3) and transforms
     # the three products of the flux tensor u (x) u (3); the stages after
     # the first also read their substage velocity (2): 2 + (3 + 3) + 3 * 8
-    assert count(bq._direct_step, _tg_stack(), 0.0, DT, True) == 32
+    assert count(bq._direct_step, _tg(), DT, DT, True) == 32
 
 
 def test_run_direct_monitor_sample(count):
     # one step of run_direct = one _direct_step + one monitor sample
     one = count(bq.run_direct, _tg(), DT, DT, 1.5)
     two = count(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
-    step = count(bq._direct_step, _tg_stack(), 0.0, DT, True)
+    step = count(bq._direct_step, _tg(), DT, DT, True)
     sample = two - one - step
     # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms of
     # one block each (was 3 * (q_max + 2) = 15): Taylor-Green theta lives
@@ -141,16 +136,16 @@ def test_taylor_green_monitor_sample_at_128(count):
 
 def test_field_results_per_step_and_sample(built):
     # each of the 4 stages: the theta and velocity fields over its input
-    # stack (3, the first stage's shared with the CFL check), advect(u,
+    # state (3, the first stage's shared with the CFL check), advect(u,
     # theta) (1), the force (2) and its projection (2; the gradient part
     # goes through work arrays of the grid).  The stage sums and the final
-    # projection act on the stack and build none: 4 * 8
-    assert built(bq._direct_step, _tg_stack(), 0.0, DT, True) == 32
+    # projection act on the coefficients and build none: 4 * 8
+    assert built(bq._direct_step, _tg(), DT, DT, True) == 32
     one = built(bq.run_direct, _tg(), DT, DT, 1.5)
     two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
-    # run_direct holds its stack and builds its state's 3 fields over the
-    # new stack, which the first stage of the next step reads: a held step
-    sample = two - one - built(bq._direct_step, _tg_stack(), 0.0, DT, True)
+    # run_direct holds its state, whose 3 fields the monitor builds and the
+    # first stage of the next step reads: a held step
+    sample = two - one - built(bq._direct_step, _tg(), DT, DT, True)
     # divergence (1); grad_linf_norm transforms its derivatives from a work
     # array and the three Hoelder profiles their blocks, without building
     # a field
@@ -183,7 +178,7 @@ def _iterate_data():
     grid = _grid()
     theta0 = bq.synthesize_holder_field(grid, 1.5, 0.05, 1)
     u0 = bq.synthesize_divfree_velocity(grid, 1.5, 0.05, 2)
-    return theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30
+    return bq.BoussinesqState.of(theta0, u0), 1.5, 3, 0.006, 2e-3, 1e-30
 
 
 def test_iterate_scheme_run(count, calls):

@@ -59,8 +59,8 @@ def _parent_leray(g, c1, c2):
 
 def _parent_rhs(y, buoyancy):
     g = y.grid
-    u1, u2 = y.velocity.values()
-    dtheta = -_parent_advect_rows(g, y.velocity, y.coeffs[0])
+    u1, u2 = y.u.values()
+    dtheta = -_parent_advect_rows(g, y.u, y.coeffs[0])
     f11, f12, f22 = (np.fft.rfft2(p, norm="forward") for p in (u1 * u1, u1 * u2, u2 * u2))
     m1 = (f11 * g.ik1 + f12 * g.ik2) * g.dealias_multiplier
     m2 = (f12 * g.ik1 + f22 * g.ik2) * g.dealias_multiplier
@@ -92,7 +92,7 @@ def _same_bits(got, want):
 
 
 def _stack(g, seed):
-    return bq._Stack(g, np.stack([signed_zero_coeffs(g, seed + i) for i in range(3)]))
+    return bq.BoussinesqState(g, np.stack([signed_zero_coeffs(g, seed + i) for i in range(3)]))
 
 
 def _velocity(g, seed):
@@ -153,8 +153,8 @@ class TestParentForms:
         _same_bits(bq._rhs(y, buoyancy).coeffs, _parent_rhs(y, buoyancy))
         rhs = lambda _t, s: bq._rhs(s, buoyancy)
         got, k1 = transport.rk4(y, rhs, 0.0, 1e-3)
-        want, want_k1 = _parent_rk4(y, lambda _t, s: bq._Stack(g, _parent_rhs(s, buoyancy)), 0.0, 1e-3)
-        assert type(got) is bq._Stack
+        want, want_k1 = _parent_rk4(y, lambda _t, s: bq.BoussinesqState(g, _parent_rhs(s, buoyancy)), 0.0, 1e-3)
+        assert type(got) is bq.BoussinesqState
         _same_bits(got.coeffs, want.coeffs)
         _same_bits(k1.coeffs, want_k1.coeffs)
 
@@ -225,8 +225,7 @@ def _fields(result):
         for f in result.fields:
             yield f
     elif isinstance(result, bq.IterationRecord):
-        yield from _fields(result.theta_n)
-        yield from _fields(result.u_n)
+        yield from _fields(result.state)
     elif isinstance(result, (list, tuple)):
         for item in result:
             yield from _fields(item)
@@ -236,6 +235,8 @@ def _snapshot(result) -> bytes:
     """The bytes of a run's result: its fields' coefficients and every float."""
     if isinstance(result, SpectralField):
         return result.coeffs.tobytes()
+    if isinstance(result, bq.BoussinesqState):
+        return result.coeffs.tobytes() + _snapshot(result.t)
     if isinstance(result, (list, tuple)):
         return b"".join(_snapshot(item) for item in result)
     if isinstance(result, (int, float)):
@@ -249,7 +250,7 @@ def _snapshot(result) -> bytes:
 def _state():
     g = make_grid(32)
     tg = bq.taylor_green_data(g, 1.0, 0.05)
-    return bq.BoussinesqState(tg.theta + bq.synthesize_holder_field(g, 1.5, 0.05, 3), tg.u)
+    return bq.BoussinesqState.of(tg.theta + bq.synthesize_holder_field(g, 1.5, 0.05, 3), tg.u)
 
 
 def _run_direct():
@@ -267,7 +268,7 @@ def _iterate_scheme():
     g = make_grid(32)
     theta0 = bq.synthesize_holder_field(g, 1.5, 0.05, 1)
     u0 = bq.synthesize_divfree_velocity(g, 1.5, 0.05, 2)
-    return bq.iterate_scheme(theta0, u0, 1.5, 3, 0.006, 2e-3, 1e-30)
+    return bq.iterate_scheme(bq.BoussinesqState.of(theta0, u0), 1.5, 3, 0.006, 2e-3, 1e-30)
 
 
 def _uniqueness_probe():
