@@ -453,6 +453,65 @@ def continuation_check(record: MonitorRecord, c_frozen: float | None = None) -> 
 # synthetic data
 
 
+def _check_exponents(rs: Sequence[float]) -> None:
+    for r in rs:
+        if r <= 0:
+            raise ValueError(f"Hoelder exponent must be positive, got {r}")
+
+
+def _synthesize_holder_fields(
+    grid: Grid, rs: Sequence[float], amplitude: float, seed: int
+) -> list[SpectralField]:
+    """``synthesize_holder_field`` at every exponent of ``rs``, in order,
+    from one draw: each random block is drawn, transformed, filtered and
+    peaked once, then added into the total of every exponent with the
+    operations of the one-exponent call, so each field equals that call bit
+    for bit.  An r <= 0 anywhere in ``rs`` raises before any draw."""
+    _check_exponents(rs)
+    part = build_partition(grid)
+    totals = [np.zeros(grid.spectral_shape, dtype=complex) for _ in rs]
+    if amplitude == 0.0:
+        return [SpectralField(grid, total) for total in totals]
+    rng = np.random.default_rng(seed)
+    for q in range(0, part.q_max - 1):
+        noise = rng.standard_normal((grid.n, grid.n))
+        piece = SpectralField.from_values(grid, noise).multiplied(part.multiplier(q))
+        peak = linf_norm(piece)
+        if peak == 0.0:
+            continue
+        for total, r in zip(totals, rs):
+            total += piece.coeffs * (amplitude * 2.0 ** (-q * r) / peak)
+    fields = []
+    for total, r in zip(totals, rs):
+        f = dealias(SpectralField(grid, total))
+        measured = holder_norm(f, r)
+        if measured > 0.0:
+            f = f * (amplitude / measured)
+        fields.append(f)
+    return fields
+
+
+def _synthesize_divfree_velocities(
+    grid: Grid, rs: Sequence[float], amplitude: float, seed: int
+) -> list[VectorField]:
+    """``synthesize_divfree_velocity`` at every exponent of ``rs``, in order,
+    from the one draw of ``_synthesize_holder_fields`` for the stream
+    functions; each velocity equals the one-exponent call bit for bit.  An
+    r <= 0 anywhere in ``rs`` raises before any draw, and amplitude 0 gives
+    zero velocities without one."""
+    _check_exponents(rs)
+    if amplitude == 0.0:
+        return [VectorField.zero(grid) for _ in rs]
+    velocities = []
+    for psi, r in zip(_synthesize_holder_fields(grid, [r + 1.0 for r in rs], 1.0, seed), rs):
+        u = VectorField(-derivative(psi, 2), derivative(psi, 1))
+        measured = holder_norm_vector(u, r)
+        if measured > 0.0:
+            u = u * (amplitude / measured)
+        velocities.append(u)
+    return velocities
+
+
 def synthesize_holder_field(
     grid: Grid, r: float, amplitude: float, seed: int
 ) -> SpectralField:
@@ -461,42 +520,21 @@ def synthesize_holder_field(
     Blocks q = 0..q_max-2 are populated (grids with q_max < 2 give the
     zero field) and the result is rescaled so the measured Hoelder norm
     equals ``amplitude`` exactly.  Mean-zero and dealiased by
-    construction; deterministic per seed.
+    construction; deterministic per seed.  On a q_max = 2 grid (n = 32 at
+    L = 2 pi) only block 0 is filled, with weight 1 at every r, so r
+    reaches the data only through the rescale.  The one-exponent case of
+    ``_synthesize_holder_fields``.
     """
-    if r <= 0:
-        raise ValueError(f"Hoelder exponent must be positive, got {r}")
-    part = build_partition(grid)
-    total = np.zeros(grid.spectral_shape, dtype=complex)
-    if amplitude == 0.0:
-        return SpectralField(grid, total)
-    rng = np.random.default_rng(seed)
-    for q in range(0, part.q_max - 1):
-        noise = rng.standard_normal((grid.n, grid.n))
-        piece = SpectralField.from_values(grid, noise).multiplied(part.multiplier(q))
-        peak = linf_norm(piece)
-        if peak == 0.0:
-            continue
-        total += piece.coeffs * (amplitude * 2.0 ** (-q * r) / peak)
-    f = dealias(SpectralField(grid, total))
-    measured = holder_norm(f, r)
-    if measured > 0.0:
-        f = f * (amplitude / measured)
-    return f
+    return _synthesize_holder_fields(grid, (r,), amplitude, seed)[0]
 
 
 def synthesize_divfree_velocity(
     grid: Grid, r: float, amplitude: float, seed: int
 ) -> VectorField:
     """Divergence-free field with Hoelder norm ``amplitude``: the rotated
-    gradient of a synthesized stream function one degree smoother."""
-    psi = synthesize_holder_field(grid, r + 1.0, 1.0, seed)
-    u = VectorField(-derivative(psi, 2), derivative(psi, 1))
-    if amplitude == 0.0:
-        return VectorField.zero(grid)
-    measured = holder_norm_vector(u, r)
-    if measured > 0.0:
-        u = u * (amplitude / measured)
-    return u
+    gradient of a synthesized stream function one degree smoother.  The
+    one-exponent case of ``_synthesize_divfree_velocities``."""
+    return _synthesize_divfree_velocities(grid, (r,), amplitude, seed)[0]
 
 
 def hydrostatic_data(grid: Grid, amplitude: float = 1.0) -> BoussinesqState:

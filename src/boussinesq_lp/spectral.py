@@ -57,7 +57,10 @@ iterate of ``boussinesq`` advects the (theta, u1, u2) rows of its states with
 ``_advect_rows``, of which ``advect`` is the one-field case.
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
-after construction, and no code writes into ``coeffs`` in place.  Values
+after construction, and no code writes into ``coeffs`` in place, with one
+exception: the right-hand side of ``transport.solve`` negates the result
+of ``advect`` in place, a field it has just built and nothing has read
+(as ``boussinesq._project_rows`` does for states).  Values
 derived from a field are therefore computed on first use and kept in the
 field's ``__dict__`` (by a ``functools.cached_property``, or directly in
 ``littlewood_paley``), so a later read is a plain attribute read:

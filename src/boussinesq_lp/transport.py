@@ -146,7 +146,11 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 
-    rhs = lambda _t, f: -advect(v, f)
+    def rhs(_t: float, f: SpectralField) -> SpectralField:
+        slope = advect(v, f)  # a fresh field nothing has read: negated in place
+        np.negative(slope.coeffs, out=slope.coeffs)
+        return slope
+
     f = problem.f0
     t = 0.0
     times = [0.0]

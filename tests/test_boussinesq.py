@@ -576,6 +576,95 @@ class TestSynthesize:
         assert np.isclose(holder_norm_vector(u, 1.5), 1.0, rtol=1e-12)
 
 
+def _one_draw_per_exponent_field(grid, r, amplitude, seed):
+    """A field synthesized from its own draw, the operations of the
+    one-exponent synthesis written out: the reference of the shared draw."""
+    part = build_partition(grid)
+    total = np.zeros(grid.spectral_shape, dtype=complex)
+    rng = np.random.default_rng(seed)
+    for q in range(0, part.q_max - 1):
+        piece = SpectralField.from_values(grid, rng.standard_normal((grid.n, grid.n)))
+        piece = piece.multiplied(part.multiplier(q))
+        peak = linf_norm(piece)
+        if peak > 0.0:
+            total += piece.coeffs * (amplitude * 2.0 ** (-q * r) / peak)
+    f = dealias(SpectralField(grid, total))
+    measured = holder_norm(f, r)
+    return f * (amplitude / measured) if measured > 0.0 else f
+
+
+def _one_draw_per_exponent_velocity(grid, r, amplitude, seed):
+    psi = _one_draw_per_exponent_field(grid, r + 1.0, 1.0, seed)
+    u = VectorField(-derivative(psi, 2), derivative(psi, 1))
+    measured = holder_norm_vector(u, r)
+    return u * (amplitude / measured) if measured > 0.0 else u
+
+
+def _bits(f: SpectralField) -> bytes:
+    return f.coeffs.view(np.uint64).tobytes()
+
+
+class TestSharedDraw:
+    """The synthesis helpers draw each random block once for every exponent
+    of their list, and each result equals its one-exponent call bit for bit."""
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("rs", [(1.1, 1.5, 2.0, 2.5, 3.0), (2.5, 1.5), (1.5, 1.5)])
+    def test_every_result_equals_its_one_exponent_call(self, n, rs):
+        grid = make_grid(n)
+        fields = bq._synthesize_holder_fields(grid, rs, 0.7, 11)
+        velocities = bq._synthesize_divfree_velocities(grid, rs, 0.7, 12)
+        assert len(fields) == len(velocities) == len(rs)
+        for r, f, u in zip(rs, fields, velocities):
+            one_f = bq.synthesize_holder_field(grid, r, 0.7, 11)
+            one_u = bq.synthesize_divfree_velocity(grid, r, 0.7, 12)
+            assert _bits(f) == _bits(one_f) == _bits(_one_draw_per_exponent_field(grid, r, 0.7, 11))
+            reference_u = _one_draw_per_exponent_velocity(grid, r, 0.7, 12)
+            for got, one, ref in zip((u.u1, u.u2), (one_u.u1, one_u.u2), (reference_u.u1, reference_u.u2)):
+                assert _bits(got) == _bits(one) == _bits(ref)
+
+    def test_one_draw_for_all_exponents(self, monkeypatch):
+        draws = []
+        original = np.random.default_rng
+
+        def counting(seed):
+            draws.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        grid = make_grid(64)
+        bq._synthesize_holder_fields(grid, (1.1, 1.5, 2.0, 2.5, 3.0), 1.0, 3)
+        bq._synthesize_divfree_velocities(grid, (1.1, 1.5, 2.0, 2.5, 3.0), 1.0, 4)
+        assert draws == [3, 4]
+
+    @pytest.mark.parametrize("rs", [(0.0,), (1.5, -0.5), (2.5, 1.5, 0.0), (-2.0, 1.5)])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0])
+    def test_nonpositive_exponent_raises_before_any_draw(self, rs, amplitude, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew before checking the exponents")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        bad = next(r for r in rs if r <= 0)
+        grid = make_grid(32)
+        message = re.escape(f"Hoelder exponent must be positive, got {bad}")
+        with pytest.raises(ValueError, match=message):
+            bq._synthesize_holder_fields(grid, rs, amplitude, 1)
+        with pytest.raises(ValueError, match=message):
+            bq._synthesize_divfree_velocities(grid, rs, amplitude, 1)
+        with pytest.raises(ValueError, match=message):
+            bq.synthesize_divfree_velocity(grid, bad, amplitude, 1)
+
+    def test_zero_amplitude_gives_zero_fields(self):
+        grid = make_grid(64)
+        rs = (1.1, 2.5, 2.5)
+        fields = bq._synthesize_holder_fields(grid, rs, 0.0, 5)
+        velocities = bq._synthesize_divfree_velocities(grid, rs, 0.0, 6)
+        assert len(fields) == len(velocities) == 3
+        for f, u in zip(fields, velocities):
+            for g in (f, u.u1, u.u2):
+                assert not np.any(g.coeffs)
+
+
 class TestBlowupMonitor:
     def test_zero_velocity_trajectory(self, grid64):
         state0 = bq.hydrostatic_data(grid64)

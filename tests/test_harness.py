@@ -124,17 +124,61 @@ class TestSharedCorpus:
         calls = []
 
         def counting(synthesize):
-            def wrapped(grid, r, amplitude, seed):
-                calls.append((grid.n, r, seed))
-                return synthesize(grid, r, amplitude, seed)
+            def wrapped(grid, rs, amplitude, seed):
+                calls.append((grid.n, seed, tuple(rs)))
+                return synthesize(grid, rs, amplitude, seed)
             return wrapped
 
-        monkeypatch.setattr(harness, "synthesize_holder_field", counting(bq.synthesize_holder_field))
-        monkeypatch.setattr(harness, "synthesize_divfree_velocity", counting(bq.synthesize_divfree_velocity))
+        monkeypatch.setattr(harness, "_synthesize_holder_fields", counting(bq._synthesize_holder_fields))
+        monkeypatch.setattr(
+            harness, "_synthesize_divfree_velocities", counting(bq._synthesize_divfree_velocities)
+        )
         harness.verify("lemma2.2.1", self.corpus)
         harness.verify("lemma2.3", self.corpus)
-        # four roles (f, g, v, w) per (n, r, seed), each synthesized exactly once
-        assert len(calls) == len(set(calls)) == 4 * 2 * 2 * 2
+        # four roles (f, g, v, w) per (n, seed), each drawn exactly once for
+        # both exponents
+        assert len(calls) == len(set(calls)) == 4 * 2 * 2
+        assert {rs for _, _, rs in calls} == {self.corpus.r_values}
+
+    def test_a_miss_draws_only_the_exponents_not_yet_cached(self, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        corpus = harness.CorpusSpec(r_values=(1.5, 2.5, 1.1), seeds=(0,), resolutions=(32,))
+        drawn = []
+
+        def counting(synthesize):
+            def wrapped(grid, rs, amplitude, seed):
+                drawn.append((seed, tuple(rs)))
+                return synthesize(grid, rs, amplitude, seed)
+            return wrapped
+
+        monkeypatch.setattr(harness, "_synthesize_holder_fields", counting(bq._synthesize_holder_fields))
+        monkeypatch.setattr(
+            harness, "_synthesize_divfree_velocities", counting(bq._synthesize_divfree_velocities)
+        )
+        harness.verify("eq4.18", corpus)  # its domain keeps r = 1.5 and 1.1
+        kept = {key: fl for key, fl in harness._RUN_CACHE.items() if key[0] == "fields"}
+        report = harness.verify("lemma2.2.1", corpus)
+        # f, g, v and w (seeds 0, 10000, 20000, 30000): the exponents of the
+        # domain first, then only the one the first sweep left out
+        roles = (0, 10_000, 20_000, 30_000)
+        assert drawn == [(seed, (1.5, 1.1)) for seed in roles] + [(seed, (2.5,)) for seed in roles]
+        assert all(harness._RUN_CACHE[key] is fl for key, fl in kept.items())
+        assert [s.r for s in report.samples] == [1.5, 2.5, 1.1]
+
+    def test_transport_runs_keep_their_layout(self, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_CACHE", {})
+        corpus = harness.CorpusSpec(seeds=(3, 4), resolutions=(32,))
+        runs = harness._transport_runs(corpus, 32)
+        assert runs is harness._RUN_CACHE[("transport", corpus, 32)]
+        # (r, seed, v, f0, trajectory), r outermost
+        assert [(r, seed) for r, seed, *_ in runs] == [(r, seed) for r in (1.5, 2.5) for seed in (3, 4)]
+        grid = make_grid(32, corpus.box)
+        for r, seed, v, f0, traj in runs:
+            one_v = bq.synthesize_divfree_velocity(grid, r, corpus.amplitude, seed + 40_000)
+            one_f0 = bq.synthesize_holder_field(grid, r, corpus.amplitude, seed + 50_000)
+            for got, one in ((v.u1, one_v.u1), (v.u2, one_v.u2), (f0, one_f0)):
+                assert got.coeffs.view(np.uint64).tobytes() == one.coeffs.view(np.uint64).tobytes()
+            assert traj.fields[0] is f0 and traj.times[-1] == 0.4
 
     def test_shared_fields_give_bit_identical_reports(self, monkeypatch):
         monkeypatch.setattr(harness, "_RUN_CACHE", {})

@@ -150,12 +150,13 @@ def test_field_results_per_step_and_sample(built):
     # array and the three Hoelder profiles their blocks, without building
     # a field
     assert sample == 1
-    # each of the 4 stages: -advect(v, f) (2); three shifted stage inputs
-    # and the combination (1 each)
+    # each of the 4 stages: advect(v, f), negated in place (1, was 2 with
+    # its negation as a second field); three shifted stage inputs and the
+    # combination (1 each)
     step = built(transport.solve, _transport_problem(2 * DT)) - built(
         transport.solve, _transport_problem(DT)
     )
-    assert step == 4 * 2 + 3 + 1 == 12
+    assert step == 4 + 3 + 1 == 8
 
 
 def _transport_problem(T):
@@ -230,26 +231,32 @@ def test_static_verify_run(count, monkeypatch):
     monkeypatch.setattr(harness, "_RUN_CACHE", {})
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
-    # per exponent, the synthesis of f, g, v and w: two transforms per
-    # populated block q = 0..q_max - 2 of each, and 8 Hoelder norms (one of
-    # f and of g, and per velocity one of its stream function and one of
-    # each component), each transforming the top populated block q = 1;
-    # the block profile of f (the rescaled field, a fresh one), which
-    # besov_norm fills and holder_norm reads; the 4 negative homogeneous
-    # blocks.  Transforming every block took 5 * 65 = 325.
-    per_r = 4 * 2 * (q_max - 1) + 8 + (q_max + 2) + 4
+    # once for all five exponents, the draw of f, g, v and w: two transforms
+    # (the noise and the peak of its block) per populated block q = 0..q_max
+    # - 2 of each; it was paid once per exponent, 5 * 16 = 80 of 173
+    draw = 4 * 2 * (q_max - 1)
+    # per exponent, the rest of the synthesis, 8 Hoelder norms (one of f and
+    # of g, and per velocity one of its stream function and one of each
+    # component), each transforming the top populated block q = 1; the
+    # block profile of f (the rescaled field, a fresh one), which besov_norm
+    # fills and holder_norm reads; the 4 negative homogeneous blocks.
+    # Transforming every block took 5 * 65 = 325.
+    per_r = 8 + (q_max + 2) + 4
     # the norms whose block q = 0 can still set the value, at r = 1.1, 1.5,
     # 2.0, 2.5 and 3.0
     also_q0 = 5 + 1 + 1 + 1 + 0
-    assert count(harness.verify, "lemma2.2.3", corpus) == 5 * per_r + also_q0 == 173
+    assert count(harness.verify, "lemma2.2.3", corpus) == draw + 5 * per_r + also_q0 == 109
 
 
 def test_commutator_verify_run(count, monkeypatch):
     monkeypatch.setattr(harness, "_RUN_CACHE", {})
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
-    # the four synthesized fields of each exponent, as in test_static_verify_run
-    synthesis = 4 * 2 * (q_max - 1) + 8
+    # the four synthesized fields, as in test_static_verify_run: one draw for
+    # all five exponents (it was one per exponent, 5 * 16 = 80 of 284) and
+    # 8 Hoelder norms per exponent
+    draw = 4 * 2 * (q_max - 1)
+    synthesis = 8
     # per exponent, once: the Hoelder norm of f (its block q = 1), the
     # divergence check of v (divergence_residual 1 + grad_linf_norm 4), the
     # values of v (2) and v.grad f (3), which the commutators of all blocks
@@ -259,4 +266,4 @@ def test_commutator_verify_run(count, monkeypatch):
     # block q = 0 as well: in 5, 1, 1, 1, 0 of the synthesis norms and 1, 0,
     # 0, 0, 0 norms of f, at r = 1.1, 1.5, 2.0, 2.5 and 3.0
     also_q0 = (5 + 1 + 1 + 1 + 0) + 1
-    assert count(harness.verify, "lemma2.1", corpus) == 5 * per_r + also_q0 == 284
+    assert count(harness.verify, "lemma2.1", corpus) == draw + 5 * per_r + also_q0 == 220
