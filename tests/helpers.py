@@ -89,3 +89,54 @@ def bits(a) -> np.ndarray:
     """The bit patterns of a float or complex array (or number), for
     comparisons that tell -0.0 from +0.0."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def vorticity_rk4(grid, theta_hat, u1_hat, u2_hat, T, dt, buoyancy=True):
+    """An independent discretization of the Boussinesq system: classical RK4
+    on the vorticity form
+
+        omega_t + u . grad omega = d1 theta,   theta_t + u . grad theta = 0,
+        u = grad-perp inv-Laplacian omega,
+
+    pseudo-spectral on the half spectrum with the same 2/3 mask, stepped on
+    ``transport._step_lattice(T, dt)``.  It calls ``np.fft`` directly and
+    shares no code with ``boussinesq`` but the grid's wavenumber tables.  On
+    dealiased data it is the same Fourier-Galerkin system as the primitive
+    form of ``run_direct`` (products of modes with |m_i| <= n/3 alias only
+    outside the mask, and curl commutes with the truncation), so both give
+    one trajectory up to roundoff.  Returns the final (theta, u1, u2) half
+    spectra as one (3, n, n//2 + 1) array.
+    """
+    from boussinesq_lp.transport import _step_lattice
+
+    n = grid.n
+    ik1, ik2, mask = 1j * grid.k1, 1j * grid.k2, grid.dealias_mask
+    ksq = grid.k1**2 + grid.k2**2
+    inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+
+    def values(c):
+        return np.fft.irfft2(c, s=(n, n), norm="forward")
+
+    def velocity(omega):
+        return ik2 * omega * inv_ksq, -ik1 * omega * inv_ksq
+
+    def advect(v1, v2, c):
+        product = v1 * values(ik1 * c) + v2 * values(ik2 * c)
+        return np.fft.rfft2(product, norm="forward") * mask
+
+    def rhs(y):
+        omega, theta = y
+        v1, v2 = (values(c) for c in velocity(omega))
+        d_omega = -advect(v1, v2, omega)
+        if buoyancy:
+            d_omega += ik1 * theta
+        return np.stack((d_omega, -advect(v1, v2, theta)))
+
+    y = np.stack((ik1 * u2_hat - ik2 * u1_hat, theta_hat))
+    for h, _ in _step_lattice(T, dt):
+        k1 = rhs(y)
+        k2 = rhs(y + (h / 2) * k1)
+        k3 = rhs(y + (h / 2) * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.stack((y[1], *velocity(y[0])))
