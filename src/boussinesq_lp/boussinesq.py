@@ -27,8 +27,8 @@ divergence residual for blow-up diagnostics.
 The one coupled state type is ``BoussinesqState``, the (theta, u1, u2)
 coefficients as one (3, n, n//2 + 1) stack with its time, and ``rk4`` and
 ``_coupled_step`` see no other state: the direct run and the probe's twin
-runs step states, and the linearized iterate keeps its nodes, stage slopes
-and Hermite reads as states, each step only until the next iterate has
+runs step states, and the linearized iterate keeps its nodes, stage-one
+slopes and Hermite reads as states, each step only until the next iterate has
 stepped past it, so the scheme holds one trajectory, not two.  Each step
 does the per-field arithmetic of the right-hand side on the rows, then one
 RK4 combination, one projection and one finite check over the whole stack.
@@ -36,11 +36,13 @@ In the iterate all three rows are advected by one velocity, so one stacked
 advection (3 transform calls over 9 fields) replaces three (9 calls), and
 a Cauchy gap or a probe gap takes one inverse transform per block over the
 three rows of a difference.  The direct step advects u by itself in flux
-form, so its rows share no one advection; it writes the rows of each slope
-into one new array, with its products and their transforms in the work
-arrays of the grid (see ``spectral``).  Measured step times are kept with
-the benchmark records (``BENCH_*.json`` and ``CHANGES.md``), not here,
-where they would go stale.
+form, so its rows share no one advection.  Both right-hand sides write the
+rows of a slope into the array ``rk4`` hands them (its slope work array
+after the first stage), with their products, their transforms and a stage
+input's velocity values in the work arrays of the grid (see ``spectral``),
+so a step allocates little more than the slope k1 and the new state.
+Measured step times are kept with the benchmark records (``BENCH_*.json``
+and ``CHANGES.md``), not here, where they would go stale.
 """
 
 from __future__ import annotations
@@ -205,34 +207,46 @@ class IterationRecord:
     ratio: float | None
 
 
-def _rhs(y: BoussinesqState, buoyancy: bool) -> BoussinesqState:
+def _rhs(y: BoussinesqState, buoyancy: bool, out: np.ndarray | None = None) -> BoussinesqState:
     """Slope of the state y with its velocity u advecting every row, forced
     by the buoyancy of theta (unless ``buoyancy`` is off), with the
-    velocity rows projected.
+    velocity rows projected, written into ``out`` if given (``rk4``'s
+    slope work array), else into one new array.
 
     The momentum term is taken in flux form, u . grad u = div(u (x) u),
-    from the values of ``y.u``: each product u1 u1, u1 u2, u2 u2 is
-    transformed once, 3 transforms in place of the 6 of the advective form.
-    The products and their transforms go through work arrays of the grid,
-    and the three rows of the slope are written into one new array.
+    from the values of u: each product u1 u1, u1 u2, u2 u2 is transformed
+    once, 3 transforms in place of the 6 of the advective form.  A state
+    whose velocity values a reader has cached on ``y.u`` (the CFL check of
+    the step that holds it) is read through its fields: those values and
+    ``advect(y.u, y.theta)``.  Any other state, such as a stage input of
+    ``rk4``, has its velocity values transformed into a work array, not
+    kept, and its temperature row advected into the slope.  The products,
+    their transforms and the force go through work arrays of the grid and
+    the velocity rows of the slope before the force is projected.
     """
     g = y.grid
-    u = y.u
-    slope = np.empty_like(y.coeffs)
-    np.negative(advect(u, y.theta).coeffs, out=slope[0])
-    u1, u2 = u.values()
+    slope = np.empty_like(y.coeffs) if out is None else out
+    u = y.__dict__.get("u")
+    if u is not None and "_values" in u.u1.__dict__ and "_values" in u.u2.__dict__:
+        u1, u2 = u.values()
+        np.negative(advect(u, y.theta).coeffs, out=slope[0])
+    else:
+        u1, u2 = g.work("rhs.velocity", (2, g.n, g.n), float)
+        _irfft2(y.coeffs[1], g, u1)
+        _irfft2(y.coeffs[2], g, u2)
+        np.negative(_advect_rows(g, (u1, u2), y.coeffs[0], slope[0]), out=slope[0])
     product = g.work("rhs.product", (g.n, g.n), float)
     f11, f12, f22 = fluxes = g.work("rhs.fluxes", y.coeffs.shape)
-    for a, b, out in zip((u1, u1, u2), (u1, u2, u2), fluxes):
-        _rfft2(np.multiply(a, b, out=product), out)
-    m1 = f11 * g.ik1
+    for a, b, flux in zip((u1, u1, u2), (u1, u2, u2), fluxes):
+        _rfft2(np.multiply(a, b, out=product), flux)
+    m1 = np.multiply(f11, g.ik1, out=slope[1])
     m1 += np.multiply(f12, g.ik2, out=f11)
     m1 *= g.dealias_multiplier
     m2 = np.multiply(f12, g.ik1, out=f12)
     m2 += np.multiply(f22, g.ik2, out=f22)
     m2 *= g.dealias_multiplier
     force1 = np.negative(m1, out=m1)
-    force2 = y.coeffs[0] - m2 if buoyancy else -m2
+    force2 = np.subtract(y.coeffs[0], m2, out=slope[2]) if buoyancy else np.negative(m2, out=slope[2])
     force = leray_project(VectorField(SpectralField(g, force1), SpectralField(g, force2)))
     slope[1] = force.u1.coeffs
     slope[2] = force.u2.coeffs
@@ -249,13 +263,16 @@ def _project_rows(y: BoussinesqState) -> BoussinesqState:
     return y
 
 
-def _linear_rhs(y: BoussinesqState, v: VectorField, source: np.ndarray) -> BoussinesqState:
+def _linear_rhs(
+    y: BoussinesqState, v: VectorField, source: np.ndarray, out: np.ndarray | None = None
+) -> BoussinesqState:
     """Slope of the state y advected by v and forced by the buoyancy of the
-    temperature coefficients ``source``, with the velocity rows projected:
-    the arithmetic of ``-advect``, ``advect_vector`` and ``leray_project``
-    on every coefficient, with the three rows advected by one
-    ``_advect_rows``."""
-    slope = _advect_rows(y.grid, v, y.coeffs)
+    temperature coefficients ``source``, with the velocity rows projected,
+    written into ``out`` if given (``rk4``'s slope work array), else into
+    one new array: the arithmetic of ``-advect``, ``advect_vector`` and
+    ``leray_project`` on every coefficient, with the three rows advected by
+    one ``_advect_rows``."""
+    slope = _advect_rows(y.grid, v, y.coeffs, out)
     np.subtract(source, slope[2], out=slope[2])
     np.negative(slope[:2], out=slope[:2])
     return _project_rows(BoussinesqState(y.grid, slope))
@@ -278,7 +295,7 @@ def _direct_step(y: BoussinesqState, h: float, t_end: float, buoyancy: bool) -> 
     """One step of the full system from the state y to ``t_end``, checked
     against the CFL bound of its velocity."""
     _check_cfl(y.u, h, y.t)
-    return _coupled_step(y, lambda _t, s: _rhs(s, buoyancy), h, t_end)[0]
+    return _coupled_step(y, lambda _t, s, out: _rhs(s, buoyancy, out), h, t_end)[0]
 
 
 def _monitor_sample(
@@ -628,8 +645,9 @@ def _solve_linear_iterate(
     and each stage advects its three rows at once (``_linear_rhs``).  It
     steps from ``init`` (at t = 0) on ``lattice`` (from
     ``transport._step_lattice``) and checks each step against the CFL
-    bound of the advecting velocity at its start, as ``_direct_step`` does.  The stage-one slope of each step is kept as the
-    Hermite derivative at its node.  The previous iterate is read once
+    bound of the advecting velocity at its start, as ``_direct_step``
+    does.  The stage-one slope of each step is kept as the Hermite
+    derivative at its node.  The previous iterate is read once
     per distinct substage time (rk4 stages 2 and 3 share t + h/2), so the
     values of its velocity are transformed once.  Each node's Cauchy gap
     to ``prev`` (``_gap_norms`` in C^{r-1}) is taken as soon as the node
@@ -638,9 +656,9 @@ def _solve_linear_iterate(
     """
     frozen = lru_cache(maxsize=1)(prev.at)
 
-    def rhs(t: float, y: BoussinesqState) -> BoussinesqState:
+    def rhs(t: float, y: BoussinesqState, out: np.ndarray | None = None) -> BoussinesqState:
         driver = frozen(t)
-        return _linear_rhs(y, driver.u, (driver if theta_lag else y).coeffs[0])
+        return _linear_rhs(y, driver.u, (driver if theta_lag else y).coeffs[0], out)
 
     gaps = [_gap_norms(init - frozen(0.0), r - 1)]
     nodes = [init]

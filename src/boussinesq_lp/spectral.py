@@ -81,15 +81,17 @@ and norm kernels (``_advect_rows``, ``leray_project``, ``divergence``,
 ``grad_linf_norm``, ``littlewood_paley._block_norms``, ``transport.rk4``
 and the right-hand sides of ``boussinesq``) put the temporaries that no
 field keeps there: multiplied coefficients before an inverse transform,
-pointwise products, and the results of the transforms.  Everything else
-they write with ``out=`` or in place on an array they have just
-allocated.  The rules:
+pointwise products, the results of the transforms, and ``rk4``'s stage
+inputs and slopes after the first.  Everything else they write with
+``out=`` or in place on an array they have just allocated.  The rules:
 
 * each slot belongs to one kernel, which is done with its work arrays
   before it returns (it may pass them to a helper it calls, never back
   to its caller);
 * no field's ``coeffs`` or cached value aliases a work array: what a
-  field keeps is always a fresh array;
+  field keeps is always a fresh array.  The one exception is ``rk4``'s
+  own: the stage inputs and the slopes k2..k4 it builds over its slots
+  and passes to the right-hand side, which it drops before it returns;
 * every operation, its operands and their order are those of the plain
   expression, so every result is the same bit for bit (the operands of
   an addition or of a real multiplication may swap: both are
@@ -466,15 +468,21 @@ def leray_project(w: VectorField) -> VectorField:
     return VectorField(SpectralField(g, w.u1.coeffs - g1), SpectralField(g, w.u2.coeffs - g2))
 
 
-def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
+def _advect_rows(
+    g: Grid,
+    v: VectorField | tuple[np.ndarray, np.ndarray],
+    coeffs: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Dealiased v . grad f for every field f of a coefficient stack
-    (..., n, n//2 + 1) on grid g: one inverse transform per derivative
-    direction and one forward transform of the products, each over every
-    row.  The two derivatives are transformed straight from the multiplied
-    coefficients, with no intermediate field; only the dealiased result is
-    a fresh array.
+    (..., n, n//2 + 1) on grid g, from the velocity v or the pair of its
+    grid values: one inverse transform per derivative direction and one
+    forward transform of the products, each over every row.  The two
+    derivatives are transformed straight from the multiplied coefficients,
+    with no intermediate field; the dealiased result goes to ``out`` if
+    given, else to a fresh array.
     """
-    v1, v2 = v.values()
+    v1, v2 = v.values() if isinstance(v, VectorField) else v
     d = g.work("advect_rows.derivative", coeffs.shape)
     fx, fy = g.work("advect_rows.values", (2, *coeffs.shape[:-2], g.n, g.n), float)
     _irfft2(np.multiply(coeffs, g.ik1, out=d), g, fx)
@@ -482,7 +490,7 @@ def _advect_rows(g: Grid, v: VectorField, coeffs: np.ndarray) -> np.ndarray:
     fx *= v1
     fx += np.multiply(fy, v2, out=fy)
     product = _rfft2(fx, g.work("advect_rows.product", coeffs.shape))
-    return product * g.dealias_multiplier
+    return np.multiply(product, g.dealias_multiplier, out=out)
 
 
 def advect(v: VectorField, f: SpectralField) -> SpectralField:

@@ -76,38 +76,48 @@ def _step_lattice(T: float, dt: float, t0: float = 0.0) -> list[tuple[float, flo
 
 
 def rk4(
-    y: _State, rhs: Callable[[float, _State], _State], t: float, h: float
+    y: _State, rhs: Callable[[float, _State, np.ndarray | None], _State], t: float, h: float
 ) -> tuple[_State, _State]:
-    """One classical RK4 step of dy/dt = rhs(t, y) for one state y: a
+    """One classical RK4 step of dy/dt = rhs(t, y, out) for one state y: a
     ``SpectralField``, or the ``BoussinesqState`` of a coupled run.  Both
     are built as ``type(y)(grid, coeffs)``, so the stage inputs and the
     result of a coupled step are states too, at the default time.
 
-    The stage inputs y + c*k and the combination
-    y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4) are formed on the coefficients,
-    each in one new array with the same operations in the same order (an
-    addition's operands may swap: IEEE addition is commutative).  The
-    2*k3 product of the combination goes through a work array of the grid.
+    ``rhs(t, y, out)`` returns the slope at (t, y).  Given ``out``, an
+    array of y's coefficient shape, it may write the slope there and return
+    a state over it; given None it returns a slope over a new array.  Stage
+    one passes None, because the slope k1 is returned; the later stages
+    pass one slope work array of the grid.  Each stage input y + c*k is
+    formed in one stage work array, and each slope is added into the
+    combination y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4) as soon as it
+    exists, with the operations of that expression in its order (an
+    addition's operands may swap: IEEE addition is commutative); the 2*k3
+    product goes through the stage work array.  The combination, the new
+    state, is the one array ``rk4`` allocates; the stage inputs and the
+    slopes k2..k4 over its work arrays are dropped before it returns.
 
-    Returns the new state and the first stage slope k1 = rhs(t, y).
+    Returns the new state and the first stage slope k1 = rhs(t, y, None).
     """
+    g = y.grid
+    stage = g.work("rk4.stage", y.coeffs.shape)
+    slope = g.work("rk4.slope", y.coeffs.shape)
 
     def shifted(c: float, k: _State) -> _State:
-        s = k.coeffs * c
+        s = np.multiply(k.coeffs, c, out=stage)
         s += y.coeffs
-        return type(y)(y.grid, s)
+        return type(y)(g, s)
 
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, shifted(h / 2, k1))
-    k3 = rhs(t + h / 2, shifted(h / 2, k2))
-    k4 = rhs(t + h, shifted(h, k3))
-    combined = k2.coeffs * 2.0
+    k1 = rhs(t, y, None)
+    k = rhs(t + h / 2, shifted(h / 2, k1), slope)
+    combined = k.coeffs * 2.0
     combined += k1.coeffs
-    combined += np.multiply(k3.coeffs, 2.0, out=y.grid.work("rk4", k3.coeffs.shape))
-    combined += k4.coeffs
+    k = rhs(t + h / 2, shifted(h / 2, k), slope)
+    combined += np.multiply(k.coeffs, 2.0, out=stage)
+    k = rhs(t + h, shifted(h, k), slope)
+    combined += k.coeffs
     combined *= h / 6.0
     combined += y.coeffs
-    return type(y)(y.grid, combined), k1
+    return type(y)(g, combined), k1
 
 
 @dataclass
@@ -146,7 +156,7 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 
-    def rhs(_t: float, f: SpectralField) -> SpectralField:
+    def rhs(_t: float, f: SpectralField, _out: np.ndarray | None) -> SpectralField:
         slope = advect(v, f)  # a fresh field nothing has read: negated in place
         np.negative(slope.coeffs, out=slope.coeffs)
         return slope

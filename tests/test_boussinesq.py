@@ -309,9 +309,9 @@ def _parent_linear_iterate(prev, init, lattice, theta_lag):
     against the whole stored previous iterate, which it keeps."""
     frozen = lru_cache(maxsize=1)(prev.at)
 
-    def rhs(t, y):
+    def rhs(t, y, out=None):
         advecting = frozen(t)
-        return bq._linear_rhs(y, advecting.u, (advecting if theta_lag else y).coeffs[0])
+        return bq._linear_rhs(y, advecting.u, (advecting if theta_lag else y).coeffs[0], out)
 
     nodes, slopes, t = [init], [], 0.0
     for h, t_end in lattice:

@@ -135,12 +135,16 @@ def test_taylor_green_monitor_sample_at_128(count):
 
 
 def test_field_results_per_step_and_sample(built):
-    # each of the 4 stages: the theta and velocity fields over its input
-    # state (3, the first stage's shared with the CFL check), advect(u,
-    # theta) (1), the force (2) and its projection (2; the gradient part
-    # goes through work arrays of the grid).  The stage sums and the final
-    # projection act on the coefficients and build none: 4 * 8
-    assert built(bq._direct_step, _tg(), DT, DT, True) == 32
+    # the first stage reads y through its fields: the velocity fields the
+    # CFL check builds and caches the values on (2), the theta field (1)
+    # and advect(u, theta) (1).  Each of the 4 stages builds the force (2)
+    # and its projection (2; the gradient part goes through work arrays of
+    # the grid).  A stage input builds no field: its velocity values, the
+    # advection of its theta row and the flux products go through work
+    # arrays (each later stage built 8 when it read the fields of its input
+    # and called advect).  The stage sums and the final projection act on
+    # the coefficients and build none: 2 + 2 + 4 * 4 (was 32)
+    assert built(bq._direct_step, _tg(), DT, DT, True) == 20
     one = built(bq.run_direct, _tg(), DT, DT, 1.5)
     two = built(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
     # run_direct holds its state, whose 3 fields the monitor builds and the

@@ -7,6 +7,7 @@ had before they used the workspace, each a fresh array per operation.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestParentForms:
         g = make_grid(n)
         v = _velocity(g, 20 * n)
         f = SpectralField(g, signed_zero_coeffs(g, 20 * n + 2))
-        rhs = lambda _t, x: -advect(v, x)
+        rhs = lambda _t, x, _out=None: -advect(v, x)
         got, k1 = transport.rk4(f, rhs, 0.1, 2e-3)
         want, want_k1 = _parent_rk4(f, rhs, 0.1, 2e-3)
         assert type(got) is SpectralField and got.grid is g
@@ -151,7 +152,7 @@ class TestParentForms:
         g = make_grid(n)
         y = _stack(g, 30 * n)
         _same_bits(bq._rhs(y, buoyancy).coeffs, _parent_rhs(y, buoyancy))
-        rhs = lambda _t, s: bq._rhs(s, buoyancy)
+        rhs = lambda _t, s, out: bq._rhs(s, buoyancy, out)
         got, k1 = transport.rk4(y, rhs, 0.0, 1e-3)
         want, want_k1 = _parent_rk4(y, lambda _t, s: bq.BoussinesqState(g, _parent_rhs(s, buoyancy)), 0.0, 1e-3)
         assert type(got) is bq.BoussinesqState
@@ -310,6 +311,68 @@ def test_no_kernel_result_aliases_a_work_array(n):
     for result in results:
         for coeffs in [result.coeffs] if hasattr(result, "coeffs") else [w.coeffs for w in _fields(result)]:
             assert not any(np.shares_memory(coeffs, buf) for buf in work)
+
+
+def _peak_above_start(call):
+    """The tracemalloc peak of call() above the memory traced at its start,
+    after a warm-up call has built the grid's tables and work arrays."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _held_direct_step(g):
+    y = bq.taylor_green_data(g, 1.0, 0.05)  # the warm-up caches its velocity values
+    return lambda: bq._direct_step(y, 1e-3, 1e-3, True)
+
+
+def _linearised_step(g):
+    v = bq.synthesize_divfree_velocity(g, 1.5, 1.0, 4)
+    y = bq.BoussinesqState.of(bq.synthesize_holder_field(g, 1.5, 0.5, 3), v)
+    rhs = lambda _t, s, out=None: bq._linear_rhs(s, v, s.coeffs[0], out)
+    return lambda: bq._coupled_step(y, rhs, 1e-3, 1e-3)
+
+
+def _transport_step(g):
+    v = bq.synthesize_divfree_velocity(g, 1.5, 1.0, 4)
+    f = bq.synthesize_holder_field(g, 1.5, 1.0, 3)
+
+    def rhs(_t, x, _out):  # the right-hand side of transport.solve
+        slope = advect(v, x)
+        np.negative(slope.coeffs, out=slope.coeffs)
+        return slope
+
+    return lambda: transport.rk4(f, rhs, 0.0, 1e-3)
+
+
+# The peak of one step above its start, in units of what it steps (a state
+# of 3 fields, or one field), at n = 64.  k1 and the combination, the new
+# state, are the two arrays a step keeps; every stage input and every slope
+# after k1 lives in rk4's work arrays.  What else is live at the peak:
+# - the held direct step: the two fresh rows leray_project returns in the
+#   last stage, 2/3 (7.0 before the stage inputs, slopes and right-hand-side
+#   temporaries moved to work arrays);
+# - the linearised step: numpy's rfft2 of the stacked advection product,
+#   whose first pass makes a fresh intermediate of the stack's size, 1
+#   (6.0 before);
+# - the transport step: the fresh slope of advect, which transport.solve's
+#   right-hand side returns, while the previous one is still bound, and the
+#   rfft2 intermediate, 2 (5.0 before).
+# The rest is Python objects, well under 0.1 of a unit.
+@pytest.mark.parametrize(
+    "step,unit_fields,live",
+    [(_held_direct_step, 3, 2 + 2 / 3), (_linearised_step, 3, 2 + 1), (_transport_step, 1, 2 + 2)],
+    ids=["held direct step", "linearised step", "transport step"],
+)
+def test_a_step_allocates_only_what_it_keeps(step, unit_fields, live):
+    g = make_grid(64)
+    unit = unit_fields * g.n * (g.n // 2 + 1) * np.dtype(complex).itemsize
+    assert _peak_above_start(step(g)) < (live + 0.1) * unit
 
 
 SEAM = ("_rfft2", "_irfft2")
