@@ -357,12 +357,13 @@ def _transport_step(g):
 # - the held direct step: the two fresh rows leray_project returns in the
 #   last stage, 2/3 (7.0 before the stage inputs, slopes and right-hand-side
 #   temporaries moved to work arrays);
-# - the linearised step: numpy's rfft2 of the stacked advection product,
-#   whose first pass makes a fresh intermediate of the stack's size, 1
-#   (6.0 before);
+# - the linearised step: the buffer numpy allocates for a multiply that
+#   broadcasts a grid table over the three rows, the stack's size at
+#   n = 64 (it has fewer elements than numpy's 8192-element buffer; at
+#   n = 128 the buffer is not allocated), 1 (6.0 before);
 # - the transport step: the fresh slope of advect, which transport.solve's
-#   right-hand side returns, while the previous one is still bound, and the
-#   rfft2 intermediate, 2 (5.0 before).
+#   right-hand side returns, made while the previous one is still bound,
+#   2 (5.0 before).
 # The rest is Python objects, well under 0.1 of a unit.
 @pytest.mark.parametrize(
     "step,unit_fields,live",
