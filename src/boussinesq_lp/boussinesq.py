@@ -625,7 +625,15 @@ class _HermiteTrajectory:
         h11 = s**3 - s**2
         y0, y1 = self._nodes[j], self._nodes[j + 1]
         d0, d1 = self._slopes[j], self._slopes[j + 1]
-        return h00 * y0 + (h10 * h) * d0 + h01 * y1 + (h11 * h) * d1
+        # h00*y0 + (h10*h)*d0 + h01*y1 + (h11*h)*d1 in one array, each
+        # product through one work array of the grid
+        g = y0.grid
+        term = g.work("hermite.term", y0.coeffs.shape)
+        read = y0.coeffs * h00
+        read += np.multiply(d0.coeffs, h10 * h, out=term)
+        read += np.multiply(y1.coeffs, h01, out=term)
+        read += np.multiply(d1.coeffs, h11 * h, out=term)
+        return BoussinesqState(g, read)
 
 
 def _solve_linear_iterate(

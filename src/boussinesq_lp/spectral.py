@@ -48,19 +48,20 @@ Every transform goes through one private pair, ``_rfft2`` and
 and the n x n grid.  ``_irfft2`` is numpy's own ``irfftn`` in its two
 passes (``np.fft.ifft`` down the columns, then ``np.fft.irfft`` along the
 rows), so it gives ``np.fft.irfft2`` bit for bit and, unlike it, honours
-``out=``.  Both look up ``np.fft`` at call time, so the transform counts
-of the tests wrap ``np.fft.rfft2`` and ``np.fft.irfft``, one call per
-transform.  A call may cover a stack of fields along leading axes, each
-row transformed bit for bit as on its own, so the Tier-1 counters count
-calls and fields (the product of the leading axes).  The linearized
-iterate of ``boussinesq`` advects the (theta, u1, u2) rows of its states with
-``_advect_rows``, of which ``advect`` is the one-field case.
+``out=``.  A call may cover a stack of fields along leading axes, each
+row transformed bit for bit as on its own.  The pair keeps the one,
+always-on transform tally ``_TALLY``: seam calls and fields (the product
+of the leading axes) per direction, whose growth over a call the tests
+read; the column pass of ``_irfft2`` is part of its one call.  The
+linearized iterate of ``boussinesq`` advects the (theta, u1, u2) rows of
+its states with ``_advect_rows``, of which ``advect`` is the one-field case.
 
 Fields are immutable: a ``SpectralField`` never changes its coefficients
 after construction, and no code writes into ``coeffs`` in place, with one
-exception: the right-hand side of ``transport.solve`` negates the result
-of ``advect`` in place, a field it has just built and nothing has read
-(as ``boussinesq._project_rows`` does for states).  Values
+exception: the right-hand side of ``transport.solve`` negates its slope in
+place, a field it has just built (``advect``'s at stage one, over ``rk4``'s
+slope work array after) and nothing has read (as
+``boussinesq._project_rows`` does for states).  Values
 derived from a field are therefore computed on first use and kept in the
 field's ``__dict__`` (by a ``functools.cached_property``, or directly in
 ``littlewood_paley``), so a later read is a plain attribute read:
@@ -78,20 +79,22 @@ stale; build a new field instead.
 Each ``Grid`` also holds a small workspace: reusable work arrays, keyed
 by (slot, shape, dtype) and built on first use (``Grid.work``).  The step
 and norm kernels (``_advect_rows``, ``leray_project``, ``divergence``,
-``grad_linf_norm``, ``littlewood_paley._block_norms``, ``transport.rk4``
-and the right-hand sides of ``boussinesq``) put the temporaries that no
-field keeps there: multiplied coefficients before an inverse transform,
-pointwise products, the results of the transforms, and ``rk4``'s stage
-inputs and slopes after the first.  Everything else they write with
-``out=`` or in place on an array they have just allocated.  The rules:
+``grad_linf_norm``, ``littlewood_paley._block_norms``, ``transport.rk4``,
+the right-hand sides of ``boussinesq`` and the Hermite reads of its
+iterates) put the temporaries that no field keeps there: multiplied
+coefficients before an inverse transform, pointwise products, the results
+of the transforms, and ``rk4``'s stage inputs and slopes after the first.
+Everything else they write with ``out=`` or in place on an array they have
+just allocated.  The rules:
 
 * each slot belongs to one kernel, which is done with its work arrays
   before it returns (it may pass them to a helper it calls, never back
   to its caller);
 * no field's ``coeffs`` or cached value aliases a work array: what a
   field keeps is always a fresh array.  The one exception is ``rk4``'s
-  own: the stage inputs and the slopes k2..k4 it builds over its slots
-  and passes to the right-hand side, which it drops before it returns;
+  own: the stage inputs it builds over its slots and the slopes k2..k4
+  the right-hand side builds over its slope slot, which it drops before
+  it returns;
 * every operation, its operands and their order are those of the plain
   expression, so every result is the same bit for bit (the operands of
   an addition or of a real multiplication may swap: both are
@@ -258,14 +261,22 @@ def make_grid(n: int, box_length: float = 2.0 * np.pi) -> Grid:
     return Grid(n, box_length)
 
 
+# The seam calls and fields transformed since start, per direction (see above)
+_TALLY = {"forward calls": 0, "forward fields": 0, "inverse calls": 0, "inverse fields": 0}
+
+
 def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The half spectrum of every (n, n) field of ``values``, into ``out`` if given."""
+    _TALLY["forward calls"] += 1
+    _TALLY["forward fields"] += math.prod(values.shape[:-2])
     return np.fft.rfft2(values, norm="forward", out=out)
 
 
 def _irfft2(coeffs: np.ndarray, grid: Grid | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The (n, n) values of every half spectrum of ``coeffs``, into ``out`` if
     given; the intermediate goes to the ``irfft2`` work array of ``grid``."""
+    _TALLY["inverse calls"] += 1
+    _TALLY["inverse fields"] += math.prod(coeffs.shape[:-2])
     n = coeffs.shape[-2]
     mid = None if grid is None else grid.work("irfft2", coeffs.shape)
     mid = np.fft.ifft(coeffs, n, axis=-2, norm="forward", out=mid)

@@ -15,7 +15,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .spectral import SpectralField, VectorField, advect, is_divergence_free
+from .spectral import SpectralField, VectorField, _advect_rows, advect, is_divergence_free
 
 __all__ = [
     "CFLViolation",
@@ -156,8 +156,13 @@ def solve(problem: TransportProblem, observers: int = 1) -> TransportTrajectory:
     if not is_divergence_free(v):
         raise ValueError("transport velocity must be divergence-free")
 
-    def rhs(_t: float, f: SpectralField, _out: np.ndarray | None) -> SpectralField:
-        slope = advect(v, f)  # a fresh field nothing has read: negated in place
+    def rhs(_t: float, f: SpectralField, out: np.ndarray | None) -> SpectralField:
+        # k1 is a fresh field (rk4 returns it), the later slopes land in out;
+        # either way nothing has read it yet, so it is negated in place
+        if out is None:
+            slope = advect(v, f)
+        else:
+            slope = SpectralField(f.grid, _advect_rows(f.grid, v, f.coeffs, out))
         np.negative(slope.coeffs, out=slope.coeffs)
         return slope
 

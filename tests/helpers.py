@@ -1,8 +1,19 @@
 """Shared test utilities."""
 
+from collections import Counter
+
 import numpy as np
 
+from boussinesq_lp import spectral
 from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm
+
+
+def tally(fn, *args, **kwargs) -> Counter:
+    """What fn(*args, **kwargs) adds to ``spectral._TALLY``, the seam calls
+    and fields of its transforms per direction (a key that did not grow reads 0)."""
+    before = Counter(spectral._TALLY)
+    fn(*args, **kwargs)
+    return Counter(spectral._TALLY) - before
 
 
 def rel_linf(a: SpectralField, b: SpectralField) -> float:

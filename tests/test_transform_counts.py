@@ -1,16 +1,14 @@
 """Transform counts of the solver paths, pinned exactly.
 
 Every transform in the program goes through ``spectral._rfft2`` or
-``spectral._irfft2``, which make exactly one call of ``np.fft.rfft2`` or
-``np.fft.irfft`` per transform (``_irfft2`` first runs an ``np.fft.ifft``
-down the columns, not counted), so counting those two calls counts all the
-work that dominates a step.
-One call may transform a stack of fields along its leading axes, so the
-pins count fields (the product of the leading axes of each input, 1 for a
-single field) and, where a path stacks its fields, calls as well.  The
-counts do not depend on the machine, so they gate a refactor where wall
-times on a shared host cannot.  The field counts were recorded before
-the steppers were merged into one RK4.
+``spectral._irfft2``, which keep a tally of their calls and of the fields
+they transform, per direction; the counts below are the growth of that
+tally over one call.  One seam call may transform a stack of fields along
+its leading axes, so the pins count fields (the product of the leading
+axes of each input, 1 for a single field) and seam calls.  The counts do
+not depend on the machine, so they gate a refactor where wall times on a
+shared host cannot.  The field counts were recorded before the steppers
+were merged into one RK4.
 
 Next to them, the number of ``SpectralField`` objects a path builds
 counts its full-array field results (each is one coefficient array), the
@@ -25,71 +23,45 @@ still set the norm (``littlewood_paley._holder_rows``), so its count
 depends on the data; the pins below say which blocks each norm takes.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from boussinesq_lp import boussinesq as bq
 from boussinesq_lp import harness, transport
-from boussinesq_lp.littlewood_paley import besov_norm, build_partition, holder_norm
+from boussinesq_lp.littlewood_paley import besov_norm, build_partition, compute_a0, holder_norm
 from boussinesq_lp.spectral import SpectralField, is_divergence_free, make_grid
+
+from helpers import tally
 
 N = 64
 DT = 1e-3
 
 
-def _counter(monkeypatch, owner, names, weight=lambda *args: 1):
-    """run(fn, *args) -> the summed ``weight(*call_args)`` of the calls
-    fn(*args) makes to the named attributes of ``owner`` (by default their
-    number), wrapped for the rest of the test."""
-    calls = [0]
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += weight(*args)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
-
-    def run(fn, *args, **kwargs):
-        before = calls[0]
-        fn(*args, **kwargs)
-        return calls[0] - before
-
-    return run
+def transforms(fn, *args) -> tuple[int, int]:
+    """(fields, seam calls) of the transforms fn(*args) makes, both directions."""
+    t = tally(fn, *args)
+    return t["forward fields"] + t["inverse fields"], t["forward calls"] + t["inverse calls"]
 
 
-TRANSFORMS = ("rfft2", "irfft")
-
-
-def _fields(a, *args) -> int:
-    """The fields one transform call covers: the product of the leading
-    axes of its input, 1 for a single (n, n) or (n, n//2 + 1) field."""
-    return math.prod(np.shape(a)[:-2])
-
-
-@pytest.fixture
-def count(monkeypatch):
-    """count(fn, *args) -> number of fields the rfft2/irfft calls of
-    fn(*args) transform."""
-    return _counter(monkeypatch, np.fft, TRANSFORMS, _fields)
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """calls(fn, *args) -> number of rfft2/irfft calls made by fn(*args)."""
-    return _counter(monkeypatch, np.fft, TRANSFORMS)
+def fields(fn, *args) -> int:
+    """The fields the transforms of fn(*args) cover."""
+    return transforms(fn, *args)[0]
 
 
 @pytest.fixture
 def built(monkeypatch):
     """built(fn, *args) -> number of SpectralField objects fn(*args) builds,
     each one a full-array field result."""
-    return _counter(monkeypatch, SpectralField, ("__post_init__",))
+    made = []  # one entry per field built
+    check = SpectralField.__post_init__
+    monkeypatch.setattr(SpectralField, "__post_init__", lambda self: made.append(check(self)))
+
+    def run(fn, *args):
+        before = len(made)
+        fn(*args)
+        return len(made) - before
+
+    return run
 
 
 def _grid():
@@ -104,18 +76,19 @@ def _q_max() -> int:
     return build_partition(_grid()).q_max
 
 
-def test_direct_step(count):
+def test_direct_step():
     # the CFL check reads u (2); stage 1 advects theta (3) and transforms
     # the three products of the flux tensor u (x) u (3); the stages after
-    # the first also read their substage velocity (2): 2 + (3 + 3) + 3 * 8
-    assert count(bq._direct_step, _tg(), DT, DT, True) == 32
+    # the first also read their substage velocity (2): 2 + (3 + 3) + 3 * 8,
+    # each a seam call of its own
+    assert transforms(bq._direct_step, _tg(), DT, DT, True) == (32, 32)
 
 
-def test_run_direct_monitor_sample(count):
+def test_run_direct_monitor_sample():
     # one step of run_direct = one _direct_step + one monitor sample
-    one = count(bq.run_direct, _tg(), DT, DT, 1.5)
-    two = count(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
-    step = count(bq._direct_step, _tg(), DT, DT, True)
+    one = fields(bq.run_direct, _tg(), DT, DT, 1.5)
+    two = fields(bq.run_direct, _tg(), 2 * DT, DT, 1.5)
+    step = fields(bq._direct_step, _tg(), DT, DT, True)
     sample = two - one - step
     # grad_linf_norm (4) + divergence_residual (1) + three Hoelder norms of
     # one block each (was 3 * (q_max + 2) = 15): Taylor-Green theta lives
@@ -124,14 +97,14 @@ def test_run_direct_monitor_sample(count):
     assert sample == 5 + 3 == 8
     # T = 0: validation (divergence-free check) plus the initial sample,
     # which reads the two velocity norms the check cached on u0
-    assert count(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3
+    assert fields(bq.run_direct, _tg(), 0.0, DT, 1.5) == 5 + 3
 
 
-def test_taylor_green_monitor_sample_at_128(count):
+def test_taylor_green_monitor_sample_at_128():
     # the benchmark's size: the same 5 + 3 fields, where transforming every
-    # block took 5 + 3 * (q_max + 2) = 23 (q_max = 4)
+    # block took 5 + 3 * (q_max + 2) = 23 (q_max = 4), in one seam call each
     state = bq.taylor_green_data(make_grid(128), 1.0, 0.05)
-    assert count(bq._monitor_sample, state, 1.5) == 8
+    assert transforms(bq._monitor_sample, state, 1.5) == (8, 8)
 
 
 def test_field_results_per_step_and_sample(built):
@@ -170,13 +143,14 @@ def _transport_problem(T):
     return transport.TransportProblem(f0, v, T=T, dt=DT)
 
 
-def test_constant_velocity_transport_step(count):
-    one = count(transport.solve, _transport_problem(DT))
-    two = count(transport.solve, _transport_problem(2 * DT))
-    assert two - one == 12
+def test_constant_velocity_transport_step():
+    one = transforms(transport.solve, _transport_problem(DT))
+    two = transforms(transport.solve, _transport_problem(2 * DT))
+    # 4 stages of one advection (3 single-field seam calls)
+    assert two[0] - one[0] == two[1] - one[1] == 12
     # the first step also checks the velocity for divergence once (5) and
     # reads its values (2)
-    assert one == 12 + 5 + 2
+    assert one[0] == 12 + 5 + 2
 
 
 def _iterate_data():
@@ -186,11 +160,12 @@ def _iterate_data():
     return bq.BoussinesqState.of(theta0, u0), 1.5, 3, 0.006, 2e-3, 1e-30
 
 
-def test_iterate_scheme_run(count, calls):
+def test_iterate_scheme_run():
     # two linearised iterates over 3 steps, plus the Cauchy gap norms: 7
     # gaps of one block over 3 rows each, where transforming every block
     # took 2 * 4 * (q_max + 2) * 3 = 120 fields (378 in all)
-    assert count(bq.iterate_scheme, *_iterate_data()) == 378 - 120 + 7 * 3 == 279
+    got_fields, got_calls = transforms(bq.iterate_scheme, *_iterate_data())
+    assert got_fields == 378 - 120 + 7 * 3 == 279
     # the same fields in fewer calls: validation, divergence check (5) and
     # dealias check of theta, u1 and u2 (1 call over 3 fields); each of
     # the 4 stages of the 3 steps of both iterates, and the slope at each
@@ -206,32 +181,32 @@ def test_iterate_scheme_run(count, calls):
     stages = 2 * (4 * 3 + 1) * 3
     velocity = 2 + 2 * (1 + 3 + 3)
     gaps = 2 * 4 - 1
-    assert calls(bq.iterate_scheme, *_iterate_data()) == 6 + stages + velocity + gaps == 107
+    assert got_calls == 6 + stages + velocity + gaps == 107
 
 
-def test_holder_norms_share_one_block_profile(count):
+def test_holder_norms_share_one_block_profile():
     f = bq.synthesize_holder_field(_grid(), 1.5, 1.0, 3) * 0.5  # a fresh field
     # its populated blocks q = 0, 1 (synthesized with equal weighted sups
     # at r = 1.5): one inverse transform each; the bounds of the other
     # q_max blocks cannot reach their terms
-    assert count(holder_norm, f, 1.5) == 2
-    assert count(holder_norm, f, 2.5) == 0  # the cached sups at another r
+    assert fields(holder_norm, f, 1.5) == 2
+    assert fields(holder_norm, f, 2.5) == 0  # the cached sups at another r
     # the full profile fills the q_max + 2 - 2 blocks still missing
-    assert count(besov_norm, f, 1.0, np.inf, 1.0) == _q_max()
-    assert count(holder_norm, f, 1.1) == 0
+    assert fields(besov_norm, f, 1.0, np.inf, 1.0) == _q_max()
+    assert fields(holder_norm, f, 1.1) == 0
 
 
-def test_divergence_check_paid_once_per_velocity(count):
+def test_divergence_check_paid_once_per_velocity():
     v = bq.synthesize_divfree_velocity(_grid(), 1.5, 1.0, 4) * 0.5  # a fresh field
 
     def check_twice():
         assert is_divergence_free(v) and is_divergence_free(v)
 
     # divergence_residual (1) + grad_linf_norm (4), for both calls together
-    assert count(check_twice) == 5
+    assert fields(check_twice) == 5
 
 
-def test_static_verify_run(count, monkeypatch):
+def test_static_verify_run(monkeypatch):
     monkeypatch.setattr(harness, "_RUN_CACHE", {})
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
@@ -249,10 +224,10 @@ def test_static_verify_run(count, monkeypatch):
     # the norms whose block q = 0 can still set the value, at r = 1.1, 1.5,
     # 2.0, 2.5 and 3.0
     also_q0 = 5 + 1 + 1 + 1 + 0
-    assert count(harness.verify, "lemma2.2.3", corpus) == draw + 5 * per_r + also_q0 == 109
+    assert fields(harness.verify, "lemma2.2.3", corpus) == draw + 5 * per_r + also_q0 == 109
 
 
-def test_commutator_verify_run(count, monkeypatch):
+def test_commutator_verify_run(monkeypatch):
     monkeypatch.setattr(harness, "_RUN_CACHE", {})
     corpus = harness.CorpusSpec(seeds=(0,), resolutions=(N,))
     q_max = _q_max()
@@ -270,4 +245,14 @@ def test_commutator_verify_run(count, monkeypatch):
     # block q = 0 as well: in 5, 1, 1, 1, 0 of the synthesis norms and 1, 0,
     # 0, 0, 0 norms of f, at r = 1.1, 1.5, 2.0, 2.5 and 3.0
     also_q0 = (5 + 1 + 1 + 1 + 0) + 1
-    assert count(harness.verify, "lemma2.1", corpus) == draw + 5 * per_r + also_q0 == 220
+    assert fields(harness.verify, "lemma2.1", corpus) == draw + 5 * per_r + also_q0 == 220
+
+
+def test_a_transform_without_a_grid_is_counted():
+    # compute_a0 builds no grid: its one inverse transform works in fresh arrays
+    assert tally(compute_a0.__wrapped__) == {"inverse calls": 1, "inverse fields": 1}
+
+
+def test_identical_runs_tally_identically():
+    first, second = (tally(bq.iterate_scheme, *_iterate_data()) for _ in range(2))
+    assert first == second and len(first) == 4

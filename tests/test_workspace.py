@@ -31,7 +31,7 @@ from boussinesq_lp.spectral import (
     make_grid,
 )
 
-from helpers import bits, signed_zero_coeffs
+from helpers import bits, signed_zero_coeffs, tally
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boussinesq_lp"
 TABLES = ("ik1", "ik2", "dealias_multiplier", "leray_k1", "leray_k2", "leray_ksq")
@@ -116,12 +116,19 @@ class TestParentForms:
         _same_bits(fresh, want)
         assert not any(np.shares_memory(fresh, buf) for buf in g._work.values())
         _same_bits(_irfft2(coeffs), want)  # no grid: fresh arrays throughout
+        # the tally: one seam call per transform, covering every field of the
+        # stack; the column pass of _irfft2 is part of its transform, and a
+        # call without a grid counts as well
+        fields = 3 if stacked else 1
+        inverse = {"inverse calls": 1, "inverse fields": fields}
+        assert tally(_irfft2, coeffs, g) == tally(_irfft2, coeffs) == inverse
         slot = g.work("test.values", want.shape, float)
         assert _irfft2(coeffs, g, slot) is slot
         _same_bits(slot, want)
         values = _parent_irfft2(g, other)
         forward = np.fft.rfft2(values, norm="forward")
         _same_bits(_rfft2(values), forward)
+        assert tally(_rfft2, values) == {"forward calls": 1, "forward fields": fields}
         slot = g.work("test.coeffs", coeffs.shape)
         assert _rfft2(values, slot) is slot
         _same_bits(slot, forward)
@@ -342,8 +349,8 @@ def _transport_step(g):
     v = bq.synthesize_divfree_velocity(g, 1.5, 1.0, 4)
     f = bq.synthesize_holder_field(g, 1.5, 1.0, 3)
 
-    def rhs(_t, x, _out):  # the right-hand side of transport.solve
-        slope = advect(v, x)
+    def rhs(_t, x, out):  # the right-hand side of transport.solve
+        slope = advect(v, x) if out is None else SpectralField(g, _advect_rows(g, v, x.coeffs, out))
         np.negative(slope.coeffs, out=slope.coeffs)
         return slope
 
@@ -361,13 +368,14 @@ def _transport_step(g):
 #   broadcasts a grid table over the three rows, the stack's size at
 #   n = 64 (it has fewer elements than numpy's 8192-element buffer; at
 #   n = 128 the buffer is not allocated), 1 (6.0 before);
-# - the transport step: the fresh slope of advect, which transport.solve's
-#   right-hand side returns, made while the previous one is still bound,
-#   2 (5.0 before).
-# The rest is Python objects, well under 0.1 of a unit.
+# - the transport step: nothing, since its slopes k2..k4 land in rk4's
+#   slope work array (4.05 when each was a fresh field of advect, made
+#   while the previous one was still bound; 5.0 before that).
+# The rest is Python objects and pocketfft's scratch rows, under 0.1 of a
+# unit (0.09 for the transport step).
 @pytest.mark.parametrize(
     "step,unit_fields,live",
-    [(_held_direct_step, 3, 2 + 2 / 3), (_linearised_step, 3, 2 + 1), (_transport_step, 1, 2 + 2)],
+    [(_held_direct_step, 3, 2 + 2 / 3), (_linearised_step, 3, 2 + 1), (_transport_step, 1, 2)],
     ids=["held direct step", "linearised step", "transport step"],
 )
 def test_a_step_allocates_only_what_it_keeps(step, unit_fields, live):
