@@ -8,11 +8,11 @@ from boussinesq_lp import spectral
 from boussinesq_lp.spectral import SpectralField, VectorField, linf_norm
 
 
-def tally(fn, *args, **kwargs) -> Counter:
-    """What fn(*args, **kwargs) adds to ``spectral._TALLY``, the seam calls
-    and fields of its transforms per direction (a key that did not grow reads 0)."""
+def tally(fn, *args) -> Counter:
+    """What fn(*args) adds to ``spectral._TALLY``, the seam calls and fields
+    of its transforms per direction (a key that did not grow reads 0)."""
     before = Counter(spectral._TALLY)
-    fn(*args, **kwargs)
+    fn(*args)
     return Counter(spectral._TALLY) - before
 
 

@@ -101,8 +101,8 @@ def test_run_direct_monitor_sample():
 
 
 def test_taylor_green_monitor_sample_at_128():
-    # the benchmark's size: the same 5 + 3 fields, where transforming every
-    # block took 5 + 3 * (q_max + 2) = 23 (q_max = 4), in one seam call each
+    # the benchmark's size: the same 5 + 3 fields, each its own seam call,
+    # where transforming every block took 5 + 3 * (q_max + 2) = 23 (q_max = 4)
     state = bq.taylor_green_data(make_grid(128), 1.0, 0.05)
     assert transforms(bq._monitor_sample, state, 1.5) == (8, 8)
 
